@@ -5,17 +5,16 @@ The package builds the recurrence's invariant-function model symbolically
 (`model`), replays the positivity certificates that establish one-or-two-step
 Lyapunov descent (`certifier`), and provides numeric/exact orbit machinery,
 stability checks, and parameter-region classification (`dynamics`), all on a
-small sparse polynomial engine over exact rationals (`exactalg`).
+small sparse polynomial engine over exact rationals (`exactalg`), which
+computes on Python ints and returns `fractions.Fraction` only at its public
+coefficient accessors.
 """
 from .exactalg import (
-    BigRational,
     Monomial,
     Poly,
     RationalFn,
     grlex_key,
     mono_text,
-    monomial_count,
-    min_coefficient,
     parse_poly,
     rf_equal,
     substitute,

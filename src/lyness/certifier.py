@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -195,19 +195,30 @@ def _poly_report(name: str, region: str, bindings: tuple[tuple[str, str], ...],
         min_coefficient=coeff,
         witness=mono,
         all_positive=coeff > 0,
-        all_integer=all(c.denominator == 1 for c in expansion.terms.values()),
+        all_integer=expansion.is_integral,
         elapsed_ms=elapsed_ms,
         require_integer=require_integer,
         expansion=expansion,
     )
 
 
-def _run_step(step: SubstitutionStep) -> list[CertificateReport]:
-    """Apply the step's stages and report on numerator and clearing factor."""
-    start = time.perf_counter()
+def _expand(step: SubstitutionStep) -> RationalFn:
+    """Apply the step's stages, in order, to its expression."""
     rf = step.expr
     for stage in step.stages:
         rf = substitute(rf, stage)
+    return rf
+
+
+def _run_step(step: SubstitutionStep,
+              expanded: Callable[[], RationalFn] | None = None) -> list[CertificateReport]:
+    """Expand the step and report on numerator and clearing factor.
+
+    ``expanded`` supplies an expansion computed elsewhere (see
+    `certify_q1`); by default the step's stages are applied here.
+    """
+    start = time.perf_counter()
+    rf = _expand(step) if expanded is None else expanded()
     elapsed = (time.perf_counter() - start) * 1000.0
     bindings = _bindings_of(step)
     reports = [
@@ -267,7 +278,7 @@ def verify_delta1_identity(closed_form: RationalFn | None = None) -> Certificate
         min_coefficient=coeff,
         witness=mono,
         all_positive=holds,
-        all_integer=all(c.denominator == 1 for c in cross.terms.values()),
+        all_integer=cross.is_integral,
         elapsed_ms=elapsed,
         expansion=cross,
     )
@@ -415,11 +426,22 @@ def q1_steps(u_image: RationalFn | Poly | None = None) -> tuple[SubstitutionStep
     )
 
 
+@lru_cache(maxsize=1)
+def _eq17_sector() -> RationalFn:
+    """The q1-case-above-diagonal expansion under the default u = 1 + t.
+
+    It is also the ``eq17`` landmark of `landmark_counts`, so both share
+    this one expansion.
+    """
+    return _expand(q1_steps()[0])
+
+
 def certify_q1(u_image: RationalFn | Poly | None = None) -> list[CertificateReport]:
     """Certify that the two-step difference is positive on q1."""
     reports: list[CertificateReport] = []
     for step in q1_steps(u_image):
-        reports.extend(_run_step(step))
+        shared = u_image is None and step.name == "q1-case-above-diagonal"
+        reports.extend(_run_step(step, _eq17_sector if shared else None))
     return reports
 
 
@@ -494,14 +516,20 @@ def certify_q3() -> list[CertificateReport]:
     return reports
 
 
-_SEGMENT_X: Mapping[str, object] = {
-    "x": _U,
-    "y": RationalFn(_U * _V, _V + 1),
+_SEGMENT_CHARTS: Mapping[str, Mapping[str, object]] = {
+    "segment-x-eq-u": {"x": _U, "y": RationalFn(_U * _V, _V + 1)},
+    "segment-y-eq-u": {"y": _U, "x": RationalFn(_U * _W, _W + 1)},
 }
-_SEGMENT_Y: Mapping[str, object] = {
-    "y": _U,
-    "x": RationalFn(_U * _W, _W + 1),
-}
+
+
+@lru_cache(maxsize=None)
+def _segment_transformed(name: str) -> RationalFn:
+    """Two-step difference numerator restricted to one open segment.
+
+    The returned denominator is the cleared chart factor; the restriction is
+    shared by the segment's clearing report and its step.
+    """
+    return substitute(build_symbolic_model().delta2.num, _SEGMENT_CHARTS[name])
 
 
 def segment_steps() -> tuple[SubstitutionStep, ...]:
@@ -512,34 +540,26 @@ def segment_steps() -> tuple[SubstitutionStep, ...]:
     same Moebius chart as q3.
     """
     u_stage = {"u": U_POSITIVE}
-    seg_x = substitute(build_symbolic_model().delta2.num, _SEGMENT_X)
-    seg_y = substitute(build_symbolic_model().delta2.num, _SEGMENT_Y)
-    return (
+    regions = {"segment-x-eq-u": "open segment x = u, 0 < y < u (v > 0)",
+               "segment-y-eq-u": "open segment y = u, 0 < x < u (w > 0)"}
+    return tuple(
         SubstitutionStep(
-            name="segment-x-eq-u",
-            region="open segment x = u, 0 < y < u (v > 0)",
-            expr=RationalFn(seg_x.num),
-            context=(_SEGMENT_X,),
+            name=name,
+            region=region,
+            expr=RationalFn(_segment_transformed(name).num),
+            context=(_SEGMENT_CHARTS[name],),
             stages=(u_stage,),
             delta_index=2,
-        ),
-        SubstitutionStep(
-            name="segment-y-eq-u",
-            region="open segment y = u, 0 < x < u (w > 0)",
-            expr=RationalFn(seg_y.num),
-            context=(_SEGMENT_Y,),
-            stages=(u_stage,),
-            delta_index=2,
-        ),
-    )
+        )
+        for name, region in regions.items())
 
 
 def certify_segments() -> list[CertificateReport]:
     """Certify the two-step difference on both open segments."""
     reports: list[CertificateReport] = []
-    for chart, name in ((_SEGMENT_X, "segment-x-eq-u"), (_SEGMENT_Y, "segment-y-eq-u")):
+    for name, chart in _SEGMENT_CHARTS.items():
         start = time.perf_counter()
-        rf = substitute(build_symbolic_model().delta2.num, chart)
+        rf = _segment_transformed(name)
         elapsed = (time.perf_counter() - start) * 1000.0
         bindings = tuple((n, _binding_text(img)) for n, img in chart.items())
         reports.append(_poly_report(
@@ -572,12 +592,10 @@ def landmark_counts() -> dict:
     ``eq16`` its corner shift, and ``eq17`` the first diagonal sector
     expansion of the shift (keys follow the published report schema).
     """
-    sector = substitute(
-        substitute(shifted_numerator(), {"y0": _X0 + _K}), {"u": U_POSITIVE}).num
     return {
         "delta2Numerator": build_symbolic_model().delta2.num.monomial_count(),
         "eq16": shifted_numerator().monomial_count(),
-        "eq17": sector.monomial_count(),
+        "eq17": _eq17_sector().num.monomial_count(),
     }
 
 

@@ -2,18 +2,25 @@
 
 Exit codes are the machine contract: 0 success, 1 verification failure
 (a failed certificate step, a failed identity, or a non-converging /
-descent-violating orbit), 2 usage or validation error.  Data outputs are
-deterministic; JSON certificate reports carry wall-clock timings unless
-``--no-timing`` is given, which makes reruns byte-identical.
+descent-violating orbit), 2 usage or validation error, 141 when the reader of
+stdout goes away early, as in ``lyness certify | head -1`` (128 + SIGPIPE,
+what a shell reports for a tool that SIGPIPE ended; no traceback is
+printed).  Data outputs are deterministic; JSON certificate reports carry
+wall-clock timings unless ``--no-timing`` is given, which makes reruns
+byte-identical.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
 from . import certifier, dynamics
 from .model import ParamsPQ, build_symbolic_model
+
+#: Exit code when stdout is closed before the output is written.
+EXIT_CLOSED_PIPE = 141
 
 
 def _rational(text: str) -> Fraction:
@@ -188,10 +195,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit does not
+        # raise a second time on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .model import ParamsPQ, equilibrium, invariant_value, to_alpha_A
 
-_VERDICTS = ("converged", "max-iters-exceeded", "diverged-nonfinite")
-
 
 @dataclass(frozen=True)
 class OrbitTrace:

@@ -1,6 +1,17 @@
-"""Sparse multivariate polynomials and rational functions over exact rationals.
+"""Sparse multivariate polynomials and rational functions over exact rationals,
+computed on Python integers.
 
-A polynomial is a finite map from monomials to nonzero `Fraction` coefficients.
+A polynomial is a finite map from monomials to nonzero `int` coefficients
+plus one positive `int` denominator shared by every term (the content factor
+``1/den``): the coefficient of monomial ``m`` is ``terms[m] / den``.  The pair
+is kept canonical, with ``den`` the least common denominator (so gcd(den,
+coefficients) == 1), which makes equality a plain comparison.  Every
+polynomial of the certificate roster is integral (``den == 1``), so its
+products, sums, powers and substitutions run on ints alone.  `Fraction`
+appears in two places only: the public accessors (`Poly.terms`,
+`Poly.coefficient`, `Poly.min_coefficient`) return `Fraction` values, and a
+polynomial with non-integral coefficients carries ``den > 1``.
+
 A monomial is a tuple of ``(variable_id, exponent)`` pairs, sorted by variable
 id, with every exponent positive; the empty tuple is the constant monomial.
 The variable table is fixed globally (see `VARIABLES`), which keeps monomial
@@ -18,13 +29,11 @@ threads.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
-
-#: Exact rational scalar type used throughout the package.
-BigRational = Fraction
 
 #: Fixed global variable order; grlex comparisons read exponents in this order.
 VARIABLES: tuple[str, ...] = ("x", "y", "u", "A", "t", "k", "x0", "y0", "w", "v")
@@ -36,7 +45,6 @@ Monomial = tuple[tuple[int, int], ...]
 CONSTANT_MONOMIAL: Monomial = ()
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Scalar = Union[int, Fraction]
 
@@ -104,27 +112,21 @@ def mono_text(m: Monomial) -> str:
 
 
 class Poly:
-    """Immutable sparse multivariate polynomial with Fraction coefficients."""
+    """Immutable sparse multivariate polynomial with exact rational
+    coefficients, stored as ints over one common denominator."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] | None = None):
-        data: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
-                c = Fraction(coeff)
-                if c:
-                    prev = data.get(mono)
-                    if prev is None:
-                        data[mono] = c
-                    else:
-                        s = prev + c
-                        if s:
-                            data[mono] = s
-                        else:
-                            del data[mono]
-        self._terms = data
+                acc[mono] = acc.get(mono, _ZERO) + Fraction(coeff)
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        self._terms = {m: c.numerator * (den // c.denominator)
+                       for m, c in acc.items() if c}
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -134,28 +136,34 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        return cls({CONSTANT_MONOMIAL: Fraction(value)})
+        return cls({CONSTANT_MONOMIAL: value})
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls({((var_id(name), 1),): _ONE})
+        return _make({((var_id(name), 1),): 1}, 1)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        """Read-only view of the canonical term map."""
-        return MappingProxyType(self._terms)
+        """Read-only map from each monomial to its `Fraction` coefficient."""
+        den = self._den
+        return MappingProxyType({m: Fraction(c, den) for m, c in self._terms.items()})
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
+    @property
+    def is_integral(self) -> bool:
+        """True when every coefficient is an integer."""
+        return self._den == 1
+
     def monomial_count(self) -> int:
         return len(self._terms)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, _ZERO)
+        return Fraction(self._terms.get(mono, 0), self._den)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
@@ -165,34 +173,19 @@ class Poly:
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of one variable (0 when absent)."""
-        vid = var_id(name)
-        best = 0
-        for m in self._terms:
-            for v, e in m:
-                if v == vid and e > best:
-                    best = e
-        return best
+        return _max_exponents((self,)).get(var_id(name), 0)
 
     def variables(self) -> tuple[str, ...]:
         """Names of the variables that actually occur, in table order."""
-        seen = set()
-        for m in self._terms:
-            for vid, _ in m:
-                seen.add(vid)
-        return tuple(VARIABLES[i] for i in sorted(seen))
+        return tuple(VARIABLES[i] for i in sorted(_max_exponents((self,))))
 
     def min_coefficient(self) -> tuple[Fraction, Monomial]:
         """Smallest coefficient and its grlex-smallest attaining monomial."""
         if not self._terms:
             raise ValueError("empty polynomial")
-        best_c: Fraction | None = None
-        for c in self._terms.values():
-            if best_c is None or c < best_c:
-                best_c = c
-        attaining = [m for m, c in self._terms.items() if c == best_c]
-        attaining.sort(key=grlex_key)
-        assert best_c is not None
-        return best_c, attaining[0]
+        best = min(self._terms.values())
+        mono = min((m for m, c in self._terms.items() if c == best), key=grlex_key)
+        return Fraction(best, self._den), mono
 
     # -- arithmetic --------------------------------------------------------
 
@@ -200,23 +193,12 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = Poly.__new__(Poly)
-        p._terms = out
-        return p
+        return _sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p._terms = {m: -c for m, c in self._terms.items()}
-        return p
+        return _make({m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         other = _as_poly(other)
@@ -232,26 +214,21 @@ class Poly:
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Poly.zero()
-            p = Poly.__new__(Poly)
-            p._terms = {m: c * v for m, v in self._terms.items()}
-            return p
+            n = other.numerator
+            if not n:
+                return Poly()
+            return _make({m: c * n for m, c in self._terms.items()},
+                         self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
+        get = out.get
+        b = other._terms.items()
         for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
+            for mb, cb in b:
                 m = mono_mul(ma, mb)
-                s = out.get(m, _ZERO) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        p = Poly.__new__(Poly)
-        p._terms = out
-        return p
+                out[m] = get(m, 0) + ca * cb
+        return _make({m: c for m, c in out.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -275,10 +252,10 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._terms.items()), self._den))
 
     # -- evaluation / serialization -----------------------------------------
 
@@ -301,15 +278,17 @@ class Poly:
                     cache.append(cache[-1] * cache[1])
                 v = v * cache[e]
             total = total + v
-        return total
+        return total / self._den if self._den != 1 else total
 
     def to_text(self) -> str:
         """Canonical serialization: grlex term order, explicit signs."""
         if not self._terms:
             return "0"
+        den = self._den
         items = sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
         pieces: list[str] = []
-        for i, (m, c) in enumerate(items):
+        for i, (m, n) in enumerate(items):
+            c = n if den == 1 else Fraction(n, den)
             mag = -c if c < 0 else c
             if not m:
                 body = str(mag)
@@ -330,12 +309,50 @@ class Poly:
         return f"Poly({self.to_text()!r})"
 
 
+def _make(terms: dict[Monomial, int], den: int) -> Poly:
+    """Poly from nonzero int coefficients over a positive denominator,
+    reduced to the canonical (least) denominator."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+    p = Poly.__new__(Poly)
+    p._terms = terms
+    p._den = den
+    return p
+
+
+def _sum(polys: Iterable[Poly]) -> Poly:
+    """Sum of polynomials over their least common denominator."""
+    polys = tuple(polys)
+    den = math.lcm(*(p._den for p in polys))
+    acc: dict[Monomial, int] = {}
+    get = acc.get
+    for p in polys:
+        scale = den // p._den
+        for m, c in p._terms.items():
+            acc[m] = get(m, 0) + c * scale
+    return _make({m: c for m, c in acc.items() if c}, den)
+
+
 def _as_poly(value) -> "Poly":
     if isinstance(value, Poly):
         return value
     if isinstance(value, (int, Fraction)):
         return Poly.const(value)
     return NotImplemented
+
+
+def _max_exponents(polys: Iterable[Poly]) -> dict[int, int]:
+    """Largest exponent of each occurring variable id across ``polys``."""
+    emax: dict[int, int] = {}
+    for p in polys:
+        for mono in p._terms:
+            for vid, e in mono:
+                if e > emax.get(vid, 0):
+                    emax[vid] = e
+    return emax
 
 
 class RationalFn:
@@ -355,10 +372,6 @@ class RationalFn:
             raise ZeroDivisionError("denominator vanishes identically")
         self.num = n
         self.den = d
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RationalFn":
-        return cls(p)
 
     @classmethod
     def const(cls, value: Scalar) -> "RationalFn":
@@ -450,14 +463,6 @@ def _as_rf(value) -> "RationalFn":
 # -- operations over the engine ---------------------------------------------
 
 
-def monomial_count(p: Poly) -> int:
-    return p.monomial_count()
-
-
-def min_coefficient(p: Poly) -> tuple[Fraction, Monomial]:
-    return p.min_coefficient()
-
-
 def rf_equal(a: RationalFn, b: RationalFn) -> bool:
     """Cross-multiplied equality: a/b == c/d iff a*d - c*b == 0."""
     return (a.num * b.den - b.num * a.den).is_zero
@@ -481,6 +486,11 @@ def substitute(target: RationalFn | Poly,
     variables absent from the target are ignored; unbound variables pass
     through.  Raises ZeroDivisionError when the substituted denominator is
     identically zero.
+
+    Terms are grouped by their exponents in the bound variables: each
+    group's power product ``prod num^e * den^(emax-e)`` is formed once
+    (shared by numerator and denominator) and multiplied once by the group's
+    polynomial in the unbound variables.
     """
     rf = _as_rf(target)
     if rf is NotImplemented:
@@ -491,40 +501,37 @@ def substitute(target: RationalFn | Poly,
         if coerced is NotImplemented:
             raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or exact scalar")
         images[var_id(name)] = coerced
-    emax = {vid: 0 for vid in images}
-    for poly in (rf.num, rf.den):
-        for mono in poly._terms:
-            for vid, e in mono:
-                if vid in emax and e > emax[vid]:
-                    emax[vid] = e
-    images = {vid: img for vid, img in images.items() if emax[vid] > 0}
+    emax = _max_exponents((rf.num, rf.den))
+    images = {vid: img for vid, img in images.items() if emax.get(vid, 0) > 0}
     if not images:
         return rf
     num_pows = {vid: _powers(img.num, emax[vid]) for vid, img in images.items()}
     den_pows = {vid: _powers(img.den, emax[vid]) for vid, img in images.items()}
+    products: dict[Monomial, Poly] = {}
 
-    def image_of(poly: Poly) -> Poly:
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in poly._terms.items():
-            kept = tuple((vid, e) for vid, e in mono if vid not in images)
-            exps = {vid: e for vid, e in mono if vid in images}
-            piece = Poly({kept: coeff})
+    def product_of(bound: Monomial) -> Poly:
+        prod = products.get(bound)
+        if prod is None:
+            exps = dict(bound)
+            prod = Poly.const(1)
             for vid in images:
                 e = exps.get(vid, 0)
                 if e:
-                    piece = piece * num_pows[vid][e]
+                    prod = prod * num_pows[vid][e]
                 r = emax[vid] - e
                 if r:
-                    piece = piece * den_pows[vid][r]
-            for m, c in piece._terms.items():
-                s = out.get(m, _ZERO) + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        p = Poly.__new__(Poly)
-        p._terms = out
-        return p
+                    prod = prod * den_pows[vid][r]
+            products[bound] = prod
+        return prod
+
+    def image_of(poly: Poly) -> Poly:
+        groups: dict[Monomial, dict[Monomial, int]] = {}
+        for mono, coeff in poly._terms.items():
+            bound = tuple(pair for pair in mono if pair[0] in images)
+            kept = tuple(pair for pair in mono if pair[0] not in images)
+            groups.setdefault(bound, {})[kept] = coeff
+        return _sum(product_of(bound) * _make(group, poly._den)
+                    for bound, group in groups.items())
 
     num = image_of(rf.num)
     den = image_of(rf.den)

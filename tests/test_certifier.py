@@ -438,6 +438,8 @@ def test_min_coefficient_serialized_as_exact_ratio(summary):
     ident = next(s for s in doc["steps"] if s["step"] == "delta1-identity")
     assert ident["minCoefficient"] is None
     assert ident["witness"] is None
+    assert all(type(r.min_coefficient) is Fraction
+               for r in summary.reports if r.min_coefficient is not None)
 
 
 def test_text_summary_mentions_strictness(summary):

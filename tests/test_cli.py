@@ -1,12 +1,16 @@
 """Tests for the command-line interface (driven in-process through main)."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from lyness.cli import main
+from lyness.cli import EXIT_CLOSED_PIPE, main
+
+#: SHA-256 of the byte-identical ``lyness certify --no-timing`` output.
+CERTIFY_NO_TIMING_SHA256 = "926bb95827b14497c1021668408e620ebf49cbc6ff996c4a81327f74878870ec"
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +45,7 @@ def test_certify_no_timing_is_byte_identical(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "elapsedMs" not in first
+    assert hashlib.sha256(first.encode()).hexdigest() == CERTIFY_NO_TIMING_SHA256
 
 
 def test_certify_threads_agree_with_serial(capsys):
@@ -220,3 +225,17 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "flags: (none)" in proc.stdout
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # the reader closes its end before the child writes anything, as
+    # `lyness certify --no-timing | head -1` does once head has its line
+    with subprocess.Popen(
+            [sys.executable, "-m", "lyness", "certify", "--no-timing"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == EXIT_CLOSED_PIPE == 141
+    assert b"Traceback" not in err
+    assert b"BrokenPipeError" not in err

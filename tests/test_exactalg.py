@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lyness.certifier import proportionality_constant
 from lyness.exactalg import (
+    VARIABLES,
     Poly,
     RationalFn,
     mono_text,
     parse_poly,
     rf_equal,
     substitute,
+    var_id,
 )
 
 x = Poly.var("x")
@@ -306,3 +309,177 @@ def test_substitution_evaluation_compatible_rational_image():
     point = {"u": Fraction(3), "w": Fraction(2), "y": Fraction(5, 7)}
     image_value = image.evaluate(point)
     assert out.evaluate(point) == f.evaluate({"x": image_value, "y": point["y"]})
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: the integer kernel against a plain dict-of-Fraction reference
+# ---------------------------------------------------------------------------
+#
+# The reference keeps every coefficient as a Fraction in a plain dict and
+# multiplies monomials through exponent dicts, sharing no code with Poly.
+
+
+def _ref_mono(exps):
+    return tuple((var_id(name), e) for name, e in zip(_NAMES, exps) if e)
+
+
+def _ref_mono_mul(a, b):
+    exps = dict(a)
+    for vid, e in b:
+        exps[vid] = exps.get(vid, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = _ref_mono_mul(ma, mb)
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_pow(a, n):
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_value(ref, point):
+    total = Fraction(0)
+    for m, c in ref.items():
+        term = c
+        for vid, e in m:
+            term *= point[VARIABLES[vid]] ** e
+        total += term
+    return total
+
+
+def _ref_substitute(num, den, bindings):
+    """The documented clearing: each term times prod num^e * den^(emax - e)."""
+    images = {var_id(name): pair for name, pair in bindings.items()}
+    emax = {vid: 0 for vid in images}
+    for ref in (num, den):
+        for m in ref:
+            for vid, e in m:
+                if vid in emax:
+                    emax[vid] = max(emax[vid], e)
+    images = {vid: pair for vid, pair in images.items() if emax[vid]}
+
+    def image_of(ref):
+        out = {}
+        for m, c in ref.items():
+            exps = dict(m)
+            piece = {tuple((v, e) for v, e in m if v not in images): c}
+            for vid, (img_num, img_den) in images.items():
+                e = exps.get(vid, 0)
+                piece = _ref_mul(piece, _ref_pow(img_num, e))
+                piece = _ref_mul(piece, _ref_pow(img_den, emax[vid] - e))
+            out = _ref_add(out, piece)
+        return out
+
+    return image_of(num), image_of(den)
+
+
+_NONZERO = _COEFFS.filter(bool)
+_REF = st.dictionaries(_EXPS.map(_ref_mono), _NONZERO, max_size=4)
+_REF_IMAGE = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
+        lambda ut: tuple(pair for pair in ((var_id("u"), ut[0]), (var_id("t"), ut[1]))
+                         if pair[1])),
+    _NONZERO, max_size=3)
+_EXACT = st.fractions(min_value=Fraction(-7, 2), max_value=4, max_denominator=9)
+
+
+def _assert_matches(p, ref):
+    assert dict(p.terms) == ref
+    assert all(type(c) is Fraction for c in p.terms.values())
+    # the stored form is canonical: equal to the same terms built afresh
+    assert p == Poly(ref)
+    assert p.is_integral == all(c.denominator == 1 for c in ref.values())
+
+
+@settings(max_examples=150)
+@given(_REF, _REF, st.integers(0, 3), _NONZERO)
+def test_kernel_arithmetic_matches_reference(a, b, n, scalar):
+    pa, pb = Poly(a), Poly(b)
+    _assert_matches(pa, a)
+    _assert_matches(pa + pb, _ref_add(a, b))
+    _assert_matches(pa - pb, _ref_add(a, {m: -c for m, c in b.items()}))
+    _assert_matches(pa * pb, _ref_mul(a, b))
+    _assert_matches(pa ** n, _ref_pow(a, n))
+    _assert_matches(pa * scalar, {m: c * scalar for m, c in a.items()})
+
+
+@settings(max_examples=100)
+@given(_REF, _REF.filter(bool), _REF_IMAGE, _REF_IMAGE.filter(bool),
+       _REF_IMAGE, _REF_IMAGE.filter(bool))
+def test_kernel_substitute_matches_reference(num, den, xn, xd, yn, yd):
+    bindings = {"x": (xn, xd), "y": (yn, yd)}
+    ref_num, ref_den = _ref_substitute(num, den, bindings)
+    if not ref_den:
+        with pytest.raises(ZeroDivisionError):
+            substitute(RationalFn(Poly(num), Poly(den)),
+                       {name: RationalFn(Poly(n), Poly(d))
+                        for name, (n, d) in bindings.items()})
+        return
+    out = substitute(RationalFn(Poly(num), Poly(den)),
+                     {name: RationalFn(Poly(n), Poly(d)) for name, (n, d) in bindings.items()})
+    _assert_matches(out.num, ref_num)
+    _assert_matches(out.den, ref_den)
+
+
+@settings(max_examples=150)
+@given(_REF, _REF, _EXACT, _EXACT, _EXACT, _EXACT)
+def test_kernel_exact_evaluate_matches_reference(a, b, px, py, pu, pa):
+    point = {"x": px, "y": py, "u": pu, "A": pa}
+    value = Poly(a).evaluate(point)
+    assert type(value) is Fraction
+    assert value == _ref_value(a, point)
+    den_value = _ref_value(b, point)
+    if not b:
+        return
+    rf = RationalFn(Poly(a), Poly(b))
+    if den_value == 0:
+        with pytest.raises(ZeroDivisionError):
+            rf.evaluate(point)
+        return
+    exact = rf.evaluate(point)
+    assert type(exact) is Fraction
+    assert exact == _ref_value(a, point) / den_value
+    if rf.num.variables() or rf.den.variables():
+        approx = rf.evaluate({name: float(v) for name, v in point.items()})
+        assert type(approx) is float
+
+
+@settings(max_examples=100)
+@given(_REF.filter(bool))
+def test_kernel_accessors_return_fractions(ref):
+    p = Poly(ref)
+    least, mono = p.min_coefficient()
+    assert type(least) is Fraction
+    assert least == min(ref.values())
+    for m in (mono, ((var_id("v"), 9),)):
+        assert type(p.coefficient(m)) is Fraction
+        assert p.coefficient(m) == ref.get(m, 0)
+    const = proportionality_constant(2 * p, p)
+    assert type(const) is Fraction
+    assert const == Fraction(2)
+
+
+def test_integral_polynomials_keep_int_coefficients():
+    p = (1 + t) ** 4 * (u - 2 * x)
+    assert p.is_integral
+    assert all(type(c) is int for c in p._terms.values())
+    q = Fraction(1, 3) * p
+    assert not q.is_integral
+    assert 3 * q == p
+    assert (3 * q).is_integral
