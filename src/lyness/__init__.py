@@ -16,7 +16,6 @@ from .exactalg import (
     grlex_key,
     mono_text,
     parse_poly,
-    rf_equal,
     substitute,
 )
 from .model import (

@@ -18,17 +18,22 @@ x <= u <= y, ``q3``: both <= u, ``q4``: y <= u <= x), and ``segment-x-eq-u``
 / ``segment-y-eq-u`` are the open segments between the fixed point and the
 axes.  Steps whose name ends in ``-clearing`` certify the positivity of a
 denominator that was cleared while substituting.
+
+The one-step claims on q2 and q4 are the factors of the closed form
+(`q2q4_steps`).  The two-step claims are one table, `CHARTS`: each chart
+maps x and y onto coordinates of one region and lists its splits along the
+diagonal, and `certify_charts` expands the table, pushing the two-step
+difference numerator through each chart once.  `GROUPS` names every
+certificate group; `run_full_certificate` runs any selection of them.
 """
 from __future__ import annotations
 
 import json
-import os
 import time
-from collections.abc import Callable, Mapping
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .exactalg import Monomial, Poly, RationalFn, mono_text, substitute
 from .model import build_symbolic_model
@@ -43,6 +48,11 @@ _X0 = Poly.var("x0")
 _Y0 = Poly.var("y0")
 _W = Poly.var("w")
 _V = Poly.var("v")
+
+#: Moebius coordinates: u*w/(w+1) sweeps 0 < x < u as w runs over w > 0,
+#: and u*v/(v+1) does the same for y.
+_MOBIUS_W = RationalFn(_U * _W, _W + 1)
+_MOBIUS_V = RationalFn(_U * _V, _V + 1)
 
 #: Default normalization of the equilibrium coordinate: u = 1 + t with t > 0
 #: encodes the standing assumption u > 1.
@@ -172,12 +182,9 @@ def _binding_text(image: object) -> str:
     return str(Fraction(image))
 
 
-def _bindings_of(step: SubstitutionStep) -> tuple[tuple[str, str], ...]:
-    out: list[tuple[str, str]] = []
-    for stage in (*step.context, *step.stages):
-        for name, image in stage.items():
-            out.append((name, _binding_text(image)))
-    return tuple(out)
+def _bindings_of(*stages: Mapping[str, object]) -> tuple[tuple[str, str], ...]:
+    return tuple((name, _binding_text(image))
+                 for stage in stages for name, image in stage.items())
 
 
 def _poly_report(name: str, region: str, bindings: tuple[tuple[str, str], ...],
@@ -214,13 +221,13 @@ def _run_step(step: SubstitutionStep,
               expanded: Callable[[], RationalFn] | None = None) -> list[CertificateReport]:
     """Expand the step and report on numerator and clearing factor.
 
-    ``expanded`` supplies an expansion computed elsewhere (see
-    `certify_q1`); by default the step's stages are applied here.
+    ``expanded`` supplies a cached expansion (see `certify_charts`); by
+    default the step's stages are applied here.
     """
     start = time.perf_counter()
     rf = _expand(step) if expanded is None else expanded()
     elapsed = (time.perf_counter() - start) * 1000.0
-    bindings = _bindings_of(step)
+    bindings = _bindings_of(*step.context, *step.stages)
     reports = [
         _poly_report(step.name, step.region, bindings,
                      step.expr.num.monomial_count(), rf.num, elapsed,
@@ -295,8 +302,8 @@ def q2q4_steps() -> tuple[SubstitutionStep, ...]:
     covers the y = u edge of q2 and the x = u edge of q4.
     """
     f1, f2 = line_factor(), parabola_factor()
-    q2_stage = {"x": RationalFn(_U * _W, _W + 1), "y": _U + _Y0}
-    q4_stage = {"x": _U + _X0, "y": RationalFn(_U * _V, _V + 1)}
+    q2_stage = {"x": _MOBIUS_W, "y": _U + _Y0}
+    q4_stage = {"x": _U + _X0, "y": _MOBIUS_V}
     u_stage = {"u": U_POSITIVE}
     return (
         SubstitutionStep(
@@ -354,222 +361,165 @@ def certify_q2q4() -> list[CertificateReport]:
     return reports
 
 
-@lru_cache(maxsize=1)
-def shifted_numerator() -> Poly:
-    """Two-step difference numerator in corner coordinates x0 = x - u, y0 = y - u."""
-    num = build_symbolic_model().delta2.num
-    return substitute(num, {"x": _X0 + _U, "y": _Y0 + _U}).num
+@dataclass(frozen=True, eq=False)
+class Chart:
+    """A change of variables onto one region of the two-step claim.
 
-
-_Q1_SHIFT: tuple[Mapping[str, object], ...] = (
-    {"x": _X0 + _U, "y": _Y0 + _U},
-)
-
-
-def q1_steps(u_image: RationalFn | Poly | None = None) -> tuple[SubstitutionStep, ...]:
-    """Steps certifying the two-step difference on q1 (x0, y0 >= 0).
-
-    The quadrant splits along its diagonal; each part, and each boundary
-    half-line, expands to a polynomial with all-positive integer
-    coefficients.  ``u_image`` overrides the default binding u -> 1 + t;
-    passing 1 - t violates the standing assumption u > 1 and serves as a
-    negative control.
+    ``bindings`` maps x and y onto chart coordinates; the two-step
+    difference numerator is pushed through them once, and the denominator
+    cleared on the way is certified by the report ``clearing`` names
+    (``(step name, region)``; None when nothing is cleared).  Each split
+    ``(step name, split stage, region)`` becomes one step that applies the
+    split stage (none when empty) and then u = 1 + t.
     """
-    u_stage = {"u": U_POSITIVE if u_image is None else u_image}
-    expr = RationalFn(shifted_numerator())
-    return (
-        SubstitutionStep(
-            name="q1-case-above-diagonal",
-            region="q1 with y >= x: x0 >= 0, y0 = x0 + k with k >= 0",
-            expr=expr,
-            context=_Q1_SHIFT,
-            stages=({"y0": _X0 + _K}, u_stage),
-            require_integer=True,
-            delta_index=2,
+
+    bindings: Mapping[str, object]
+    splits: tuple[tuple[str, Mapping[str, object], str], ...]
+    clearing: tuple[str, str] | None = None
+    require_integer: bool = False
+
+
+_SEGMENT_CLEARING = ("chart denominator cleared while restricting to the "
+                     "segment; must be positive")
+
+#: The two-step roster: each certificate group and the charts it certifies.
+#: q1 is shifted to its corner and split along its diagonal and its two
+#: boundary half-lines; q3 and the coordinate strictly between 0 and u on
+#: each open segment use the Moebius chart, whose diagonal v = w is the
+#: plane's diagonal y = x.
+CHARTS: Mapping[str, tuple[Chart, ...]] = {
+    "q1": (Chart(
+        bindings={"x": _X0 + _U, "y": _Y0 + _U},
+        splits=(
+            ("q1-case-above-diagonal", {"y0": _X0 + _K},
+             "q1 with y >= x: x0 >= 0, y0 = x0 + k with k >= 0"),
+            ("q1-case-below-diagonal", {"x0": _Y0 + _K},
+             "q1 with x >= y: y0 >= 0, x0 = y0 + k with k >= 0"),
+            ("q1-case-diagonal", {"y0": _X0},
+             "q1 diagonal y = x: y0 = x0 with x0 >= 0"),
+            ("q1-edge-x0-zero", {"x0": 0}, "q1 boundary half-line x = u, y >= u"),
+            ("q1-edge-y0-zero", {"y0": 0}, "q1 boundary half-line y = u, x >= u"),
         ),
-        SubstitutionStep(
-            name="q1-case-below-diagonal",
-            region="q1 with x >= y: y0 >= 0, x0 = y0 + k with k >= 0",
-            expr=expr,
-            context=_Q1_SHIFT,
-            stages=({"x0": _Y0 + _K}, u_stage),
-            require_integer=True,
-            delta_index=2,
+        require_integer=True),),
+    "q3": (Chart(
+        bindings={"x": _MOBIUS_W, "y": _MOBIUS_V},
+        splits=(
+            ("q3-case-above-diagonal", {"v": _W + _K},
+             "q3 interior with y >= x: v = w + k with k >= 0"),
+            ("q3-case-below-diagonal", {"w": _V + _K},
+             "q3 interior with x >= y: w = v + k with k >= 0"),
+            ("q3-case-diagonal", {"v": _W}, "q3 interior diagonal y = x: v = w"),
         ),
-        SubstitutionStep(
-            name="q1-case-diagonal",
-            region="q1 diagonal y = x: y0 = x0 with x0 >= 0",
-            expr=expr,
-            context=_Q1_SHIFT,
-            stages=({"y0": _X0}, u_stage),
-            require_integer=True,
-            delta_index=2,
-        ),
-        SubstitutionStep(
-            name="q1-edge-x0-zero",
-            region="q1 boundary half-line x = u, y >= u",
-            expr=expr,
-            context=_Q1_SHIFT,
-            stages=({"x0": 0}, u_stage),
-            require_integer=True,
-            delta_index=2,
-        ),
-        SubstitutionStep(
-            name="q1-edge-y0-zero",
-            region="q1 boundary half-line y = u, x >= u",
-            expr=expr,
-            context=_Q1_SHIFT,
-            stages=({"y0": 0}, u_stage),
-            require_integer=True,
-            delta_index=2,
-        ),
-    )
-
-
-@lru_cache(maxsize=1)
-def _eq17_sector() -> RationalFn:
-    """The q1-case-above-diagonal expansion under the default u = 1 + t.
-
-    It is also the ``eq17`` landmark of `landmark_counts`, so both share
-    this one expansion.
-    """
-    return _expand(q1_steps()[0])
-
-
-def certify_q1(u_image: RationalFn | Poly | None = None) -> list[CertificateReport]:
-    """Certify that the two-step difference is positive on q1."""
-    reports: list[CertificateReport] = []
-    for step in q1_steps(u_image):
-        shared = u_image is None and step.name == "q1-case-above-diagonal"
-        reports.extend(_run_step(step, _eq17_sector if shared else None))
-    return reports
-
-
-_Q3_MOBIUS: Mapping[str, object] = {
-    "x": RationalFn(_U * _W, _W + 1),
-    "y": RationalFn(_U * _V, _V + 1),
-}
-
-
-@lru_cache(maxsize=1)
-def _q3_transformed() -> RationalFn:
-    """Two-step difference numerator pushed through the q3 interior chart.
-
-    The chart (w, v) -> (u*w/(w+1), u*v/(v+1)) is one-to-one from the open
-    positive quadrant onto the interior of q3; the returned denominator is
-    the cleared chart factor (w+1)^a (v+1)^b.
-    """
-    num = build_symbolic_model().delta2.num
-    return substitute(num, _Q3_MOBIUS)
-
-
-def q3_steps() -> tuple[SubstitutionStep, ...]:
-    """Steps certifying the two-step difference on the interior of q3.
-
-    Subcases split along the diagonal of the chart coordinates (w, v), which
-    corresponds to the diagonal y = x of the plane.
-    """
-    expr = RationalFn(_q3_transformed().num)
-    u_stage = {"u": U_POSITIVE}
-    context = (_Q3_MOBIUS,)
-    return (
-        SubstitutionStep(
-            name="q3-case-above-diagonal",
-            region="q3 interior with y >= x: v = w + k with k >= 0",
-            expr=expr,
-            context=context,
-            stages=({"v": _W + _K}, u_stage),
-            delta_index=2,
-        ),
-        SubstitutionStep(
-            name="q3-case-below-diagonal",
-            region="q3 interior with x >= y: w = v + k with k >= 0",
-            expr=expr,
-            context=context,
-            stages=({"w": _V + _K}, u_stage),
-            delta_index=2,
-        ),
-        SubstitutionStep(
-            name="q3-case-diagonal",
-            region="q3 interior diagonal y = x: v = w",
-            expr=expr,
-            context=context,
-            stages=({"v": _W}, u_stage),
-            delta_index=2,
-        ),
-    )
-
-
-def certify_q3() -> list[CertificateReport]:
-    """Certify that the two-step difference is positive inside q3."""
-    start = time.perf_counter()
-    chart = _q3_transformed()
-    elapsed = (time.perf_counter() - start) * 1000.0
-    bindings = tuple((n, _binding_text(img)) for n, img in _Q3_MOBIUS.items())
-    reports = [_poly_report(
-        "q3-mobius-clearing",
-        "chart denominator (w+1)^a (v+1)^b cleared while mapping onto the "
-        "interior of q3; must be positive",
-        bindings, chart.den.monomial_count(), chart.den, elapsed)]
-    for step in q3_steps():
-        reports.extend(_run_step(step))
-    return reports
-
-
-_SEGMENT_CHARTS: Mapping[str, Mapping[str, object]] = {
-    "segment-x-eq-u": {"x": _U, "y": RationalFn(_U * _V, _V + 1)},
-    "segment-y-eq-u": {"y": _U, "x": RationalFn(_U * _W, _W + 1)},
+        clearing=("q3-mobius-clearing",
+                  "chart denominator (w+1)^a (v+1)^b cleared while mapping "
+                  "onto the interior of q3; must be positive")),),
+    "segments": (
+        Chart(bindings={"x": _U, "y": _MOBIUS_V},
+              splits=(("segment-x-eq-u", {}, "open segment x = u, 0 < y < u (v > 0)"),),
+              clearing=("segment-x-eq-u-clearing", _SEGMENT_CLEARING)),
+        Chart(bindings={"y": _U, "x": _MOBIUS_W},
+              splits=(("segment-y-eq-u", {}, "open segment y = u, 0 < x < u (w > 0)"),),
+              clearing=("segment-y-eq-u-clearing", _SEGMENT_CLEARING)),
+    ),
 }
 
 
 @lru_cache(maxsize=None)
-def _segment_transformed(name: str) -> RationalFn:
-    """Two-step difference numerator restricted to one open segment.
+def _chart_image(chart: Chart) -> RationalFn:
+    """Two-step difference numerator pushed through the chart.
 
-    The returned denominator is the cleared chart factor; the restriction is
-    shared by the segment's clearing report and its step.
+    The returned denominator is the cleared chart factor, e.g.
+    (w+1)^a (v+1)^b for the Moebius chart of q3.
     """
-    return substitute(build_symbolic_model().delta2.num, _SEGMENT_CHARTS[name])
+    return substitute(build_symbolic_model().delta2.num, chart.bindings)
 
 
-def segment_steps() -> tuple[SubstitutionStep, ...]:
-    """Steps certifying the two-step difference on the open segments.
-
-    The segments run from the fixed point toward the axes along x = u and
-    y = u; the coordinate strictly between 0 and u is parameterized by the
-    same Moebius chart as q3.
-    """
-    u_stage = {"u": U_POSITIVE}
-    regions = {"segment-x-eq-u": "open segment x = u, 0 < y < u (v > 0)",
-               "segment-y-eq-u": "open segment y = u, 0 < x < u (w > 0)"}
+def _chart_steps(chart: Chart,
+                 u_image: RationalFn | Poly | None = None) -> tuple[SubstitutionStep, ...]:
+    u_stage = {"u": U_POSITIVE if u_image is None else u_image}
+    expr = RationalFn(_chart_image(chart).num)
     return tuple(
         SubstitutionStep(
             name=name,
             region=region,
-            expr=RationalFn(_segment_transformed(name).num),
-            context=(_SEGMENT_CHARTS[name],),
-            stages=(u_stage,),
+            expr=expr,
+            context=(chart.bindings,),
+            stages=(split, u_stage) if split else (u_stage,),
+            require_integer=chart.require_integer,
             delta_index=2,
         )
-        for name, region in regions.items())
+        for name, split, region in chart.splits)
+
+
+@lru_cache(maxsize=None)
+def _split_expansion(chart: Chart, index: int) -> RationalFn:
+    """The chart's ``index``-th split step expanded under u = 1 + t.
+
+    Shared by the step's report and, for the first q1 split, by the
+    ``eq17`` landmark of `landmark_counts`.
+    """
+    return _expand(_chart_steps(chart)[index])
+
+
+def chart_steps(group: str,
+                u_image: RationalFn | Poly | None = None) -> tuple[SubstitutionStep, ...]:
+    """The split steps of every chart of ``group`` (a key of `CHARTS`).
+
+    ``u_image`` overrides the default binding u -> 1 + t.
+    """
+    return tuple(step for chart in CHARTS[group] for step in _chart_steps(chart, u_image))
+
+
+def certify_charts(group: str,
+                   u_image: RationalFn | Poly | None = None) -> list[CertificateReport]:
+    """Certify the two-step difference on every chart of ``group``.
+
+    Each chart yields its clearing report, timed over the chart
+    substitution, then one report per split.  Expansions under the default
+    u are cached; an explicit ``u_image`` is expanded afresh.
+    """
+    reports: list[CertificateReport] = []
+    for chart in CHARTS[group]:
+        start = time.perf_counter()
+        image = _chart_image(chart)
+        elapsed = (time.perf_counter() - start) * 1000.0
+        if chart.clearing is not None:
+            name, region = chart.clearing
+            reports.append(_poly_report(name, region, _bindings_of(chart.bindings),
+                                        image.den.monomial_count(), image.den, elapsed))
+        for index, step in enumerate(_chart_steps(chart, u_image)):
+            cached = None if u_image is not None else partial(_split_expansion, chart, index)
+            reports.extend(_run_step(step, cached))
+    return reports
+
+
+def shifted_numerator() -> Poly:
+    """Two-step difference numerator in corner coordinates x0 = x - u, y0 = y - u."""
+    return _chart_image(CHARTS["q1"][0]).num
+
+
+def q3_steps() -> tuple[SubstitutionStep, ...]:
+    """Steps certifying the two-step difference on the interior of q3."""
+    return chart_steps("q3")
+
+
+def certify_q1(u_image: RationalFn | Poly | None = None) -> list[CertificateReport]:
+    """Certify that the two-step difference is positive on q1 (x0, y0 >= 0).
+
+    Passing ``u_image`` = 1 - t violates the standing assumption u > 1 and
+    serves as a negative control.
+    """
+    return certify_charts("q1", u_image)
+
+
+def certify_q3() -> list[CertificateReport]:
+    """Certify that the two-step difference is positive inside q3."""
+    return certify_charts("q3")
 
 
 def certify_segments() -> list[CertificateReport]:
     """Certify the two-step difference on both open segments."""
-    reports: list[CertificateReport] = []
-    for name, chart in _SEGMENT_CHARTS.items():
-        start = time.perf_counter()
-        rf = _segment_transformed(name)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        bindings = tuple((n, _binding_text(img)) for n, img in chart.items())
-        reports.append(_poly_report(
-            f"{name}-clearing",
-            "chart denominator cleared while restricting to the segment; "
-            "must be positive",
-            bindings, rf.den.monomial_count(), rf.den, elapsed))
-    for step in segment_steps():
-        reports.extend(_run_step(step))
-    return reports
+    return certify_charts("segments")
 
 
 # -- aggregation ------------------------------------------------------------------
@@ -595,44 +545,30 @@ def landmark_counts() -> dict:
     return {
         "delta2Numerator": build_symbolic_model().delta2.num.monomial_count(),
         "eq16": shifted_numerator().monomial_count(),
-        "eq17": _eq17_sector().num.monomial_count(),
+        "eq17": _split_expansion(CHARTS["q1"][0], 0).num.monomial_count(),
     }
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    raw = os.environ.get("LYNESS_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise ValueError(f"LYNESS_THREADS must be an integer, got {raw!r}") from exc
-    return 1
+#: Certificate groups by name, in run order; ``lyness certify --step`` picks one.
+GROUPS: Mapping[str, Callable[[], list[CertificateReport]]] = {
+    "identity": lambda: [verify_delta1_identity()],
+    "q2q4": certify_q2q4,
+    "q1": certify_q1,
+    "q3": certify_q3,
+    "segments": certify_segments,
+}
 
 
-def run_full_certificate(threads: int | None = None) -> CertificateSummary:
-    """Run every certificate group and aggregate into one summary.
+def run_full_certificate(groups: Iterable[str] = tuple(GROUPS)) -> CertificateSummary:
+    """Run the named certificate groups (all by default) into one summary.
 
-    Groups are independent once the symbolic model is built and may run on
-    worker threads (``threads`` argument, else the LYNESS_THREADS
-    environment variable); reports are merged by sorting on step name, so
-    the output does not depend on scheduling.  Counts record the monomial
-    sizes of the three landmark expansions: the two-step difference
-    numerator, its corner shift, and the first diagonal sector expansion.
+    Reports are sorted by step name.  Counts record the monomial sizes of
+    the three landmark expansions: the two-step difference numerator, its
+    corner shift, and the first diagonal sector expansion.
     """
-    build_symbolic_model()
-    groups = (certify_q2q4, certify_q1, certify_q3, certify_segments)
-    reports: list[CertificateReport] = [verify_delta1_identity()]
-    n = _thread_count(threads)
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            for part in pool.map(lambda fn: fn(), groups):
-                reports.extend(part)
-    else:
-        for fn in groups:
-            reports.extend(fn())
-    reports.sort(key=lambda r: r.step)
+    build_symbolic_model()  # outside the delta1-identity report's timer
+    reports = sorted((r for name in groups for r in GROUPS[name]()),
+                     key=lambda r: r.step)
     return CertificateSummary(
         overall_pass=all(r.passed for r in reports),
         reports=tuple(reports),

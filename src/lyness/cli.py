@@ -43,25 +43,9 @@ def _window(text: str) -> tuple[float, float, float, float]:
     return vals
 
 
-_CERTIFY_STEPS = {
-    "identity": lambda: [certifier.verify_delta1_identity()],
-    "q2q4": certifier.certify_q2q4,
-    "q1": certifier.certify_q1,
-    "q3": certifier.certify_q3,
-    "segments": certifier.certify_segments,
-}
-
-
 def _cmd_certify(args) -> int:
-    if args.step is None:
-        summary = certifier.run_full_certificate(threads=args.threads)
-    else:
-        reports = sorted(_CERTIFY_STEPS[args.step](), key=lambda r: r.step)
-        summary = certifier.CertificateSummary(
-            overall_pass=all(r.passed for r in reports),
-            reports=tuple(reports),
-            counts=certifier.landmark_counts(),
-        )
+    summary = certifier.run_full_certificate(
+        certifier.GROUPS if args.step is None else (args.step,))
     payload = certifier.summary_to_json(summary, include_timing=not args.no_timing)
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -150,13 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cert = sub.add_parser("certify", help="run positivity certificates")
-    cert.add_argument("--step", choices=sorted(_CERTIFY_STEPS),
+    cert.add_argument("--step", choices=sorted(certifier.GROUPS),
                       help="run a single certificate group instead of all")
     cert.add_argument("--json", metavar="PATH", help="write the JSON summary to PATH")
     cert.add_argument("--no-timing", action="store_true",
                       help="omit elapsedMs for byte-identical reruns")
-    cert.add_argument("--threads", type=int, default=None,
-                      help="worker threads (default: LYNESS_THREADS or 1)")
     cert.set_defaults(func=_cmd_certify)
 
     ident = sub.add_parser("identity", help="check symbolic closed-form identities")

@@ -23,8 +23,7 @@ factorization is ever computed: equality is decided by cross-multiplication,
 and substitution clears binding denominators in a single common-denominator
 pass so that composed maps stay in the expected normalized shape.
 
-Everything here is immutable after construction and safe to share between
-threads.
+Everything here is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -461,11 +460,6 @@ def _as_rf(value) -> "RationalFn":
 
 
 # -- operations over the engine ---------------------------------------------
-
-
-def rf_equal(a: RationalFn, b: RationalFn) -> bool:
-    """Cross-multiplied equality: a/b == c/d iff a*d - c*b == 0."""
-    return (a.num * b.den - b.num * a.den).is_zero
 
 
 def _powers(p: Poly, n: int) -> list[Poly]:

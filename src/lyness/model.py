@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .exactalg import Poly, RationalFn, rf_equal, substitute
+from .exactalg import Poly, RationalFn, substitute
 
 Number = Union[int, float, Fraction]
 
@@ -229,8 +229,7 @@ def build_symbolic_model() -> SymbolicModel:
     t2 = RationalFn(u * u + A * u - u + y, A + x)
     step = {"x": t1, "y": t2}
     # the equilibrium (u, u) must be fixed by the map
-    if not rf_equal(substitute(t2, {"x": RationalFn(u), "y": RationalFn(u)}),
-                    RationalFn(u)):
+    if substitute(t2, {"x": RationalFn(u), "y": RationalFn(u)}) != u:
         raise AssertionError("step map does not fix (u, u)")
     g_t = substitute(g, step)
     g_tt = substitute(g_t, step)

@@ -48,10 +48,11 @@ def _line(n: int, ok: bool, detail: str) -> str:
 
 
 def _clear_symbolic_caches():
+    """Drop the model and every certifier cache, so a replay starts cold."""
     build_symbolic_model.cache_clear()
-    certifier.shifted_numerator.cache_clear()
-    certifier._q3_transformed.cache_clear()
-    certifier.landmark_counts.cache_clear()
+    for value in vars(certifier).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 """Tests for the command-line interface (driven in-process through main)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -27,15 +29,47 @@ def test_certify_full_run(capsys):
     assert "elapsedMs" in doc["steps"][0]
 
 
-def test_certify_single_groups(capsys):
-    assert main(["certify", "--step", "identity"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert [s["step"] for s in doc["steps"]] == ["delta1-identity"]
+#: Reports of each ``--step`` group; together they are the full roster.
+GROUP_STEPS = {
+    "identity": {"delta1-identity"},
+    "q2q4": {"delta1-numerator-cofactor", "delta1-denominator",
+             "q2-line-factor-negated", "q2-line-factor-negated-clearing",
+             "q2-parabola-factor-negated", "q2-parabola-factor-negated-clearing",
+             "q4-line-factor", "q4-line-factor-clearing",
+             "q4-parabola-factor", "q4-parabola-factor-clearing"},
+    "q1": {"q1-case-above-diagonal", "q1-case-below-diagonal", "q1-case-diagonal",
+           "q1-edge-x0-zero", "q1-edge-y0-zero"},
+    "q3": {"q3-mobius-clearing", "q3-case-above-diagonal", "q3-case-below-diagonal",
+           "q3-case-diagonal"},
+    "segments": {"segment-x-eq-u", "segment-x-eq-u-clearing",
+                 "segment-y-eq-u", "segment-y-eq-u-clearing"},
+}
 
-    assert main(["certify", "--step", "q1"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert len(doc["steps"]) == 5
-    assert all(s["step"].startswith("q1-") for s in doc["steps"])
+
+def _certify_json(*flags):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["certify", "--no-timing", *flags])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.fixture(scope="module")
+def full_run():
+    code, doc = _certify_json()
+    assert code == 0
+    assert sorted(s["step"] for s in doc["steps"]) == sorted(set().union(*GROUP_STEPS.values()))
+    return doc
+
+
+@pytest.mark.parametrize("group", sorted(GROUP_STEPS))
+def test_certify_single_groups(group, full_run):
+    code, doc = _certify_json("--step", group)
+    assert code == 0
+    assert doc["overallPass"] is True
+    assert doc["counts"] == full_run["counts"]
+    expected = [json.dumps(s) for s in full_run["steps"] if s["step"] in GROUP_STEPS[group]]
+    assert [json.dumps(s) for s in doc["steps"]] == expected
+    assert len(expected) == len(GROUP_STEPS[group])
 
 
 def test_certify_no_timing_is_byte_identical(capsys):
@@ -46,14 +80,6 @@ def test_certify_no_timing_is_byte_identical(capsys):
     assert first == second
     assert "elapsedMs" not in first
     assert hashlib.sha256(first.encode()).hexdigest() == CERTIFY_NO_TIMING_SHA256
-
-
-def test_certify_threads_agree_with_serial(capsys):
-    assert main(["certify", "--no-timing"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["certify", "--no-timing", "--threads", "4"]) == 0
-    threaded = capsys.readouterr().out
-    assert serial == threaded
 
 
 def test_certify_json_file_plus_text_table(tmp_path, capsys):

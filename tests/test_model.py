@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyness.certifier import delta1_closed_form, delta2_denominator, proportionality_constant
-from lyness.exactalg import rf_equal
 from lyness.model import (
     ParamsAlphaA,
     ParamsPQ,
@@ -223,7 +222,7 @@ def test_eval_delta_matches_direct_formula():
 
 def test_delta1_matches_closed_form():
     model = build_symbolic_model()
-    assert rf_equal(model.delta1, delta1_closed_form())
+    assert model.delta1 == delta1_closed_form()
 
 
 def test_delta2_denominator_matches_displayed_product():
