@@ -62,6 +62,7 @@ from .dynamics import (
     RegionCoverage,
     StabilityInfo,
     classify_regions,
+    descent_along,
     g_grid,
     grid_to_csv,
     lyapunov_descent_check,
@@ -70,7 +71,6 @@ from .dynamics import (
     simulate,
     stability_from_ua,
     trace_to_csv,
-    transformed_orbit,
 )
 
 __version__ = "0.1.0"

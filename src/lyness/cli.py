@@ -75,9 +75,8 @@ def _cmd_identity(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = ParamsPQ(args.p, args.q)
-    seed = (args.xm1, args.x0)
     mode = "exact" if args.exact else "float"
-    trace = dynamics.simulate(params, seed, mode=mode, tol=args.tol,
+    trace = dynamics.simulate(params, (args.xm1, args.x0), mode=mode, tol=args.tol,
                               max_iters=args.max_iters)
     info_xbar = dynamics.equilibrium(params).xbar
     n, xp, xc = trace.states[-1]
@@ -87,8 +86,7 @@ def _cmd_simulate(args) -> int:
     print(f"final state: x[n-1]={xp:.17g} x[n]={xc:.17g}")
     ok = trace.converged
     if params.q < params.p:
-        descent = dynamics.lyapunov_descent_check(
-            params, seed, steps=min(trace.iters_to_tol or 500, 2000))
+        descent = dynamics.descent_along(params, trace.states)
         if descent.violation is None:
             print(f"descent: ok ({descent.checked} steps checked)")
         else:
@@ -186,7 +184,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_CLOSED_PIPE
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a rational argument beyond the float range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

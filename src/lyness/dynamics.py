@@ -1,21 +1,22 @@
 """Orbit machinery for the recurrence x[n+1] = (p + q*x[n]) / (1 + x[n-1]).
 
-Simulation runs in the original x-coordinates (float or exact rational),
-while the invariant-function values attached to a trace are computed in the
-transformed coordinates y = x/q where the candidate Lyapunov function g is
-defined.  The module also monitors the one-or-two-step descent of g along
-orbits, evaluates local stability of the fixed point, classifies parameter
-points against the five previously-settled parameter regions, and emits
-grids of g for inspection.
+The recurrence is applied in one place, the generator ``_orbit``, in the
+original x-coordinates (float or exact rational).  ``simulate`` walks it,
+and ``descent_along`` checks the one-or-two-step descent of the Lyapunov
+function g along a trace's states, computing g at y = x/q where it is
+defined.  The module also evaluates local stability of the fixed point,
+classifies parameter points against the five previously-settled parameter
+regions, and emits grids of g for inspection.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .model import ParamsPQ, equilibrium, invariant_value, to_alpha_A
+from .model import ParamsPQ, equilibrium, invariant_value
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,19 @@ class OrbitTrace:
         return self.verdict == "converged"
 
 
+def _orbit(p, q, seed: tuple):
+    """Yield (x[n-1], x[n]) for n = 0, 1, ..., starting with ``seed``.
+
+    This is the one place the recurrence is applied.  Arithmetic follows the
+    types of ``p``, ``q`` and ``seed``: floats give the float orbit, Fractions
+    the exact one.  The generator never stops; callers decide when to.
+    """
+    x_prev, x_cur = seed
+    while True:
+        yield x_prev, x_cur
+        x_prev, x_cur = x_cur, (p + q * x_cur) / (1 + x_prev)
+
+
 def simulate(params: ParamsPQ,
              seed: tuple,
              mode: str = "float",
@@ -49,69 +63,52 @@ def simulate(params: ParamsPQ,
 
     Stops with verdict "converged" once both of the two current components
     are within ``tol`` of the equilibrium, with "max-iters-exceeded" after
-    ``max_iters`` steps, or with "diverged-nonfinite" if a float state stops
-    being finite and positive (a numeric overflow signal; the exact
-    recurrence preserves positivity, which exact mode asserts literally).
+    ``max_iters`` steps, or with "diverged-nonfinite" if a state stops being
+    finite and positive (a float overflow signal; the exact recurrence
+    preserves positivity, so exact mode never reports it).  The seed must be
+    positive and finite once converted to the working type and to the float
+    view the trace records, so a rational seed that rounds to 0.0 is
+    rejected with ValueError, and one beyond the float range raises
+    OverflowError.
     """
     if mode == "exact-rational":
         mode = "exact"
     if mode not in ("float", "exact"):
         raise ValueError(f"mode must be 'float' or 'exact-rational', got {mode!r}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tolerance must be positive and finite")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    x_prev, x_cur = seed
-    if not (x_prev > 0 and x_cur > 0):
-        raise ValueError("seed components must be positive")
-    if mode == "exact":
-        p, q = Fraction(params.p), Fraction(params.q)
-        x_prev, x_cur = Fraction(x_prev), Fraction(x_cur)
-    else:
-        p, q = float(params.p), float(params.q)
-        x_prev, x_cur = float(x_prev), float(x_cur)
+    number = Fraction if mode == "exact" else float
+    p, q = number(params.p), number(params.q)
+    seed = number(seed[0]), number(seed[1])
+    if not all(0 < float(x) < math.inf for x in seed):
+        raise ValueError("seed components must be positive and finite")
     info = equilibrium(params)
-    xbar, u = info.xbar, info.ybar
-    alpha_tilde = u * u - u
-    qf = float(params.q)
+    xbar = info.xbar
 
     states: list[tuple[int, float, float]] = []
-    g_values: list[float] = []
-
-    def g_of(a, b) -> float:
-        ya, yb = float(a) / qf, float(b) / qf
-        return invariant_value(alpha_tilde, ya, yb)
-
-    def record(n, a, b):
-        if record_states or n == 0:
-            states.append((n, float(a), float(b)))
-            g_values.append(g_of(a, b))
-        elif states:
-            states[-1] = (n, float(a), float(b))
-            g_values[-1] = g_of(a, b)
-
     verdict = "max-iters-exceeded"
     iters_to_tol = None
-    n = 0
-    record(0, x_prev, x_cur)
-    while True:
-        if abs(float(x_prev) - xbar) < tol and abs(float(x_cur) - xbar) < tol:
+    for n, (x_prev, x_cur) in enumerate(_orbit(p, q, seed)):
+        if not 0 < x_cur < math.inf:
+            verdict = "diverged-nonfinite"
+            break
+        state = (n, float(x_prev), float(x_cur))
+        if record_states:
+            states.append(state)
+        if abs(state[1] - xbar) < tol and abs(state[2] - xbar) < tol:
             verdict = "converged"
             iters_to_tol = n
             break
         if n >= max_iters:
             break
-        nxt = (p + q * x_cur) / (1 + x_prev)
-        if mode == "float":
-            if not math.isfinite(nxt) or nxt <= 0:
-                verdict = "diverged-nonfinite"
-                break
-        else:
-            assert nxt > 0, "exact iteration must stay positive"
-        x_prev, x_cur = x_cur, nxt
-        n += 1
-        record(n, x_prev, x_cur)
-    return OrbitTrace(tuple(states), tuple(g_values), verdict, iters_to_tol)
+    if not record_states:
+        states.append(state)
+    qf = float(params.q)
+    g_values = tuple(invariant_value(info.alpha_tilde, a / qf, b / qf)
+                     for _, a, b in states)
+    return OrbitTrace(tuple(states), g_values, verdict, iters_to_tol)
 
 
 def trace_to_csv(trace: OrbitTrace, stream) -> None:
@@ -121,24 +118,11 @@ def trace_to_csv(trace: OrbitTrace, stream) -> None:
         stream.write(f"{n},{xp:.17g},{xc:.17g},{g:.17g}\n")
 
 
-def transformed_orbit(alpha, cap_a, seed: tuple, steps: int) -> list:
-    """Iterate y[n+1] = (alpha + y[n]) / (cap_a + y[n-1]); returns [y[-1], y[0], ...].
-
-    Arithmetic follows the argument types, so rational inputs give an exact
-    orbit.  Simulating the original recurrence and this one from a seed
-    divided by q gives orbits related by x[n] = q * y[n] exactly.
-    """
-    y_prev, y_cur = seed
-    if not (y_prev > 0 and y_cur > 0):
-        raise ValueError("seed components must be positive")
-    out = [y_prev, y_cur]
-    for _ in range(steps):
-        y_prev, y_cur = y_cur, (alpha + y_cur) / (cap_a + y_prev)
-        out.append(y_cur)
-    return out
-
-
 # -- Lyapunov descent --------------------------------------------------------------
+
+
+#: Relative distance to the fixed point below which the monitor skips a state.
+EQ_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -159,61 +143,69 @@ class DescentResult:
     skipped_near_equilibrium: int
 
 
-def lyapunov_descent_check(params: ParamsPQ,
-                           seed: tuple,
-                           steps: int,
-                           eq_tol: float = 1e-9) -> DescentResult:
-    """Check min(g[n+1], g[n+2]) < g[n] + 1e-12 along a float orbit.
+def descent_along(params: ParamsPQ,
+                  states: Iterable[tuple[int, float, float]]) -> DescentResult:
+    """Check min(g[n+1], g[n+2]) < g[n] + 1e-12 along an orbit's states.
 
-    Requires q < p, the regime in which the transformed fixed point exceeds 1
-    and g descends in at most two steps everywhere off the fixed point.
-    States whose distance to the fixed point is within ``eq_tol`` relative to
-    max(1, u) are skipped: at that distance a float orbit's position is
-    dominated by rounding, so differences of g carry no information.  Checks
-    are screened with float arithmetic and any step too close to call is
-    re-evaluated exactly (the float states convert to rationals exactly, and
-    g is a rational function), so a reported violation is a genuine property
-    of the computed states, not of rounding.
+    ``states`` are (n, x[n-1], x[n]) triples, as in ``OrbitTrace.states``;
+    they are read once, in order, and every state but the last two is
+    checked or skipped.  Requires q < p, the regime in which the transformed
+    fixed point exceeds 1 and g descends in at most two steps everywhere off
+    the fixed point.  States whose distance to the fixed point is within
+    ``EQ_TOL`` relative to max(1, u) are skipped: at that distance a float
+    orbit's position is dominated by rounding, so differences of g carry no
+    information.  Checks are screened with float arithmetic and any step too
+    close to call is re-evaluated exactly (the float states convert to
+    rationals exactly, and g is a rational function), so a reported
+    violation is a genuine property of the given states, not of rounding.
     """
     if not params.q < params.p:
         raise ValueError("descent check requires q < p")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
     info = equilibrium(params)
-    u = info.ybar
-    alpha_tilde = u * u - u
+    u, alpha_tilde = info.ybar, info.alpha_tilde
     qf = float(params.q)
-    y = [float(seed[0]) / qf, float(seed[1]) / qf]
-    alpha, cap_a = float(params.p) / qf**2, 1.0 / qf
-    for _ in range(steps + 2):
-        y.append((alpha + y[-1]) / (cap_a + y[-2]))
-    g = [invariant_value(alpha_tilde, y[i], y[i + 1]) for i in range(len(y) - 1)]
-
     slack = Fraction(1, 10**12)
-    skip_below = eq_tol * max(1.0, u)
-    exact_cache: dict[int, Fraction] = {}
+    skip_below = EQ_TOL * max(1.0, u)
+    exact_alpha_tilde = Fraction(u) * (Fraction(u) - 1)
 
-    def g_exact(i: int) -> Fraction:
-        if i not in exact_cache:
-            at = Fraction(u) * (Fraction(u) - 1)
-            exact_cache[i] = invariant_value(at, Fraction(y[i]), Fraction(y[i + 1]))
-        return exact_cache[i]
+    def g_exact(entry: list) -> Fraction:
+        if entry[4] is None:
+            entry[4] = invariant_value(exact_alpha_tilde,
+                                       Fraction(entry[1]), Fraction(entry[2]))
+        return entry[4]
 
+    # the last three states, oldest first, as [n, y[n-1], y[n], g, exact g or None]
+    window: list[list] = []
     checked = skipped = 0
-    for n in range(len(g) - 2):
-        if max(abs(y[n] - u), abs(y[n + 1] - u)) <= skip_below:
+    for n, a, b in states:
+        ya, yb = a / qf, b / qf
+        window.append([n, ya, yb, invariant_value(alpha_tilde, ya, yb), None])
+        del window[:-3]
+        if len(window) < 3:
+            continue
+        cur, nxt, nxt2 = window
+        if max(abs(cur[1] - u), abs(cur[2] - u)) <= skip_below:
             skipped += 1
             continue
         checked += 1
-        best = min(g[n + 1], g[n + 2])
-        if best < g[n] - 1e-9 * max(1.0, abs(g[n])):
+        if min(nxt[3], nxt2[3]) < cur[3] - 1e-9 * max(1.0, abs(cur[3])):
             continue
-        if min(g_exact(n + 1), g_exact(n + 2)) < g_exact(n) + slack:
+        if min(g_exact(nxt), g_exact(nxt2)) < g_exact(cur) + slack:
             continue
-        return DescentResult(False,
-                             DescentViolation(n, g[n], g[n + 1], g[n + 2]),
+        return DescentResult(False, DescentViolation(cur[0], cur[3], nxt[3], nxt2[3]),
                              checked, skipped)
     return DescentResult(True, None, checked, skipped)
+
+
+def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:
+    """``descent_along`` the first ``steps + 3`` states of the float orbit from
+    ``seed``: the states ``simulate`` walks, so ``steps + 1`` steps are
+    checked or skipped."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    orbit = _orbit(float(params.p), float(params.q), (float(seed[0]), float(seed[1])))
+    states = ((n, a, b) for n, (a, b) in enumerate(islice(orbit, steps + 3)))
+    return descent_along(params, states)
 
 
 # -- local stability ---------------------------------------------------------------
@@ -314,14 +306,16 @@ def g_grid(alpha_tilde: float,
     since g blows up on the axes.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in window)
+    if not all(math.isfinite(v) for v in (xmin, xmax, ymin, ymax)):
+        raise ValueError("window components must be finite")
     if not (xmin > 0 and ymin > 0):
         raise ValueError("window must be strictly positive; g blows up on the axes")
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("window must satisfy xmin < xmax and ymin < ymax")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if not alpha_tilde > 0:
-        raise ValueError("alpha_tilde must be positive")
+    if not (alpha_tilde > 0 and math.isfinite(alpha_tilde)):
+        raise ValueError("alpha_tilde must be positive and finite")
     rows = []
     for i in range(resolution):
         x = xmin + (xmax - xmin) * i / (resolution - 1)

@@ -83,9 +83,12 @@ def from_alpha_A(params: ParamsAlphaA) -> ParamsPQ:
 
 def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
     """Positive equilibrium xbar = (q - 1 + sqrt((q-1)^2 + 4p)) / 2, plus its
-    transformed value ybar = xbar/q and alpha~ = ybar^2 - ybar."""
+    transformed value ybar = xbar/q and alpha~ = ybar^2 - ybar.  Raises
+    ValueError when q rounds to 0.0 as a float."""
     p = float(params.p)
     q = float(params.q)
+    if q == 0.0:
+        raise ValueError("parameter q is too small for float arithmetic")
     xbar = 0.5 * (q - 1.0 + math.sqrt((q - 1.0) ** 2 + 4.0 * p))
     ybar = xbar / q
     return EquilibriumInfo(xbar, ybar, ybar * ybar - ybar)

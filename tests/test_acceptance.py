@@ -12,14 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from lyness import certifier, dynamics, model
+from lyness import certifier
 from lyness.certifier import (
     certify_q1,
     delta2_denominator,
     landmark_counts,
     proportionality_constant,
     run_full_certificate,
-    shifted_numerator,
     verify_delta1_identity,
 )
 from lyness.dynamics import (
@@ -34,7 +33,6 @@ from lyness.exactalg import Poly, mono_text
 from lyness.model import (
     ParamsPQ,
     build_symbolic_model,
-    equilibrium,
     eval_delta,
     lyness_invariance_check,
     lyness_orbit,

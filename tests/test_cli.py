@@ -131,6 +131,8 @@ def test_simulate_max_iters_exceeded_fails(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "verdict: max-iters-exceeded" in out
+    # the descent line covers the 4 printed states, not a longer rerun
+    assert "descent: ok (2 steps checked)" in out
 
 
 def test_simulate_descent_not_applicable_when_q_at_least_p(capsys):
@@ -146,6 +148,7 @@ def test_simulate_exact_mode_runs(capsys):
     out = capsys.readouterr().out
     assert code == 1  # 8 exact steps cannot reach the default tolerance
     assert "verdict: max-iters-exceeded" in out
+    assert "descent: ok (7 steps checked)" in out
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -224,6 +227,25 @@ def test_ggrid_invalid_window_is_usage_error(capsys):
 # ---------------------------------------------------------------------------
 # argument errors
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "1e400", "--q", "1", "--xm1", "1", "--x0", "1"],
+    ["regions", "--p", "1e400", "--q", "2"],
+    ["simulate", "--p", "2", "--q", "1", "--xm1", "1e-400", "--x0", "1"],
+    ["simulate", "--p", "2", "--q", "1e-400", "--xm1", "1", "--x0", "1"],
+    ["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2", "--tol", "nan"],
+    ["ggrid", "--alpha-tilde", "2", "--window", "0.5,inf,0.5,1", "--res", "5"],
+    ["ggrid", "--alpha-tilde", "inf", "--window", "0.5,1,0.5,1", "--res", "5"],
+], ids=" ".join)
+def test_out_of_range_values_are_usage_errors(argv):
+    # rationals beyond the float range, a seed or q that rounds to 0.0,
+    # and non-finite float options: exit 2 with a message, never a traceback
+    proc = subprocess.run([sys.executable, "-m", "lyness", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_rational_is_argparse_error(capsys):

@@ -11,13 +11,13 @@ from lyness.dynamics import (
     g_grid,
     grid_to_csv,
     classify_regions,
+    descent_along,
     local_stability,
     lyapunov_descent_check,
     random_instances,
     simulate,
     stability_from_ua,
     trace_to_csv,
-    transformed_orbit,
 )
 from lyness.model import ParamsPQ, equilibrium
 
@@ -80,10 +80,15 @@ def test_simulate_validation():
         simulate(ParamsPQ(2, 1), (1.0, 1.0), mode="symbolic")
     with pytest.raises(ValueError, match="tolerance"):
         simulate(ParamsPQ(2, 1), (1.0, 1.0), tol=0.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        simulate(ParamsPQ(2, 1), (1.0, 1.0), tol=math.nan)
     with pytest.raises(ValueError, match="max_iters"):
         simulate(ParamsPQ(2, 1), (1.0, 1.0), max_iters=-1)
     with pytest.raises(ValueError, match="seed"):
         simulate(ParamsPQ(2, 1), (0.0, 1.0))
+    with pytest.raises(ValueError, match="seed"):
+        # positive as a rational, 0.0 once rounded to a float
+        simulate(ParamsPQ(2, 1), (Fraction(1, 10**400), 1.0))
 
 
 def test_simulate_without_recording_keeps_final_state():
@@ -93,6 +98,7 @@ def test_simulate_without_recording_keeps_final_state():
     assert thin.states[0] == full.states[-1]
     assert thin.verdict == full.verdict
     assert thin.iters_to_tol == full.iters_to_tol
+    assert thin.g_values == full.g_values[-1:]
 
 
 def test_exact_mode_accepts_rational_alias():
@@ -124,27 +130,10 @@ def test_float_and_exact_orbits_agree_deeper_single_instance():
         assert abs(xf - xe) <= 1e-9 * max(1.0, abs(xe))
 
 
-def test_exact_orbit_matches_transformed_orbit_exactly():
-    p, q = Fraction(7, 2), Fraction(3, 2)
-    x_prev, x_cur = Fraction(2), Fraction(1)
-    xs = [x_prev, x_cur]
-    for _ in range(25):
-        x_prev, x_cur = x_cur, (p + q * x_cur) / (1 + x_prev)
-        xs.append(x_cur)
-    alpha, cap_a = p / q ** 2, 1 / q
-    ys = transformed_orbit(alpha, cap_a, (xs[0] / q, xs[1] / q), 25)
-    assert all(x == q * y for x, y in zip(xs, ys))
-
-
 def test_exact_orbit_stays_positive():
     params, seed = small_height_instances(random.Random(5), 1)[0]
     trace = simulate(params, seed, mode="exact", tol=1e-300, max_iters=25)
     assert all(xp > 0 and xc > 0 for _, xp, xc in trace.states)
-
-
-def test_transformed_orbit_validation():
-    with pytest.raises(ValueError, match="positive"):
-        transformed_orbit(Fraction(1), Fraction(1), (Fraction(0), Fraction(1)), 3)
 
 
 def test_g_values_descend_along_float_trace():
@@ -214,11 +203,34 @@ def test_descent_batch_over_many_instances():
     assert total_checked >= 10**4
 
 
+def test_descent_check_reads_the_simulated_orbit():
+    # the monitor checks exactly the states simulate walks, bit for bit
+    for params, seed in random_instances(random.Random(31), 10, 2):
+        for steps in (0, 60):
+            trace = simulate(params, seed, tol=1e-300, max_iters=steps + 2)
+            assert len(trace.states) == steps + 3
+            assert (lyapunov_descent_check(params, seed, steps)
+                    == descent_along(params, trace.states))
+
+
+def test_descent_along_reports_a_rise():
+    params = ParamsPQ(20, 4)
+    xbar = equilibrium(params).xbar
+    near, far = xbar + 0.1, 100.0
+    result = descent_along(params, [(0, near, near), (1, near, far), (2, far, far)])
+    assert not result.ok
+    assert result.checked == 1
+    assert result.violation.index == 0
+    assert result.violation.g_n < min(result.violation.g_next, result.violation.g_next2)
+
+
 def test_descent_requires_q_below_p():
     with pytest.raises(ValueError, match="q < p"):
         lyapunov_descent_check(ParamsPQ(1, 2), (1.0, 1.0), 10)
     with pytest.raises(ValueError, match="q < p"):
         lyapunov_descent_check(ParamsPQ(2, 2), (1.0, 1.0), 10)
+    with pytest.raises(ValueError, match="q < p"):
+        descent_along(ParamsPQ(2, 2), [(0, 1.0, 1.0)])
     with pytest.raises(ValueError, match="steps"):
         lyapunov_descent_check(ParamsPQ(2, 1), (1.0, 1.0), -1)
 
@@ -362,6 +374,10 @@ def test_g_grid_validation():
         g_grid(2.0, (0.5, 1.0, 0.5, 1.0), 1)
     with pytest.raises(ValueError, match="alpha_tilde"):
         g_grid(0.0, (0.5, 1.0, 0.5, 1.0), 11)
+    with pytest.raises(ValueError, match="alpha_tilde"):
+        g_grid(math.inf, (0.5, 1.0, 0.5, 1.0), 11)
+    with pytest.raises(ValueError, match="finite"):
+        g_grid(2.0, (0.5, math.inf, 0.5, 1.0), 11)
 
 
 def test_grid_csv_format():

@@ -1,0 +1,45 @@
+"""Every import in the package, the scripts and the tests is used.
+
+The check reads each file with the standard-library ``ast`` module: a name
+bound by an import must appear as a name somewhere else in the same file.
+``lyness/__init__.py`` is exempt, since its imports are the package's
+re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    [path for path in (ROOT / "src" / "lyness").glob("*.py") if path.name != "__init__.py"]
+    + list((ROOT / "scripts").glob("*.py"))
+    + list((ROOT / "tests").glob("*.py")))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by imports in ``source`` that nothing else refers to."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_checker_flags_an_unused_import():
+    assert unused_imports("import os\nimport sys\nfrom math import pi, tau\n"
+                          "print(sys.argv, tau)\n") == ["line 1: os", "line 3: pi"]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
