@@ -137,10 +137,15 @@ class DescentViolation:
 
 @dataclass(frozen=True)
 class DescentResult:
+    """Verdict of ``descent_along``.  ``checked`` counts the steps tested,
+    ``skipped_near_equilibrium`` those skipped next to the fixed point, and
+    ``decided_exactly`` the checked steps the float screen could not decide."""
+
     ok: bool
     violation: DescentViolation | None
     checked: int
     skipped_near_equilibrium: int
+    decided_exactly: int
 
 
 def descent_along(params: ParamsPQ,
@@ -176,7 +181,7 @@ def descent_along(params: ParamsPQ,
 
     # the last three states, oldest first, as [n, y[n-1], y[n], g, exact g or None]
     window: list[list] = []
-    checked = skipped = 0
+    checked = skipped = exact = 0
     for n, a, b in states:
         ya, yb = a / qf, b / qf
         window.append([n, ya, yb, invariant_value(alpha_tilde, ya, yb), None])
@@ -190,11 +195,12 @@ def descent_along(params: ParamsPQ,
         checked += 1
         if min(nxt[3], nxt2[3]) < cur[3] - 1e-9 * max(1.0, abs(cur[3])):
             continue
+        exact += 1
         if min(g_exact(nxt), g_exact(nxt2)) < g_exact(cur) + slack:
             continue
         return DescentResult(False, DescentViolation(cur[0], cur[3], nxt[3], nxt2[3]),
-                             checked, skipped)
-    return DescentResult(True, None, checked, skipped)
+                             checked, skipped, exact)
+    return DescentResult(True, None, checked, skipped, exact)
 
 
 def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:

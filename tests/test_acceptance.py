@@ -213,19 +213,24 @@ def test_criterion_07_convergence_sweep(sweep):
 def test_criterion_08_descent_along_sweep(sweep):
     rows, _ = sweep
     violations = []
-    total_checked = 0
+    total_checked = total_skipped = total_exact = 0
     for params, seed, trace in rows:
         steps = trace.iters_to_tol if trace.iters_to_tol is not None else 500
         result = lyapunov_descent_check(params, seed, steps)
         total_checked += result.checked
+        total_skipped += result.skipped_near_equilibrium
+        total_exact += result.decided_exactly
         if not result.ok:
             violations.append((params, seed, result.violation))
     ok = not violations
     detail = (f"min of the next two invariant values undercuts the current one "
               f"(+1e-12) at every off-equilibrium step; "
-              f"{total_checked} steps checked, {len(violations)} violations")
+              f"{total_checked} steps checked ({total_exact} decided exactly), "
+              f"{len(violations)} violations")
     assert ok, _line(8, ok, detail)
     _line(8, ok, detail)
+    # the float screen alone sets these counts, whatever exact arithmetic is behind it
+    assert (total_checked, total_skipped, total_exact) == (180954, 9373, 109391)
 
 
 def test_criterion_09_region_classifier():
