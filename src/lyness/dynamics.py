@@ -148,6 +148,13 @@ class DescentResult:
     decided_exactly: int
 
 
+def _drops(g_next: tuple[int, int], g_cur: tuple[int, int]) -> bool:
+    """Whether g_next < g_cur + 1e-12, for exact (num, den > 0) pairs."""
+    n, d = g_next
+    n0, d0 = g_cur
+    return n * d0 * 10**12 < (n0 * 10**12 + d0) * d
+
+
 def descent_along(params: ParamsPQ,
                   states: Iterable[tuple[int, float, float]]) -> DescentResult:
     """Check min(g[n+1], g[n+2]) < g[n] + 1e-12 along an orbit's states.
@@ -160,26 +167,31 @@ def descent_along(params: ParamsPQ,
     ``EQ_TOL`` relative to max(1, u) are skipped: at that distance a float
     orbit's position is dominated by rounding, so differences of g carry no
     information.  Checks are screened with float arithmetic and any step too
-    close to call is re-evaluated exactly (the float states convert to
-    rationals exactly, and g is a rational function), so a reported
-    violation is a genuine property of the given states, not of rounding.
+    close to call is re-evaluated exactly: g is a rational function, so its
+    value at the states' exact binary values is a ratio of integers, held as
+    an unreduced (num, den) pair and compared by cross-multiplication.  A
+    reported violation is therefore a genuine property of the given states,
+    not of rounding.
     """
     if not params.q < params.p:
         raise ValueError("descent check requires q < p")
     info = equilibrium(params)
     u, alpha_tilde = info.ybar, info.alpha_tilde
     qf = float(params.q)
-    slack = Fraction(1, 10**12)
     skip_below = EQ_TOL * max(1.0, u)
-    exact_alpha_tilde = Fraction(u) * (Fraction(u) - 1)
+    un, ud = u.as_integer_ratio()
+    an, ad = un * (un - ud), ud * ud  # alpha~ = u(u - 1), exactly
 
-    def g_exact(entry: list) -> Fraction:
+    def g_exact(entry: list) -> tuple[int, int]:
+        """g at the entry's exact (y[n-1], y[n]) as an unreduced (num, den > 0)."""
         if entry[4] is None:
-            entry[4] = invariant_value(exact_alpha_tilde,
-                                       Fraction(entry[1]), Fraction(entry[2]))
+            xn, xd = entry[1].as_integer_ratio()
+            yn, yd = entry[2].as_integer_ratio()
+            num = (xd + xn) * (yd + yn) * (an * xd * yd + ad * (xn * yd + yn * xd))
+            entry[4] = num, ad * xd * yd * xn * yn
         return entry[4]
 
-    # the last three states, oldest first, as [n, y[n-1], y[n], g, exact g or None]
+    # the last three states, oldest first, as [n, y[n-1], y[n], g, exact pair or None]
     window: list[list] = []
     checked = skipped = exact = 0
     for n, a, b in states:
@@ -196,7 +208,8 @@ def descent_along(params: ParamsPQ,
         if min(nxt[3], nxt2[3]) < cur[3] - 1e-9 * max(1.0, abs(cur[3])):
             continue
         exact += 1
-        if min(g_exact(nxt), g_exact(nxt2)) < g_exact(cur) + slack:
+        g_cur = g_exact(cur)
+        if _drops(g_exact(nxt), g_cur) or _drops(g_exact(nxt2), g_cur):
             continue
         return DescentResult(False, DescentViolation(cur[0], cur[3], nxt[3], nxt2[3]),
                              checked, skipped, exact)

@@ -234,12 +234,14 @@ def test_ggrid_invalid_window_is_usage_error(capsys):
     ["regions", "--p", "1e400", "--q", "2"],
     ["simulate", "--p", "2", "--q", "1", "--xm1", "1e-400", "--x0", "1"],
     ["simulate", "--p", "2", "--q", "1e-400", "--xm1", "1", "--x0", "1"],
+    ["regions", "--p", "1e-400", "--q", "2"],
+    ["simulate", "--p", "1e-400", "--q", "1/2", "--xm1", "1", "--x0", "1"],
     ["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2", "--tol", "nan"],
     ["ggrid", "--alpha-tilde", "2", "--window", "0.5,inf,0.5,1", "--res", "5"],
     ["ggrid", "--alpha-tilde", "inf", "--window", "0.5,1,0.5,1", "--res", "5"],
 ], ids=" ".join)
 def test_out_of_range_values_are_usage_errors(argv):
-    # rationals beyond the float range, a seed or q that rounds to 0.0,
+    # rationals beyond the float range, a seed, p or q that rounds to 0.0,
     # and non-finite float options: exit 2 with a message, never a traceback
     proc = subprocess.run([sys.executable, "-m", "lyness", *argv],
                           capture_output=True, text=True, timeout=120)

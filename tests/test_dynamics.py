@@ -6,8 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyness.dynamics import (
+    EQ_TOL,
+    DescentResult,
+    DescentViolation,
+    _drops,
     g_grid,
     grid_to_csv,
     classify_regions,
@@ -19,7 +25,7 @@ from lyness.dynamics import (
     stability_from_ua,
     trace_to_csv,
 )
-from lyness.model import ParamsPQ, equilibrium
+from lyness.model import ParamsPQ, equilibrium, invariant_value
 
 
 def small_height_instances(rng, count):
@@ -222,6 +228,71 @@ def test_descent_along_reports_a_rise():
     assert result.checked == 1
     assert result.violation.index == 0
     assert result.violation.g_n < min(result.violation.g_next, result.violation.g_next2)
+
+
+def descent_reference(params, states):
+    """``descent_along`` with the tie-break in plain ``Fraction`` arithmetic:
+    the same window, skip rule and float screen, and exact g from
+    ``invariant_value`` on the states' ``Fraction`` values."""
+    info = equilibrium(params)
+    u, alpha_tilde = info.ybar, info.alpha_tilde
+    exact_alpha_tilde = Fraction(u) * (Fraction(u) - 1)
+    qf = float(params.q)
+    ys = [(n, a / qf, b / qf) for n, a, b in states]
+    g = [invariant_value(alpha_tilde, ya, yb) for _, ya, yb in ys]
+    checked = skipped = exact = 0
+    for i in range(len(ys) - 2):
+        n, ya, yb = ys[i]
+        if max(abs(ya - u), abs(yb - u)) <= EQ_TOL * max(1.0, u):
+            skipped += 1
+            continue
+        checked += 1
+        if min(g[i + 1], g[i + 2]) < g[i] - 1e-9 * max(1.0, abs(g[i])):
+            continue
+        exact += 1
+        g0, g1, g2 = (invariant_value(exact_alpha_tilde, Fraction(ys[j][1]),
+                                      Fraction(ys[j][2])) for j in (i, i + 1, i + 2))
+        if min(g1, g2) < g0 + Fraction(1, 10**12):
+            continue
+        return DescentResult(False, DescentViolation(n, g[i], g[i + 1], g[i + 2]),
+                             checked, skipped, exact)
+    return DescentResult(True, None, checked, skipped, exact)
+
+
+@st.composite
+def states_near_the_fixed_point(draw):
+    """(params, states) with q < p and states mostly within about 1e-6
+    relative of the fixed point, where the float screen cannot decide and g
+    often rises; other scales give skipped and float-decided steps."""
+    p = draw(st.floats(0.05, 500.0))
+    params = ParamsPQ(p, p * draw(st.floats(0.01, 0.99)))
+    xbar = equilibrium(params).xbar
+    scales = st.sampled_from([0.0, 1e-12, 1e-7, 1e-6, 1e-6, 1e-6, 1e-3, 0.5])
+    offsets = st.floats(-1.0, 1.0)
+    states = [(n, *(xbar * (1.0 + draw(scales) * draw(offsets)) for _ in "ab"))
+              for n in range(draw(st.integers(3, 12)))]
+    return params, states
+
+
+@settings(max_examples=400, deadline=None)
+@given(states_near_the_fixed_point())
+def test_descent_along_matches_fraction_tie_break(case):
+    params, states = case
+    assert descent_along(params, states) == descent_reference(params, states)
+
+
+def test_exact_pair_comparison_margin():
+    # g' < g + 1e-12 on (num, den) pairs: a margin of exactly 1e-12 is no drop,
+    # whatever (positive) scale either pair carries
+    g = (7, 3)
+    at_margin = (7 * 10**12 + 3, 3 * 10**12)
+    below = (7 * 10**12 + 2, 3 * 10**12)
+    for k in (1, 5, 2**60):
+        scaled_g = (g[0] * k, g[1] * k)
+        assert not _drops(at_margin, scaled_g)
+        assert not _drops((at_margin[0] * k, at_margin[1] * k), g)
+        assert _drops(below, scaled_g)
+        assert _drops((below[0] * k, below[1] * k), g)
 
 
 def test_descent_requires_q_below_p():
