@@ -10,6 +10,7 @@ checks min(g[n+1], g[n+2]) < g[n] + 1e-12 off the equilibrium.
 """
 import argparse
 import csv
+import math
 import random
 import sys
 import time
@@ -38,6 +39,11 @@ class SweepConfig:
     csv_path: Path | None = None
 
 
+#: The CSV columns, one row per orbit.
+FIELDS = ("p", "q", "seed0", "seed1", "verdict", "iters", "final",
+          "descent_ok", "descent_checked", "spectral_radius")
+
+
 def run(config: SweepConfig) -> bool:
     rng = random.Random(config.rng_seed)
     batch = random_instances(rng, config.instances, config.seeds_per_instance,
@@ -54,7 +60,8 @@ def run(config: SweepConfig) -> bool:
         radius = local_stability(params).spectral_radius
         ok = trace.converged and descent.ok
         failures += not ok
-        worst_iters = max(worst_iters, trace.iters_to_tol or config.max_iters)
+        worst_iters = max(worst_iters, config.max_iters if trace.iters_to_tol is None
+                          else trace.iters_to_tol)
         rows.append({
             "p": params.p, "q": params.q,
             "seed0": seed[0], "seed1": seed[1],
@@ -71,7 +78,7 @@ def run(config: SweepConfig) -> bool:
           f"  max iterations: {worst_iters}  elapsed: {elapsed:.2f}s")
     if config.csv_path is not None:
         with open(config.csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer = csv.DictWriter(fh, fieldnames=FIELDS)
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote {config.csv_path}")
@@ -87,6 +94,12 @@ def main(argv=None) -> int:
     parser.add_argument("--max-iters", type=int, default=SweepConfig.max_iters)
     parser.add_argument("--csv", type=Path, default=None)
     args = parser.parse_args(argv)
+    if args.instances < 1 or args.seeds < 1:
+        parser.error("--instances and --seeds must be at least 1")
+    if args.max_iters < 0:
+        parser.error("--max-iters must be nonnegative")
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        parser.error("--tol must be positive and finite")
     config = SweepConfig(instances=args.instances,
                          seeds_per_instance=args.seeds,
                          rng_seed=args.rng_seed,

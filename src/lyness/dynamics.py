@@ -155,64 +155,115 @@ def _drops(g_next: tuple[int, int], g_cur: tuple[int, int]) -> bool:
     return n * d0 * 10**12 < (n0 * 10**12 + d0) * d
 
 
+#: c eps = 12 * 2**-53 in the float screen's error bound (see ``_g_shifted``).
+_ROUNDOFF_BOUND = 12 * 2.0**-53
+
+#: The float screen's margin: a float strictly below 1e-12, however the
+#: literal 1e-12 rounds, so that a screened drop is a certified one.
+_SCREEN_MARGIN = 1e-12 * (1 - 1e-9)
+
+
+def _g_shifted(u: float, y0: float, y1: float) -> tuple[float, float]:
+    """Floats (lo, hi) with lo <= G <= hi for G = g(y0, y1) - g(u, u).
+
+    Here alpha~ = u(u - 1) exactly and y0, y1 > 0; ``descent_along`` states
+    the identity evaluated and the bound E = c eps T / (y0 y1).  Evaluated as
+    written, each term of G carries at most 10 roundings, so the float G is
+    within gamma_10 T / (y0 y1) of the true one.  E covers that error, the
+    11 roundings of E itself and the one of G -/+ E once c >= 11 + O(eps),
+    so c = 12.  An intermediate overflow gives an infinite or nan bound, and
+    so a screen that decides nothing.  The count assumes no underflow: a
+    nonzero s or t is at least 2**-53 in magnitude.
+    """
+    s = y0 - u
+    t = y1 - u
+    st = s * t
+    ss = s * s
+    tt = t * t
+    stu = st / u
+    k = 1.0 + u
+    g = (k * (ss + tt - stu) + st * (s + t)) / y0 / y1
+    e = _ROUNDOFF_BOUND * ((k * (ss + tt + abs(stu)) + abs(st) * (abs(s) + abs(t)))
+                           / y0 / y1)
+    return g - e, g + e
+
+
 def descent_along(params: ParamsPQ,
                   states: Iterable[tuple[int, float, float]]) -> DescentResult:
     """Check min(g[n+1], g[n+2]) < g[n] + 1e-12 along an orbit's states.
 
     ``states`` are (n, x[n-1], x[n]) triples, as in ``OrbitTrace.states``;
     they are read once, in order, and every state but the last two is
-    checked or skipped.  Requires q < p, the regime in which the transformed
-    fixed point exceeds 1 and g descends in at most two steps everywhere off
-    the fixed point.  States whose distance to the fixed point is within
-    ``EQ_TOL`` relative to max(1, u) are skipped: at that distance a float
-    orbit's position is dominated by rounding, so differences of g carry no
-    information.  Checks are screened with float arithmetic and any step too
-    close to call is re-evaluated exactly: g is a rational function, so its
-    value at the states' exact binary values is a ratio of integers, held as
-    an unreduced (num, den) pair and compared by cross-multiplication.  A
-    reported violation is therefore a genuine property of the given states,
-    not of rounding.
+    checked or skipped.  Each state must be positive and finite, also as
+    y = x/q in floats; otherwise ValueError names its n.  Requires q < p,
+    the regime in which the transformed fixed point u exceeds 1 and g
+    descends in at most two steps everywhere off the fixed point.  States
+    whose distance to the fixed point is within ``EQ_TOL`` relative to
+    max(1, u) are skipped: at that distance a float orbit's position is
+    dominated by rounding, so differences of g carry no information.
+
+    Every value is compared as G = g - g(u, u), with u the float fixed point
+    and alpha~ = u(u - 1) taken exactly, which moves no comparison.  With
+    s = y[n-1] - u and t = y[n] - u the identity
+
+        G = ((1+u)(s^2 + t^2 - st/u) + st(s+t)) / (y[n-1] y[n])
+
+    holds exactly, and its quadratic part is positive definite for u >= 1,
+    so G has a small relative error in floats even next to the fixed point,
+    where g - g(u, u) formed from two values of g cancels.  The float screen
+    (``_g_shifted``) encloses each state's G in [G - E, G + E], with
+
+        E = c eps ((1+u)(s^2 + t^2 + |st|/u) + |st|(|s| + |t|)) / (y[n-1] y[n]),
+
+    eps = 2**-53 and c = 12, and accepts a step when
+    min(hi[n+1], hi[n+2]) < lo[n] + 1e-12 (1 - 1e-9): every accepted step is
+    then a certified drop.  Any step the screen cannot accept, every
+    violation among them, is re-evaluated exactly: g is a rational function,
+    so its value at the states' exact binary values is a ratio of integers,
+    held as an unreduced (num, den) pair and compared by cross-multiplication.
+    A reported violation is therefore a genuine property of the given states,
+    not of rounding; its g values are the floats ``invariant_value`` gives.
     """
     if not params.q < params.p:
         raise ValueError("descent check requires q < p")
     info = equilibrium(params)
-    u, alpha_tilde = info.ybar, info.alpha_tilde
+    u = info.ybar
     qf = float(params.q)
     skip_below = EQ_TOL * max(1.0, u)
     un, ud = u.as_integer_ratio()
     an, ad = un * (un - ud), ud * ud  # alpha~ = u(u - 1), exactly
 
-    def g_exact(entry: list) -> tuple[int, int]:
-        """g at the entry's exact (y[n-1], y[n]) as an unreduced (num, den > 0)."""
-        if entry[4] is None:
-            xn, xd = entry[1].as_integer_ratio()
-            yn, yd = entry[2].as_integer_ratio()
-            num = (xd + xn) * (yd + yn) * (an * xd * yd + ad * (xn * yd + yn * xd))
-            entry[4] = num, ad * xd * yd * xn * yn
-        return entry[4]
+    def g_exact(state: tuple) -> tuple[int, int]:
+        """g at the state's exact (y[n-1], y[n]) as an unreduced (num, den > 0)."""
+        xn, xd = state[1].as_integer_ratio()
+        yn, yd = state[2].as_integer_ratio()
+        num = (xd + xn) * (yd + yn) * (an * xd * yd + ad * (xn * yd + yn * xd))
+        return num, ad * xd * yd * xn * yn
 
-    # the last three states, oldest first, as [n, y[n-1], y[n], g, exact pair or None]
-    window: list[list] = []
+    # the last three states, oldest first, each (n, y[n-1], y[n], lo, hi)
+    cur = nxt = nxt2 = None
     checked = skipped = exact = 0
     for n, a, b in states:
         ya, yb = a / qf, b / qf
-        window.append([n, ya, yb, invariant_value(alpha_tilde, ya, yb), None])
-        del window[:-3]
-        if len(window) < 3:
+        if not (0 < ya < math.inf and 0 < yb < math.inf):
+            raise ValueError(f"descent state n={n} must be positive and finite, "
+                             f"also divided by q: got ({a!r}, {b!r})")
+        cur, nxt, nxt2 = nxt, nxt2, (n, ya, yb, *_g_shifted(u, ya, yb))
+        if cur is None:
             continue
-        cur, nxt, nxt2 = window
-        if max(abs(cur[1] - u), abs(cur[2] - u)) <= skip_below:
+        if abs(cur[1] - u) <= skip_below and abs(cur[2] - u) <= skip_below:
             skipped += 1
             continue
         checked += 1
-        if min(nxt[3], nxt2[3]) < cur[3] - 1e-9 * max(1.0, abs(cur[3])):
+        bar = cur[3] + _SCREEN_MARGIN
+        if nxt[4] < bar or nxt2[4] < bar:
             continue
         exact += 1
         g_cur = g_exact(cur)
         if _drops(g_exact(nxt), g_cur) or _drops(g_exact(nxt2), g_cur):
             continue
-        return DescentResult(False, DescentViolation(cur[0], cur[3], nxt[3], nxt2[3]),
-                             checked, skipped, exact)
+        g = [invariant_value(info.alpha_tilde, y0, y1) for _, y0, y1, _, _ in (cur, nxt, nxt2)]
+        return DescentResult(False, DescentViolation(cur[0], *g), checked, skipped, exact)
     return DescentResult(True, None, checked, skipped, exact)
 
 

@@ -229,8 +229,9 @@ def test_criterion_08_descent_along_sweep(sweep):
               f"{len(violations)} violations")
     assert ok, _line(8, ok, detail)
     _line(8, ok, detail)
-    # the float screen alone sets these counts, whatever exact arithmetic is behind it
-    assert (total_checked, total_skipped, total_exact) == (180954, 9373, 109391)
+    # the skip rule alone sets the first two counts, whatever arithmetic decides
+    # a step; the shifted float screen decides every one of these steps
+    assert (total_checked, total_skipped, total_exact) == (180954, 9373, 0)
 
 
 def test_criterion_09_region_classifier():

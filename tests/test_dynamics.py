@@ -1,9 +1,11 @@
 """Tests for orbit simulation, descent monitoring, stability, regions, grids."""
 
+import dataclasses
 import io
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from lyness.dynamics import (
     EQ_TOL,
     DescentResult,
     DescentViolation,
+    _SCREEN_MARGIN,
     _drops,
+    _g_shifted,
     g_grid,
     grid_to_csv,
     classify_regions,
@@ -226,20 +230,43 @@ def test_descent_along_reports_a_rise():
     result = descent_along(params, [(0, near, near), (1, near, far), (2, far, far)])
     assert not result.ok
     assert result.checked == 1
+    assert result.decided_exactly == 1
     assert result.violation.index == 0
     assert result.violation.g_n < min(result.violation.g_next, result.violation.g_next2)
+    assert result.violation.g_n == invariant_value(equilibrium(params).alpha_tilde,
+                                                   near / 4, near / 4)
+
+
+def test_descent_along_takes_the_exact_path_when_the_screen_cannot_decide():
+    # far from the fixed point at large u the rounding bound E dwarfs 1e-12,
+    # so a repeated state (no drop in floats, g' = g < g + 1e-12 exactly)
+    # falls through to the integer pairs
+    params = ParamsPQ(1000, 0.01)
+    info = equilibrium(params)
+    assert info.ybar > 3000
+    far = 1e4 * info.xbar
+    lo, hi = _g_shifted(info.ybar, far / 0.01, far / 0.01)
+    assert hi - lo > 1e-12
+    result = descent_along(params, [(n, far, far) for n in range(5)])
+    assert result == DescentResult(True, None, 3, 0, 3)
 
 
 def descent_reference(params, states):
-    """``descent_along`` with the tie-break in plain ``Fraction`` arithmetic:
-    the same window, skip rule and float screen, and exact g from
-    ``invariant_value`` on the states' ``Fraction`` values."""
+    """``descent_along`` before the shifted screen: the same skip rule, the
+    1e-9 float screen on g itself, and the tie-break in plain ``Fraction``
+    arithmetic, with exact g from ``invariant_value`` on the states'
+    ``Fraction`` values."""
     info = equilibrium(params)
     u, alpha_tilde = info.ybar, info.alpha_tilde
     exact_alpha_tilde = Fraction(u) * (Fraction(u) - 1)
     qf = float(params.q)
     ys = [(n, a / qf, b / qf) for n, a, b in states]
     g = [invariant_value(alpha_tilde, ya, yb) for _, ya, yb in ys]
+
+    @cache
+    def g_exact(j):
+        return invariant_value(exact_alpha_tilde, Fraction(ys[j][1]), Fraction(ys[j][2]))
+
     checked = skipped = exact = 0
     for i in range(len(ys) - 2):
         n, ya, yb = ys[i]
@@ -250,13 +277,17 @@ def descent_reference(params, states):
         if min(g[i + 1], g[i + 2]) < g[i] - 1e-9 * max(1.0, abs(g[i])):
             continue
         exact += 1
-        g0, g1, g2 = (invariant_value(exact_alpha_tilde, Fraction(ys[j][1]),
-                                      Fraction(ys[j][2])) for j in (i, i + 1, i + 2))
-        if min(g1, g2) < g0 + Fraction(1, 10**12):
+        if min(g_exact(i + 1), g_exact(i + 2)) < g_exact(i) + Fraction(1, 10**12):
             continue
         return DescentResult(False, DescentViolation(n, g[i], g[i + 1], g[i + 2]),
                              checked, skipped, exact)
     return DescentResult(True, None, checked, skipped, exact)
+
+
+def assert_same_descent(result, reference):
+    """Every field equal but ``decided_exactly``, which may only fall."""
+    assert dataclasses.replace(result, decided_exactly=reference.decided_exactly) == reference
+    assert result.decided_exactly <= reference.decided_exactly
 
 
 @st.composite
@@ -278,7 +309,70 @@ def states_near_the_fixed_point(draw):
 @given(states_near_the_fixed_point())
 def test_descent_along_matches_fraction_tie_break(case):
     params, states = case
-    assert descent_along(params, states) == descent_reference(params, states)
+    assert_same_descent(descent_along(params, states), descent_reference(params, states))
+
+
+def test_descent_along_matches_the_g_screen_on_the_sweep_orbits():
+    # criterion 08's 300 orbits, state for state: the shifted screen changes
+    # which steps take the exact path, never a verdict or a count
+    for params, seed in random_instances(random.Random(74), 100, 3):
+        trace = simulate(params, seed, tol=1e-8, max_iters=10**6, record_states=False)
+        steps = trace.iters_to_tol if trace.iters_to_tol is not None else 500
+        states = simulate(params, seed, tol=1e-300, max_iters=steps + 2).states
+        assert_same_descent(descent_along(params, states), descent_reference(params, states))
+
+
+def g_fraction(u, y0, y1):
+    """g(y0, y1) - g(u, u) in ``Fraction``s, with alpha~ = u(u - 1)."""
+    u, y0, y1 = Fraction(u), Fraction(y0), Fraction(y1)
+    return invariant_value(u * (u - 1), y0, y1) - (1 + u) ** 3 / u
+
+
+@st.composite
+def screened_steps(draw):
+    """u in [1, 1e6], a state at relative offsets from 0 to 1 off (u, u), and
+    a second state a few ulps to 1e-6 relative from the first, so that the
+    two values of g are often within rounding of the 1e-12 margin."""
+    u = draw(st.floats(1.0, 1e6))
+    scales = st.sampled_from([0.0] + [10.0**-k for k in range(15)])
+
+    def away():
+        return u * (1.0 + draw(scales) * draw(st.floats(-0.999, 1.0)))
+
+    def near(y):
+        return y * (1.0 + draw(st.sampled_from([0.0, 2e-16, 1e-15, 1e-13, 1e-9, 1e-6]))
+                    * draw(st.floats(-1.0, 1.0)))
+
+    cur = (away(), away())
+    return u, cur, (near(cur[0]), near(cur[1]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(screened_steps())
+def test_shifted_screen_is_sound(case):
+    u, cur, nxt = case
+    lo, hi = _g_shifted(u, *cur)
+    lo_next, hi_next = _g_shifted(u, *nxt)
+    exact, exact_next = g_fraction(u, *cur), g_fraction(u, *nxt)
+    assert lo <= exact <= hi
+    assert lo_next <= exact_next <= hi_next
+    if hi_next < lo + _SCREEN_MARGIN:
+        assert exact_next < exact + Fraction(1, 10**12)
+
+
+def test_screen_margin_is_below_the_certified_one():
+    assert 0 < Fraction(_SCREEN_MARGIN) < Fraction(1, 10**12)
+
+
+def test_descent_along_rejects_bad_states():
+    # non-positive, non-finite, and positive finite x whose x/q overflows or
+    # underflows in floats
+    for q, bad in ((0.5, (1.0, 0.0)), (0.5, (-1.0, 1.0)), (0.5, (1.0, math.inf)),
+                   (0.5, (math.nan, 1.0)), (0.5, (1e308, 1.0)), (4.0, (1.0, 5e-324))):
+        params = ParamsPQ(20, q)
+        states = [(0, 1.0, 1.0), (1, 1.0, 1.0), (2, *bad), (3, 1.0, 1.0)]
+        with pytest.raises(ValueError, match="state n=2 must be positive and finite"):
+            descent_along(params, states)
 
 
 def test_exact_pair_comparison_margin():
