@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -36,7 +37,6 @@ class SweepConfig:
     max_iters: int = 10**6
     param_range: tuple[float, float] = (1e-2, 1e3)
     seed_range: tuple[float, float] = (1e-2, 1e2)
-    csv_path: Path | None = None
 
 
 #: The CSV columns, one row per orbit.
@@ -44,7 +44,9 @@ FIELDS = ("p", "q", "seed0", "seed1", "verdict", "iters", "final",
           "descent_ok", "descent_checked", "spectral_radius")
 
 
-def run(config: SweepConfig) -> bool:
+def run(config: SweepConfig, csv_file: TextIO | None = None) -> bool:
+    """Run the sweep, print its summary and, given ``csv_file``, write one
+    CSV row per orbit to it; True when every orbit passed."""
     rng = random.Random(config.rng_seed)
     batch = random_instances(rng, config.instances, config.seeds_per_instance,
                              config.param_range, config.seed_range)
@@ -76,12 +78,11 @@ def run(config: SweepConfig) -> bool:
     print(f"orbits: {len(rows)}  converged: {sum(r['verdict'] == 'converged' for r in rows)}"
           f"  descent ok: {sum(r['descent_ok'] for r in rows)}"
           f"  max iterations: {worst_iters}  elapsed: {elapsed:.2f}s")
-    if config.csv_path is not None:
-        with open(config.csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"wrote {config.csv_path}")
+    if csv_file is not None:
+        writer = csv.DictWriter(csv_file, fieldnames=FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
+        print(f"wrote {csv_file.name}")
     return failures == 0
 
 
@@ -104,9 +105,17 @@ def main(argv=None) -> int:
                          seeds_per_instance=args.seeds,
                          rng_seed=args.rng_seed,
                          tol=args.tol,
-                         max_iters=args.max_iters,
-                         csv_path=args.csv)
-    return 0 if run(config) else 1
+                         max_iters=args.max_iters)
+    if args.csv is None:
+        return 0 if run(config) else 1
+    # Opened before the sweep, so that a path that cannot be written is a
+    # usage error up front and not a traceback after the whole run.
+    try:
+        csv_file = open(args.csv, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"cannot write {args.csv}: {exc.strerror or exc}")
+    with csv_file:
+        return 0 if run(config, csv_file) else 1
 
 
 if __name__ == "__main__":

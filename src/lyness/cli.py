@@ -2,12 +2,12 @@
 
 Exit codes are the machine contract: 0 success, 1 verification failure
 (a failed certificate step, a failed identity, or a non-converging /
-descent-violating orbit), 2 usage or validation error, 141 when the reader of
-stdout goes away early, as in ``lyness certify | head -1`` (128 + SIGPIPE,
-what a shell reports for a tool that SIGPIPE ended; no traceback is
-printed).  Data outputs are deterministic; JSON certificate reports carry
-wall-clock timings unless ``--no-timing`` is given, which makes reruns
-byte-identical.
+descent-violating orbit), 2 usage or validation error, an output path that
+cannot be opened included, 141 when the reader of stdout goes away early, as
+in ``lyness certify | head -1`` (128 + SIGPIPE, what a shell reports for a
+tool that SIGPIPE ended; no traceback is printed).  Data outputs are
+deterministic; JSON certificate reports carry wall-clock timings unless
+``--no-timing`` is given, which makes reruns byte-identical.
 """
 from __future__ import annotations
 
@@ -43,12 +43,21 @@ def _window(text: str) -> tuple[float, float, float, float]:
     return vals
 
 
+def _open_output(path: str):
+    """Open an output file for writing; a path that cannot be opened is a
+    usage error, not a traceback."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_certify(args) -> int:
     summary = certifier.run_full_certificate(
         certifier.GROUPS if args.step is None else (args.step,))
     payload = certifier.summary_to_json(summary, include_timing=not args.no_timing)
     if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with _open_output(args.json) as fh:
             fh.write(payload + "\n")
         print(certifier.summary_to_text(summary))
     else:
@@ -97,7 +106,7 @@ def _cmd_simulate(args) -> int:
     else:
         print("descent: not applicable (q >= p)")
     if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with _open_output(args.csv) as fh:
             dynamics.trace_to_csv(trace, fh)
     return 0 if ok else 1
 
@@ -116,7 +125,7 @@ def _cmd_regions(args) -> int:
 def _cmd_ggrid(args) -> int:
     rows = dynamics.g_grid(args.alpha_tilde, args.window, args.res)
     if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with _open_output(args.csv) as fh:
             dynamics.grid_to_csv(rows, fh)
         print(f"wrote {len(rows)} rows to {args.csv}")
     else:

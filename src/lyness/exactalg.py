@@ -12,18 +12,34 @@ appears in two places only: the public accessors (`Poly.terms`,
 `Poly.coefficient`, `Poly.min_coefficient`) return `Fraction` values, and a
 polynomial with non-integral coefficients carries ``den > 1``.
 
-A monomial is a tuple of ``(variable_id, exponent)`` pairs, sorted by variable
-id, with every exponent positive; the empty tuple is the constant monomial.
-The variable table is fixed globally (see `VARIABLES`), which keeps monomial
-keys comparable across every object in the package without table-merging
-bookkeeping.
+Each monomial is stored as one packed Python `int`.  Every variable of the
+fixed global table (see `VARIABLES`) owns one `FIELD_BITS`-bit exponent
+field, ``x`` (id 0) highest and the last variable lowest, and the field
+above them all holds the total degree.  A monomial product is then one int
+addition, graded-lexicographic order (total degree, then the exponent vector
+read in table order) is plain int order, and `substitute` splits a key into
+its bound and kept parts with one mask.  This holds while every exponent
+and total degree stays below ``2**FIELD_BITS``: the constructor rejects
+larger ones, and `Poly.__mul__` raises `ValueError` before a product would
+reach that degree.  The fixed table keeps keys comparable across every
+object in the package without table-merging bookkeeping.
+
+The public surface keeps the tuple form.  A `Monomial` is a tuple of
+``(variable_id, exponent)`` pairs sorted by variable id, every exponent
+positive; the empty tuple is the constant monomial.  Tuples are packed where
+they enter (`Poly(...)`, which accepts pairs in any order and drops zero
+exponents, and `Poly.coefficient`) and unpacked only where keys leave the
+kernel: `Poly.terms`, the `Poly.min_coefficient` witness, `Poly.to_text`,
+and `Poly.evaluate`, which decodes each polynomial's keys once and keeps
+them.
 
 Rational functions are unreduced pairs numerator/denominator.  No gcd or
 factorization is ever computed: equality is decided by cross-multiplication,
 and substitution clears binding denominators in a single common-denominator
 pass so that composed maps stay in the expected normalized shape.
 
-Everything here is immutable after construction and safe to share.
+Everything here is immutable after construction and safe to share; the only
+state filled in later is that cache of decoded keys, derived from the terms.
 """
 
 from __future__ import annotations
@@ -41,11 +57,20 @@ _VAR_ID: dict[str, int] = {name: i for i, name in enumerate(VARIABLES)}
 
 Monomial = tuple[tuple[int, int], ...]
 
-CONSTANT_MONOMIAL: Monomial = ()
-
 _ZERO = Fraction(0)
 
 Scalar = Union[int, Fraction]
+
+#: Width of each packed exponent field; every exponent and every total
+#: degree stays below ``2**FIELD_BITS``.
+FIELD_BITS = 16
+_LIMIT = 1 << FIELD_BITS
+_FIELD_MASK = _LIMIT - 1
+#: Bit offset of each variable's exponent field, indexed by variable id.
+_SHIFTS: tuple[int, ...] = tuple(FIELD_BITS * (len(VARIABLES) - 1 - vid)
+                                 for vid in range(len(VARIABLES)))
+#: Bit offset of the total-degree field, above every exponent field.
+_DEG_SHIFT = FIELD_BITS * len(VARIABLES)
 
 
 def var_id(name: str) -> int:
@@ -56,43 +81,13 @@ def var_id(name: str) -> int:
         raise ValueError(f"unknown variable: {name!r}") from None
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Product of two monomials (exponent-wise sum, merge of sorted pairs)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[tuple[int, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 def grlex_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
     """Graded-lexicographic sort key: total degree, then the dense exponent
     vector read in the global variable order."""
     vec = [0] * len(VARIABLES)
     for vid, e in m:
         vec[vid] = e
-    return (mono_degree(m), tuple(vec))
+    return (sum(vec), tuple(vec))
 
 
 def mono_text(m: Monomial) -> str:
@@ -110,22 +105,56 @@ def mono_text(m: Monomial) -> str:
     return "*".join(parts)
 
 
+def _pack(mono: Monomial) -> int:
+    """Packed key of a tuple monomial.
+
+    Pairs may come in any order and zero exponents are dropped.  An unknown
+    or repeated variable id, an exponent that is not an int, is negative or
+    does not fit its field, and a total degree of ``2**FIELD_BITS`` or more
+    raise ValueError.
+    """
+    key = degree = 0
+    seen = set()
+    for vid, e in mono:
+        if type(vid) is not int or not 0 <= vid < len(VARIABLES):
+            raise ValueError(f"unknown variable id in monomial: {vid!r}")
+        if vid in seen:
+            raise ValueError(f"variable {VARIABLES[vid]} repeated in monomial")
+        seen.add(vid)
+        if type(e) is not int or not 0 <= e < _LIMIT:
+            raise ValueError(f"exponent of {VARIABLES[vid]} must be an int "
+                             f"in [0, 2**{FIELD_BITS}), got {e!r}")
+        key |= e << _SHIFTS[vid]
+        degree += e
+    if degree >= _LIMIT:
+        raise ValueError(f"monomial degree {degree} is not below 2**{FIELD_BITS}")
+    return key | degree << _DEG_SHIFT
+
+
+def _unpack(key: int) -> Monomial:
+    """Tuple monomial of a packed key."""
+    return tuple((vid, e) for vid, shift in enumerate(_SHIFTS)
+                 if (e := (key >> shift) & _FIELD_MASK))
+
+
 class Poly:
     """Immutable sparse multivariate polynomial with exact rational
     coefficients, stored as ints over one common denominator."""
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms", "_den", "_decoded")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] | None = None):
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
-                acc[mono] = acc.get(mono, _ZERO) + Fraction(coeff)
+                key = _pack(mono)
+                acc[key] = acc.get(key, _ZERO) + Fraction(coeff)
         den = math.lcm(*(c.denominator for c in acc.values()))
         self._terms = {m: c.numerator * (den // c.denominator)
                        for m, c in acc.items() if c}
         self._den = den
+        self._decoded = None
 
     # -- constructors ------------------------------------------------------
 
@@ -135,19 +164,26 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        return cls({CONSTANT_MONOMIAL: value})
+        c = Fraction(value)
+        return _make({0: c.numerator}, c.denominator) if c else cls()
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return _make({((var_id(name), 1),): 1}, 1)
+        return _make({1 << _DEG_SHIFT | 1 << _SHIFTS[var_id(name)]: 1}, 1)
 
     # -- inspection --------------------------------------------------------
+
+    def _tuple_items(self) -> tuple[tuple[Monomial, int], ...]:
+        """(tuple monomial, int coefficient) pairs, decoded once per polynomial."""
+        if self._decoded is None:
+            self._decoded = tuple((_unpack(k), c) for k, c in self._terms.items())
+        return self._decoded
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
         """Read-only map from each monomial to its `Fraction` coefficient."""
         den = self._den
-        return MappingProxyType({m: Fraction(c, den) for m, c in self._terms.items()})
+        return MappingProxyType({m: Fraction(c, den) for m, c in self._tuple_items()})
 
     @property
     def is_zero(self) -> bool:
@@ -162,29 +198,30 @@ class Poly:
         return len(self._terms)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self._terms.get(mono, 0), self._den)
+        return Fraction(self._terms.get(_pack(mono), 0), self._den)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
         if not self._terms:
             return -1
-        return max(mono_degree(m) for m in self._terms)
+        return max(self._terms) >> _DEG_SHIFT
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of one variable (0 when absent)."""
-        return _max_exponents((self,)).get(var_id(name), 0)
+        return _max_exponent((self,), var_id(name))
 
     def variables(self) -> tuple[str, ...]:
         """Names of the variables that actually occur, in table order."""
-        return tuple(VARIABLES[i] for i in sorted(_max_exponents((self,))))
+        return tuple(name for vid, name in enumerate(VARIABLES)
+                     if _max_exponent((self,), vid))
 
     def min_coefficient(self) -> tuple[Fraction, Monomial]:
         """Smallest coefficient and its grlex-smallest attaining monomial."""
         if not self._terms:
             raise ValueError("empty polynomial")
         best = min(self._terms.values())
-        mono = min((m for m, c in self._terms.items() if c == best), key=grlex_key)
-        return Fraction(best, self._den), mono
+        key = min(m for m, c in self._terms.items() if c == best)
+        return Fraction(best, self._den), _unpack(key)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -220,12 +257,19 @@ class Poly:
                          self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Monomial, int] = {}
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return Poly()
+        if (max(a) >> _DEG_SHIFT) + (max(b) >> _DEG_SHIFT) >= _LIMIT:
+            raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
+        # Below that degree no field carries into the next, so a key sum is
+        # the monomial product.
+        out: dict[int, int] = {}
         get = out.get
-        b = other._terms.items()
-        for ma, ca in self._terms.items():
-            for mb, cb in b:
-                m = mono_mul(ma, mb)
+        b_items = b.items()
+        for ma, ca in a.items():
+            for mb, cb in b_items:
+                m = ma + mb
                 out[m] = get(m, 0) + ca * cb
         return _make({m: c for m, c in out.items() if c}, self._den * other._den)
 
@@ -266,7 +310,7 @@ class Poly:
         """
         powers: dict[int, list] = {}
         total = _ZERO
-        for m, c in self._terms.items():
+        for m, c in self._tuple_items():
             v = c
             for vid, e in m:
                 cache = powers.get(vid)
@@ -284,17 +328,16 @@ class Poly:
         if not self._terms:
             return "0"
         den = self._den
-        items = sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
         pieces: list[str] = []
-        for i, (m, n) in enumerate(items):
+        for i, (key, n) in enumerate(sorted(self._terms.items())):
             c = n if den == 1 else Fraction(n, den)
             mag = -c if c < 0 else c
-            if not m:
+            if not key:
                 body = str(mag)
             elif mag == 1:
-                body = mono_text(m)
+                body = mono_text(_unpack(key))
             else:
-                body = f"{mag}*{mono_text(m)}"
+                body = f"{mag}*{mono_text(_unpack(key))}"
             if i == 0:
                 pieces.append(f"-{body}" if c < 0 else body)
             else:
@@ -308,9 +351,9 @@ class Poly:
         return f"Poly({self.to_text()!r})"
 
 
-def _make(terms: dict[Monomial, int], den: int) -> Poly:
-    """Poly from nonzero int coefficients over a positive denominator,
-    reduced to the canonical (least) denominator."""
+def _make(terms: dict[int, int], den: int) -> Poly:
+    """Poly from packed keys with nonzero int coefficients over a positive
+    denominator, reduced to the canonical (least) denominator."""
     if den != 1:
         g = math.gcd(den, *terms.values())
         if g != 1:
@@ -319,6 +362,7 @@ def _make(terms: dict[Monomial, int], den: int) -> Poly:
     p = Poly.__new__(Poly)
     p._terms = terms
     p._den = den
+    p._decoded = None
     return p
 
 
@@ -326,7 +370,7 @@ def _sum(polys: Iterable[Poly]) -> Poly:
     """Sum of polynomials over their least common denominator."""
     polys = tuple(polys)
     den = math.lcm(*(p._den for p in polys))
-    acc: dict[Monomial, int] = {}
+    acc: dict[int, int] = {}
     get = acc.get
     for p in polys:
         scale = den // p._den
@@ -343,15 +387,11 @@ def _as_poly(value) -> "Poly":
     return NotImplemented
 
 
-def _max_exponents(polys: Iterable[Poly]) -> dict[int, int]:
-    """Largest exponent of each occurring variable id across ``polys``."""
-    emax: dict[int, int] = {}
-    for p in polys:
-        for mono in p._terms:
-            for vid, e in mono:
-                if e > emax.get(vid, 0):
-                    emax[vid] = e
-    return emax
+def _max_exponent(polys: Iterable[Poly], vid: int) -> int:
+    """Largest exponent of variable ``vid`` across ``polys`` (0 when absent)."""
+    shift = _SHIFTS[vid]
+    return max(((key >> shift) & _FIELD_MASK for p in polys for key in p._terms),
+               default=0)
 
 
 class RationalFn:
@@ -495,21 +535,23 @@ def substitute(target: RationalFn | Poly,
         if coerced is NotImplemented:
             raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or exact scalar")
         images[var_id(name)] = coerced
-    emax = _max_exponents((rf.num, rf.den))
-    images = {vid: img for vid, img in images.items() if emax.get(vid, 0) > 0}
+    emax = {vid: _max_exponent((rf.num, rf.den), vid) for vid in images}
+    images = {vid: img for vid, img in images.items() if emax[vid]}
     if not images:
         return rf
     num_pows = {vid: _powers(img.num, emax[vid]) for vid, img in images.items()}
     den_pows = {vid: _powers(img.den, emax[vid]) for vid, img in images.items()}
-    products: dict[Monomial, Poly] = {}
+    mask = 0
+    for vid in images:
+        mask |= _FIELD_MASK << _SHIFTS[vid]
+    products: dict[int, Poly] = {}
 
-    def product_of(bound: Monomial) -> Poly:
+    def product_of(bound: int) -> Poly:
         prod = products.get(bound)
         if prod is None:
-            exps = dict(bound)
             prod = Poly.const(1)
             for vid in images:
-                e = exps.get(vid, 0)
+                e = (bound >> _SHIFTS[vid]) & _FIELD_MASK
                 if e:
                     prod = prod * num_pows[vid][e]
                 r = emax[vid] - e
@@ -519,13 +561,19 @@ def substitute(target: RationalFn | Poly,
         return prod
 
     def image_of(poly: Poly) -> Poly:
-        groups: dict[Monomial, dict[Monomial, int]] = {}
-        for mono, coeff in poly._terms.items():
-            bound = tuple(pair for pair in mono if pair[0] in images)
-            kept = tuple(pair for pair in mono if pair[0] not in images)
-            groups.setdefault(bound, {})[kept] = coeff
-        return _sum(product_of(bound) * _make(group, poly._den)
-                    for bound, group in groups.items())
+        # ``key & mask`` holds the bound exponent fields; with their degree
+        # added it is the packed bound monomial, and ``key`` minus that is
+        # the packed kept monomial.
+        groups: dict[int, tuple[int, dict[int, int]]] = {}
+        for key, coeff in poly._terms.items():
+            fields = key & mask
+            group = groups.get(fields)
+            if group is None:
+                degree = sum((fields >> _SHIFTS[vid]) & _FIELD_MASK for vid in images)
+                group = groups[fields] = (fields | degree << _DEG_SHIFT, {})
+            group[1][key - group[0]] = coeff
+        return _sum(product_of(bound) * _make(kept, poly._den)
+                    for bound, kept in groups.values())
 
     num = image_of(rf.num)
     den = image_of(rf.den)

@@ -289,3 +289,17 @@ def test_closed_stdout_pipe_exits_without_traceback():
     assert code == EXIT_CLOSED_PIPE == 141
     assert b"Traceback" not in err
     assert b"BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--step", "identity", "--json"],
+    ["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2", "--csv"],
+    ["ggrid", "--alpha-tilde", "2", "--window", "1,2,1,2", "--res", "3", "--csv"],
+], ids=["certify-json", "simulate-csv", "ggrid-csv"])
+def test_unwritable_output_path_is_a_usage_error(argv, tmp_path):
+    target = tmp_path / "missing" / "out"
+    proc = subprocess.run([sys.executable, "-m", "lyness", *argv, str(target)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()

@@ -2,6 +2,8 @@
 
 import csv
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,7 +39,8 @@ def test_out_of_range_options_are_usage_errors(sweep_script, argv, message, caps
 
 def test_empty_batch_writes_a_header_only_csv(sweep_script, tmp_path):
     out = tmp_path / "sweep.csv"
-    assert sweep_script.run(sweep_script.SweepConfig(instances=0, csv_path=out))
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        assert sweep_script.run(sweep_script.SweepConfig(instances=0), fh)
     assert out.read_text(encoding="utf-8").splitlines() == [",".join(sweep_script.FIELDS)]
 
 
@@ -48,8 +51,21 @@ def test_an_orbit_converged_at_step_zero_counts_zero_iterations(
     monkeypatch.setattr(sweep_script, "random_instances",
                         lambda *args: [(params, (xbar, xbar))])
     out = tmp_path / "sweep.csv"
-    assert sweep_script.run(sweep_script.SweepConfig(csv_path=out))
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        assert sweep_script.run(sweep_script.SweepConfig(), fh)
     assert "max iterations: 0 " in capsys.readouterr().out
     with open(out, newline="", encoding="utf-8") as fh:
         (row,) = csv.DictReader(fh)
     assert (row["verdict"], row["iters"]) == ("converged", "0")
+
+
+def test_unwritable_csv_path_is_a_usage_error_before_the_sweep(tmp_path):
+    target = tmp_path / "missing" / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--instances", "1", "--seeds", "1",
+         "--csv", str(target)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert f"error: cannot write {target}: No such file or directory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "orbits:" not in proc.stdout

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lyness import exactalg
 from lyness.certifier import proportionality_constant
 from lyness.exactalg import (
+    FIELD_BITS,
     VARIABLES,
     Poly,
     RationalFn,
+    grlex_key,
     mono_text,
     parse_poly,
     substitute,
@@ -176,6 +179,13 @@ def test_substitute_rational_target():
     target = RationalFn(x + y, x)
     out = substitute(target, {"x": u + 1})
     assert out == RationalFn(u + 1 + y, u + 1)
+
+
+def test_substitute_exponents_wider_than_a_byte():
+    f = x ** 300 * y + x ** 257
+    out = substitute(f, {"x": RationalFn(u, u + 1)})
+    assert out.den == (u + 1) ** 300
+    assert out.num == u ** 300 * y + u ** 257 * (u + 1) ** 43
 
 
 def test_substitute_vanishing_denominator_raises():
@@ -482,3 +492,93 @@ def test_integral_polynomials_keep_int_coefficients():
     assert not q.is_integral
     assert 3 * q == p
     assert (3 * q).is_integral
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys
+# ---------------------------------------------------------------------------
+
+
+def test_constructor_canonicalizes_monomials():
+    assert Poly({((var_id("x"), 0),): 1}) == Poly.const(1)
+    assert Poly({((var_id("x"), 0),): 1}).to_text() == "1"
+    assert Poly({((var_id("y"), 1), (var_id("x"), 1)): 1}) == x * y
+    assert Poly({((var_id("y"), 2), (var_id("u"), 0), (var_id("x"), 1)): 3}) == 3 * x * y ** 2
+    # pairs naming one monomial in two orders add up
+    assert Poly([(((0, 1), (1, 1)), 2), (((1, 1), (0, 1)), 3)]) == 5 * x * y
+
+
+@pytest.mark.parametrize("mono, message", [
+    (((len(VARIABLES), 1),), "unknown variable id"),
+    (((-1, 1),), "unknown variable id"),
+    ((("x", 1),), "unknown variable id"),
+    (((0, 1), (0, 2)), "repeated"),
+    (((1, 0), (1, 1)), "repeated"),
+    (((0, -1),), "exponent of x"),
+    (((0, 1.0),), "exponent of x"),
+    (((0, Fraction(1)),), "exponent of x"),
+    (((0, True),), "exponent of x"),
+    (((0, 2 ** FIELD_BITS),), "exponent of x"),
+    (((0, 2 ** (FIELD_BITS - 1)), (1, 2 ** (FIELD_BITS - 1))), "degree"),
+], ids=["id-past-table", "id-negative", "id-name", "id-repeated",
+        "id-repeated-zero", "exponent-negative", "exponent-float",
+        "exponent-fraction", "exponent-bool", "exponent-too-large",
+        "degree-too-large"])
+def test_constructor_rejects_malformed_monomials(mono, message):
+    with pytest.raises(ValueError, match=message):
+        Poly({mono: 1})
+    with pytest.raises(ValueError, match=message):
+        x.coefficient(mono)
+
+
+def test_accessors_speak_tuple_monomials():
+    p = 3 * x ** 2 * y - 5 * A * t + 7
+    assert dict(p.terms) == {((0, 2), (1, 1)): 3, ((3, 1), (4, 1)): -5, (): 7}
+    assert p.coefficient(((1, 1), (0, 2))) == 3
+    assert p.coefficient(((3, 1), (4, 1))) == -5
+    assert p.coefficient(()) == 7
+    assert p.coefficient(((0, 1),)) == 0
+    assert p.min_coefficient() == (-5, ((3, 1), (4, 1)))
+    assert (p.degree(), p.degree_in("x"), p.variables()) == (3, 2, ("x", "y", "A", "t"))
+
+
+def test_product_degree_limit():
+    half = Poly({((0, 2 ** (FIELD_BITS - 1)),): 1})
+    below = Poly({((1, 2 ** (FIELD_BITS - 1) - 1),): 1})
+    top = half * below
+    assert top.degree() == 2 ** FIELD_BITS - 1
+    assert dict(top.terms) == {((0, 2 ** (FIELD_BITS - 1)), (1, 2 ** (FIELD_BITS - 1) - 1)): 1}
+    with pytest.raises(ValueError, match="product degree"):
+        half * half
+    with pytest.raises(ValueError, match="product degree"):
+        top * x
+    with pytest.raises(ValueError, match="product degree"):
+        half ** 2
+
+
+def test_evaluate_decodes_each_polynomial_once(monkeypatch):
+    p = (1 + x + y) ** 3
+    calls = []
+    unpack = exactalg._unpack
+    monkeypatch.setattr(exactalg, "_unpack", lambda key: calls.append(key) or unpack(key))
+    for value in (1, 2, 3):
+        assert p.evaluate({"x": Fraction(value), "y": Fraction(1)}) == (2 + value) ** 3
+    assert sorted(calls) == sorted(p._terms)
+
+
+_LARGE = st.integers(1, 2 ** FIELD_BITS - 1)
+_TUPLE_MONOS = st.dictionaries(
+    st.integers(0, len(VARIABLES) - 1), st.integers(1, 3) | _LARGE, max_size=4,
+).filter(lambda exps: sum(exps.values()) < 2 ** FIELD_BITS).flatmap(
+    lambda exps: st.permutations(sorted(exps.items())).map(tuple))
+
+
+@settings(max_examples=300)
+@given(_TUPLE_MONOS, _TUPLE_MONOS)
+def test_packed_order_is_grlex_order(a, b):
+    ka, kb = exactalg._pack(a), exactalg._pack(b)
+    assert (ka < kb) == (grlex_key(a) < grlex_key(b))
+    assert (ka == kb) == (grlex_key(a) == grlex_key(b))
+    assert exactalg._unpack(ka) == tuple(sorted(a))
+    if grlex_key(a)[0] + grlex_key(b)[0] < 2 ** FIELD_BITS:
+        assert exactalg._unpack(ka + kb) == _ref_mono_mul(a, b)
