@@ -31,9 +31,9 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .exactalg import Monomial, Poly, RationalFn, mono_text, substitute
 from .model import build_symbolic_model
@@ -107,8 +107,7 @@ def delta2_denominator() -> Poly:
     return _X * (_A + _X) * _Y * (_A + _Y) * shifted_pole() * pole2
 
 
-@dataclass(frozen=True)
-class SubstitutionStep:
+class SubstitutionStep(NamedTuple):
     """One positivity claim: ``expr`` under ``context`` then ``stages``.
 
     ``context`` lists substitutions already applied while building ``expr``
@@ -127,14 +126,14 @@ class SubstitutionStep:
     delta_index: int | None = None
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Outcome of one certificate step.
 
     ``witness`` is the graded-lex-smallest monomial attaining
     ``min_coefficient``; on a failing step it is the concrete counterexample
     to all-positivity.  ``expansion`` keeps the expanded polynomial for
-    auditing (witness lookup); it is not serialized.
+    auditing (witness lookup); it is neither serialized nor shown by
+    ``repr``.
     """
 
     step: str
@@ -148,7 +147,7 @@ class CertificateReport:
     all_integer: bool
     elapsed_ms: float
     require_integer: bool = False
-    expansion: Poly | None = field(default=None, repr=False, compare=False)
+    expansion: Poly | None = None
 
     @property
     def passed(self) -> bool:
@@ -156,9 +155,13 @@ class CertificateReport:
             return False
         return self.all_positive
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self) if name != "expansion")
+        return f"CertificateReport({fields})"
 
-@dataclass(frozen=True)
-class CertificateSummary:
+
+class CertificateSummary(NamedTuple):
     """Aggregate of a full certificate run."""
 
     overall_pass: bool
@@ -361,8 +364,7 @@ def certify_q2q4() -> list[CertificateReport]:
     return reports
 
 
-@dataclass(frozen=True, eq=False)
-class Chart:
+class Chart(NamedTuple):
     """A change of variables onto one region of the two-step claim.
 
     ``bindings`` maps x and y onto chart coordinates; the two-step
@@ -370,7 +372,8 @@ class Chart:
     cleared on the way is certified by the report ``clearing`` names
     (``(step name, region)``; None when nothing is cleared).  Each split
     ``(step name, split stage, region)`` becomes one step that applies the
-    split stage (none when empty) and then u = 1 + t.
+    split stage (none when empty) and then u = 1 + t.  The caches below key
+    a chart by its group and its index in `CHARTS`.
     """
 
     bindings: Mapping[str, object]
@@ -425,19 +428,30 @@ CHARTS: Mapping[str, tuple[Chart, ...]] = {
 
 
 @lru_cache(maxsize=None)
-def _chart_image(chart: Chart) -> RationalFn:
-    """Two-step difference numerator pushed through the chart.
+def _chart_image(group: str, index: int) -> RationalFn:
+    """Two-step difference numerator pushed through ``CHARTS[group][index]``.
 
     The returned denominator is the cleared chart factor, e.g.
     (w+1)^a (v+1)^b for the Moebius chart of q3.
     """
-    return substitute(build_symbolic_model().delta2.num, chart.bindings)
+    return substitute(build_symbolic_model().delta2.num, CHARTS[group][index].bindings)
 
 
-def _chart_steps(chart: Chart,
+@lru_cache(maxsize=None)
+def _chart_image_u(group: str, index: int) -> RationalFn:
+    """The chart image's numerator under u = 1 + t, once per chart.
+
+    No split binds u or t, so a split applied to this is the polynomial its
+    step's stages (the split, then u = 1 + t) give.
+    """
+    return substitute(_chart_image(group, index).num, {"u": U_POSITIVE})
+
+
+def _chart_steps(group: str, index: int,
                  u_image: RationalFn | Poly | None = None) -> tuple[SubstitutionStep, ...]:
+    chart = CHARTS[group][index]
     u_stage = {"u": U_POSITIVE if u_image is None else u_image}
-    expr = RationalFn(_chart_image(chart).num)
+    expr = RationalFn(_chart_image(group, index).num)
     return tuple(
         SubstitutionStep(
             name=name,
@@ -452,13 +466,16 @@ def _chart_steps(chart: Chart,
 
 
 @lru_cache(maxsize=None)
-def _split_expansion(chart: Chart, index: int) -> RationalFn:
-    """The chart's ``index``-th split step expanded under u = 1 + t.
+def _split_expansion(group: str, index: int, split: int) -> RationalFn:
+    """Split ``split`` of ``CHARTS[group][index]`` expanded under u = 1 + t.
 
-    Shared by the step's report and, for the first q1 split, by the
-    ``eq17`` landmark of `landmark_counts`.
+    Equal to `_expand` of the split's step, but u is substituted once per
+    chart (`_chart_image_u`).  Shared by the step's report and, for the
+    first q1 split, by the ``eq17`` landmark of `landmark_counts`.
     """
-    return _expand(_chart_steps(chart)[index])
+    stage = CHARTS[group][index].splits[split][1]
+    image = _chart_image_u(group, index)
+    return substitute(image, stage) if stage else image
 
 
 def chart_steps(group: str,
@@ -467,7 +484,8 @@ def chart_steps(group: str,
 
     ``u_image`` overrides the default binding u -> 1 + t.
     """
-    return tuple(step for chart in CHARTS[group] for step in _chart_steps(chart, u_image))
+    return tuple(step for index in range(len(CHARTS[group]))
+                 for step in _chart_steps(group, index, u_image))
 
 
 def certify_charts(group: str,
@@ -479,23 +497,24 @@ def certify_charts(group: str,
     u are cached; an explicit ``u_image`` is expanded afresh.
     """
     reports: list[CertificateReport] = []
-    for chart in CHARTS[group]:
+    for index, chart in enumerate(CHARTS[group]):
         start = time.perf_counter()
-        image = _chart_image(chart)
+        image = _chart_image(group, index)
         elapsed = (time.perf_counter() - start) * 1000.0
         if chart.clearing is not None:
             name, region = chart.clearing
             reports.append(_poly_report(name, region, _bindings_of(chart.bindings),
                                         image.den.monomial_count(), image.den, elapsed))
-        for index, step in enumerate(_chart_steps(chart, u_image)):
-            cached = None if u_image is not None else partial(_split_expansion, chart, index)
+        for split, step in enumerate(_chart_steps(group, index, u_image)):
+            cached = None if u_image is not None else partial(_split_expansion,
+                                                              group, index, split)
             reports.extend(_run_step(step, cached))
     return reports
 
 
 def shifted_numerator() -> Poly:
     """Two-step difference numerator in corner coordinates x0 = x - u, y0 = y - u."""
-    return _chart_image(CHARTS["q1"][0]).num
+    return _chart_image("q1", 0).num
 
 
 def q3_steps() -> tuple[SubstitutionStep, ...]:
@@ -545,7 +564,7 @@ def landmark_counts() -> dict:
     return {
         "delta2Numerator": build_symbolic_model().delta2.num.monomial_count(),
         "eq16": shifted_numerator().monomial_count(),
-        "eq17": _split_expansion(CHARTS["q1"][0], 0).num.monomial_count(),
+        "eq17": _split_expansion("q1", 0, 0).num.monomial_count(),
     }
 
 

@@ -8,6 +8,9 @@ in ``lyness certify | head -1`` (128 + SIGPIPE, what a shell reports for a
 tool that SIGPIPE ended; no traceback is printed).  Data outputs are
 deterministic; JSON certificate reports carry wall-clock timings unless
 ``--no-timing`` is given, which makes reruns byte-identical.
+
+`dynamics` is imported by the three commands that use it, so that
+``lyness certify`` never loads it.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import certifier, dynamics
+from . import certifier
 from .model import ParamsPQ, build_symbolic_model
 
 #: Exit code when stdout is closed before the output is written.
@@ -83,6 +86,7 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import dynamics
     params = ParamsPQ(args.p, args.q)
     mode = "exact" if args.exact else "float"
     trace = dynamics.simulate(params, (args.xm1, args.x0), mode=mode, tol=args.tol,
@@ -112,6 +116,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_regions(args) -> int:
+    from . import dynamics
     coverage = dynamics.classify_regions(ParamsPQ(args.p, args.q))
     print("flags:", "".join(sorted(coverage.flags)) or "(none)")
     for check in coverage.checks:
@@ -123,6 +128,7 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_ggrid(args) -> int:
+    from . import dynamics
     rows = dynamics.g_grid(args.alpha_tilde, args.window, args.res)
     if args.csv is not None:
         with _open_output(args.csv) as fh:

@@ -19,43 +19,55 @@ quadrants around (u, u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .exactalg import Poly, RationalFn, substitute
 
 Number = Union[int, float, Fraction]
 
 
-@dataclass(frozen=True)
-class ParamsPQ:
-    """Parameters of the recurrence x[n+1] = (p + q*x[n]) / (1 + x[n-1])."""
+# The records below are `typing.NamedTuple`s: immutable, and far cheaper to
+# define at import time than frozen dataclasses.  A record that validates its
+# fields does so in ``__new__`` on a NamedTuple base, which NamedTuple itself
+# does not allow to override.
 
+
+class _ParamsPQ(NamedTuple):
     p: Number
     q: Number
 
-    def __post_init__(self):
-        if not (self.p > 0 and self.q > 0):
+
+class ParamsPQ(_ParamsPQ):
+    """Parameters of the recurrence x[n+1] = (p + q*x[n]) / (1 + x[n-1])."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: Number, q: Number):
+        if not (p > 0 and q > 0):
             raise ValueError("parameters p and q must be positive")
+        return super().__new__(cls, p, q)
 
 
-@dataclass(frozen=True)
-class ParamsAlphaA:
-    """Parameters (alpha, A) of the transformed recurrence
-    y[n+1] = (alpha + y[n]) / (A + y[n-1])."""
-
+class _ParamsAlphaA(NamedTuple):
     alpha: Number
     cap_a: Number
 
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.cap_a > 0):
+
+class ParamsAlphaA(_ParamsAlphaA):
+    """Parameters (alpha, A) of the transformed recurrence
+    y[n+1] = (alpha + y[n]) / (A + y[n-1])."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: Number, cap_a: Number):
+        if not (alpha > 0 and cap_a > 0):
             raise ValueError("parameters alpha and A must be positive")
+        return super().__new__(cls, alpha, cap_a)
 
 
-@dataclass(frozen=True)
-class EquilibriumInfo:
+class EquilibriumInfo(NamedTuple):
     """Float view of the equilibrium in original and transformed coordinates."""
 
     xbar: float
@@ -103,12 +115,13 @@ def alpha_of_u(u: Number, cap_a: Number) -> Number:
 # -- exact quadratic values ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadValue:
+class QuadValue(NamedTuple):
     """Exact value a + b*sqrt(d) with rational a, b and integer d >= 0.
 
     Construct through `quad`, which collapses perfect-square radicands so that
-    equality is well defined.  Arithmetic requires matching radicands.
+    equality is well defined.  Arithmetic requires matching radicands.  The
+    order comparisons raise `TypeError`: the tuple order on (a, b, d) is not
+    the order of the reals the values denote.
     """
 
     a: Fraction
@@ -151,6 +164,11 @@ class QuadValue:
 
     def to_float(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
+
+    def __lt__(self, other):
+        raise TypeError("QuadValue values are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 def quad(a: Number, b: Number, d: int) -> QuadValue:
@@ -205,8 +223,7 @@ def equilibrium_residual(p: Fraction, q: Fraction) -> QuadValue:
 # -- symbolic model -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolicModel:
+class SymbolicModel(NamedTuple):
     """Symbolic invariant, step map, and its one- and two-step drops.
 
     Fields

@@ -15,10 +15,11 @@ from lyness.exactalg import (
     RationalFn,
     grlex_key,
     mono_text,
-    parse_poly,
     substitute,
     var_id,
 )
+
+from polytext import parse_poly
 
 x = Poly.var("x")
 y = Poly.var("y")
