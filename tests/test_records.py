@@ -52,13 +52,6 @@ def test_parameter_records_reject_nonpositive_values(make):
         make()
 
 
-def test_parameter_records_keep_their_fields():
-    params = ParamsPQ(p=Fraction(7, 2), q=3)
-    assert (params.p, params.q) == (Fraction(7, 2), 3)
-    assert isinstance(params, ParamsPQ)
-    assert ParamsAlphaA(1, 2).cap_a == 2
-
-
 @pytest.mark.parametrize("other", [quad(1, 1, 2), quad(2, 0, 0), 0, (1, 1, 2)],
                          ids=["surd", "rational", "int", "tuple"])
 def test_quad_values_are_not_ordered(other):
