@@ -175,18 +175,9 @@ class CertificateSummary(NamedTuple):
         raise KeyError(f"no report named {step!r}")
 
 
-def _binding_text(image: object) -> str:
-    if isinstance(image, RationalFn):
-        if image.den == Poly.const(1):
-            return image.num.to_text()
-        return f"({image.num.to_text()})/({image.den.to_text()})"
-    if isinstance(image, Poly):
-        return image.to_text()
-    return str(Fraction(image))
-
-
 def _bindings_of(*stages: Mapping[str, object]) -> tuple[tuple[str, str], ...]:
-    return tuple((name, _binding_text(image))
+    return tuple((name, (image if isinstance(image, RationalFn)
+                         else RationalFn(image)).to_text())
                  for stage in stages for name, image in stage.items())
 
 
@@ -236,7 +227,7 @@ def _run_step(step: SubstitutionStep,
                      step.expr.num.monomial_count(), rf.num, elapsed,
                      step.require_integer)
     ]
-    if rf.den != Poly.const(1):
+    if not rf.is_polynomial:
         reports.append(_poly_report(
             f"{step.name}-clearing",
             "denominator cleared during the substitution; must be positive",

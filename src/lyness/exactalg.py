@@ -38,6 +38,16 @@ factorization is ever computed: equality is decided by cross-multiplication,
 and substitution clears binding denominators in a single common-denominator
 pass so that composed maps stay in the expected normalized shape.
 
+`substitute` builds each output polynomial in one pass over the target's
+terms, on ints alone.  For every bound variable it forms the power rows
+``num^e * den^(emax-e)`` once, as packed term maps scaled to one common
+integer denominator.  A term's bound part is ``key & mask``; the product
+of the rows for each distinct bound part is formed once per call and kept
+as ``(key offset, coefficient)`` pairs, so each term product is one key
+addition and one multiply-add into a single int accumulator, which is
+canonicalised once at the end.  `Poly.__mul__` and the power rows share
+one term-product loop, `_term_product`.
+
 Everything here is immutable after construction and safe to share; the only
 state filled in later is that cache of decoded keys, derived from the terms.
 """
@@ -70,6 +80,8 @@ _SHIFTS: tuple[int, ...] = tuple(FIELD_BITS * (len(VARIABLES) - 1 - vid)
                                  for vid in range(len(VARIABLES)))
 #: Bit offset of the total-degree field, above every exponent field.
 _DEG_SHIFT = FIELD_BITS * len(VARIABLES)
+#: Smallest packed key whose total degree reaches ``2**FIELD_BITS``.
+_KEY_LIMIT = _LIMIT << _DEG_SHIFT
 
 
 def var_id(name: str) -> int:
@@ -189,6 +201,11 @@ class Poly:
         return not self._terms
 
     @property
+    def is_one(self) -> bool:
+        """True for the constant polynomial 1."""
+        return self._den == 1 and self._terms == {0: 1}
+
+    @property
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return self._den == 1
@@ -256,21 +273,8 @@ class Poly:
                          self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return Poly()
-        if (max(a) >> _DEG_SHIFT) + (max(b) >> _DEG_SHIFT) >= _LIMIT:
-            raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
-        # Below that degree no field carries into the next, so a key sum is
-        # the monomial product.
-        out: dict[int, int] = {}
-        get = out.get
-        b_items = b.items()
-        for ma, ca in a.items():
-            for mb, cb in b_items:
-                m = ma + mb
-                out[m] = get(m, 0) + ca * cb
-        return _make({m: c for m, c in out.items() if c}, self._den * other._den)
+        return _make(_term_product(self._terms, other._terms),
+                     self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -378,6 +382,27 @@ def _sum(polys: Iterable[Poly]) -> Poly:
     return _make({m: c for m, c in acc.items() if c}, den)
 
 
+def _term_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Packed terms of the product of two term maps, zero coefficients dropped.
+
+    Raises ValueError before forming a key whose total degree would reach
+    ``2**FIELD_BITS``; below that degree no field carries into the next, so
+    a key sum is the monomial product.
+    """
+    if not a or not b:
+        return {}
+    if (max(a) >> _DEG_SHIFT) + (max(b) >> _DEG_SHIFT) >= _LIMIT:
+        raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
+    out: dict[int, int] = {}
+    get = out.get
+    b_items = b.items()
+    for ma, ca in a.items():
+        for mb, cb in b_items:
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
 def _as_poly(value) -> "Poly":
     if isinstance(value, Poly):
         return value
@@ -421,7 +446,7 @@ class RationalFn:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == Poly.const(1)
+        return self.den.is_one
 
     def __add__(self, other: "RationalFn | Poly | Scalar") -> "RationalFn":
         other = _as_rf(other)
@@ -501,11 +526,32 @@ def _as_rf(value) -> "RationalFn":
 # -- operations over the engine ---------------------------------------------
 
 
-def _powers(p: Poly, n: int) -> list[Poly]:
-    out = [Poly.const(1)]
-    for _ in range(n):
-        out.append(out[-1] * p)
-    return out
+def _power_rows(image: RationalFn, emax: int) -> tuple[list[dict[int, int]], int]:
+    """Rows ``num^e * den^(emax-e)`` of one binding, e = 0..emax, as packed
+    term maps over one common int denominator, returned with it.
+
+    Row e carries the scale ``n^(emax-e) * d^e``, where n and d are the
+    content denominators of the image's numerator and denominator, so every
+    row sits over ``(n*d)^emax``.  A constant-one image denominator
+    contributes no powers.
+    """
+    num, den = image.num, image.den
+    num_pows = [{0: 1}]
+    for _ in range(emax):
+        num_pows.append(_term_product(num_pows[-1], num._terms))
+    if den.is_one:
+        rows = num_pows
+    else:
+        den_pows = [{0: 1}]
+        for _ in range(emax):
+            den_pows.append(_term_product(den_pows[-1], den._terms))
+        rows = [_term_product(num_pows[e], den_pows[emax - e]) for e in range(emax + 1)]
+    n, d = num._den, den._den
+    for e, row in enumerate(rows):
+        factor = n ** (emax - e) * d ** e
+        if factor != 1:
+            rows[e] = {m: c * factor for m, c in row.items()}
+    return rows, (n * d) ** emax
 
 
 def substitute(target: RationalFn | Poly,
@@ -518,12 +564,16 @@ def substitute(target: RationalFn | Poly,
     composing maps does not pile up redundant denominator factors.  Bound
     variables absent from the target are ignored; unbound variables pass
     through.  Raises ZeroDivisionError when the substituted denominator is
-    identically zero.
+    identically zero, and ValueError before forming a monomial whose total
+    degree would reach ``2**FIELD_BITS``.
 
-    Terms are grouped by their exponents in the bound variables: each
-    group's power product ``prod num^e * den^(emax-e)`` is formed once
-    (shared by numerator and denominator) and multiplied once by the group's
-    polynomial in the unbound variables.
+    Each output polynomial is built in one pass over the target's terms.
+    A term's bound part is ``key & mask``; the product of the bound
+    variables' power rows for that part (`_power_rows`) is formed once per
+    call, shared by numerator and denominator, and kept as ``(key offset,
+    int coefficient)`` pairs, so each term product is one key addition into
+    a single int accumulator.  The accumulator is canonicalised once, over
+    the target's content denominator times the rows' common denominators.
     """
     rf = _as_rf(target)
     if rf is NotImplemented:
@@ -534,45 +584,48 @@ def substitute(target: RationalFn | Poly,
         if coerced is NotImplemented:
             raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or exact scalar")
         images[var_id(name)] = coerced
-    emax = {vid: _max_exponent((rf.num, rf.den), vid) for vid in images}
-    images = {vid: img for vid, img in images.items() if emax[vid]}
-    if not images:
-        return rf
-    num_pows = {vid: _powers(img.num, emax[vid]) for vid, img in images.items()}
-    den_pows = {vid: _powers(img.den, emax[vid]) for vid, img in images.items()}
+    rows: dict[int, list[dict[int, int]]] = {}
+    scale = 1
     mask = 0
-    for vid in images:
-        mask |= _FIELD_MASK << _SHIFTS[vid]
-    products: dict[int, Poly] = {}
+    for vid, image in images.items():
+        emax = _max_exponent((rf.num, rf.den), vid)
+        if emax:
+            rows[vid], row_den = _power_rows(image, emax)
+            scale *= row_den
+            mask |= _FIELD_MASK << _SHIFTS[vid]
+    if not rows:
+        return rf
+    products: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
 
-    def product_of(bound: int) -> Poly:
-        prod = products.get(bound)
-        if prod is None:
-            prod = Poly.const(1)
-            for vid in images:
-                e = (bound >> _SHIFTS[vid]) & _FIELD_MASK
-                if e:
-                    prod = prod * num_pows[vid][e]
-                r = emax[vid] - e
-                if r:
-                    prod = prod * den_pows[vid][r]
-            products[bound] = prod
-        return prod
+    def product_of(fields: int) -> tuple[tuple[tuple[int, int], ...], int]:
+        # ``fields`` holds the bound exponent fields; with their degree added
+        # it is the packed bound monomial, which each offset subtracts so
+        # that ``key + offset`` is the kept monomial times the product's.
+        degree = 0
+        prod = None
+        for vid, row_list in rows.items():
+            e = (fields >> _SHIFTS[vid]) & _FIELD_MASK
+            degree += e
+            prod = row_list[e] if prod is None else _term_product(prod, row_list[e])
+        bound = fields | degree << _DEG_SHIFT
+        pairs = tuple((m - bound, c) for m, c in prod.items())
+        return pairs, max(prod, default=bound) - bound
 
     def image_of(poly: Poly) -> Poly:
-        # ``key & mask`` holds the bound exponent fields; with their degree
-        # added it is the packed bound monomial, and ``key`` minus that is
-        # the packed kept monomial.
-        groups: dict[int, tuple[int, dict[int, int]]] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
         for key, coeff in poly._terms.items():
             fields = key & mask
-            group = groups.get(fields)
+            group = products.get(fields)
             if group is None:
-                degree = sum((fields >> _SHIFTS[vid]) & _FIELD_MASK for vid in images)
-                group = groups[fields] = (fields | degree << _DEG_SHIFT, {})
-            group[1][key - group[0]] = coeff
-        return _sum(product_of(bound) * _make(kept, poly._den)
-                    for bound, kept in groups.values())
+                group = products[fields] = product_of(fields)
+            pairs, top = group
+            if key + top >= _KEY_LIMIT:
+                raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
+            for offset, c in pairs:
+                m = key + offset
+                acc[m] = get(m, 0) + coeff * c
+        return _make({m: c for m, c in acc.items() if c}, poly._den * scale)
 
     num = image_of(rf.num)
     den = image_of(rf.den)

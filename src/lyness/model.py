@@ -31,7 +31,17 @@ Number = Union[int, float, Fraction]
 # The records below are `typing.NamedTuple`s: immutable, and far cheaper to
 # define at import time than frozen dataclasses.  A record that validates its
 # fields does so in ``__new__`` on a NamedTuple base, which NamedTuple itself
-# does not allow to override.
+# does not allow to override.  The two parameter records also compare their
+# type, as the dataclasses did, so that (p, q) never equals (alpha, A) or a
+# plain tuple.
+
+
+def _record_eq(self, other: object) -> bool:
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other: object) -> bool:
+    return not _record_eq(self, other)
 
 
 class _ParamsPQ(NamedTuple):
@@ -43,6 +53,9 @@ class ParamsPQ(_ParamsPQ):
     """Parameters of the recurrence x[n+1] = (p + q*x[n]) / (1 + x[n-1])."""
 
     __slots__ = ()
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
     def __new__(cls, p: Number, q: Number):
         if not (p > 0 and q > 0):
@@ -60,6 +73,9 @@ class ParamsAlphaA(_ParamsAlphaA):
     y[n+1] = (alpha + y[n]) / (A + y[n-1])."""
 
     __slots__ = ()
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
     def __new__(cls, alpha: Number, cap_a: Number):
         if not (alpha > 0 and cap_a > 0):

@@ -447,6 +447,52 @@ def test_kernel_substitute_matches_reference(num, den, xn, xd, yn, yd):
     _assert_matches(out.den, ref_den)
 
 
+def test_substitute_non_integral_image_matches_reference():
+    # both halves of each image carry a content denominator, so the kernel
+    # scales its power rows; the outputs must equal the reference term for
+    # term, not only up to a constant factor
+    X, Y, U, T = (var_id(name) for name in ("x", "y", "u", "t"))
+    num = {((X, 2), (Y, 1)): Fraction(3, 4), ((X, 1),): Fraction(-2, 5), (): Fraction(1, 3)}
+    den = {((X, 1), (Y, 1)): Fraction(5, 6), ((Y, 2),): Fraction(1)}
+    bindings = {
+        "x": ({((U, 1),): Fraction(1, 2), (): Fraction(2, 3)},
+              {((T, 1),): Fraction(3, 7), (): Fraction(1, 5)}),
+        "y": ({((U, 1), (T, 1)): Fraction(5, 9)},
+              {(): Fraction(1, 2), ((U, 2),): Fraction(1, 4)}),
+    }
+    ref_num, ref_den = _ref_substitute(num, den, bindings)
+    out = substitute(RationalFn(Poly(num), Poly(den)),
+                     {name: RationalFn(Poly(n), Poly(d)) for name, (n, d) in bindings.items()})
+    _assert_matches(out.num, ref_num)
+    _assert_matches(out.den, ref_den)
+    assert not out.num.is_integral and not out.den.is_integral
+
+
+def _free_of_x(ref):
+    return {m: c for m, c in ref.items() if all(vid != var_id("x") for vid, _ in m)}
+
+
+@settings(max_examples=100)
+@given(_REF, _REF.filter(bool))
+def test_substitute_zero_binding_keeps_the_free_terms(num, den):
+    # as in the q1-edge-x0-zero report: x = 0 drops every term carrying x
+    # and keeps the others unchanged, with no clearing factor
+    target = RationalFn(Poly(num), Poly(den))
+    if not _free_of_x(den):
+        with pytest.raises(ZeroDivisionError):
+            substitute(target, {"x": 0})
+        return
+    out = substitute(target, {"x": 0})
+    _assert_matches(out.num, _free_of_x(num))
+    _assert_matches(out.den, _free_of_x(den))
+
+
+def test_substitute_zero_binding_example():
+    x0, y0, k = (Poly.var(name) for name in ("x0", "y0", "k"))
+    out = substitute(x0 ** 2 * y0 + 3 * x0 * k + y0 ** 2 - k, {"x0": 0})
+    assert (out.num, out.den) == (y0 ** 2 - k, Poly.const(1))
+
+
 @settings(max_examples=150)
 @given(_REF, _REF, _EXACT, _EXACT, _EXACT, _EXACT)
 def test_kernel_exact_evaluate_matches_reference(a, b, px, py, pu, pa):
@@ -555,6 +601,21 @@ def test_product_degree_limit():
         top * x
     with pytest.raises(ValueError, match="product degree"):
         half ** 2
+
+
+def test_substitute_degree_limit():
+    top = 2 ** FIELD_BITS - 1
+    high = Poly({((var_id("y"), top - 1),): 1})
+    assert substitute(x * high, {"x": u}).num.degree() == top
+    # a term's image would reach the limit
+    with pytest.raises(ValueError, match="product degree"):
+        substitute(x * high, {"x": u ** 2})
+    # so would the clearing power of the image denominator on an x-free term
+    with pytest.raises(ValueError, match="product degree"):
+        substitute(RationalFn(high, x), {"x": RationalFn(u, u ** 2 + 1)})
+    # and a power row of the image itself
+    with pytest.raises(ValueError, match="product degree"):
+        substitute(x ** 2, {"x": Poly({((var_id("y"), 2 ** (FIELD_BITS - 1)),): 1})})
 
 
 def test_evaluate_decodes_each_polynomial_once(monkeypatch):

@@ -66,6 +66,22 @@ def test_quad_values_are_not_ordered(other):
             compare(other, value)
 
 
+def test_parameter_records_compare_their_type():
+    pq, alpha_a = ParamsPQ(2, 3), ParamsAlphaA(2, 3)
+    for a, b in ((pq, alpha_a), (alpha_a, pq), (pq, (2, 3)), ((2, 3), pq),
+                 (alpha_a, (2, 3)), ((2, 3), alpha_a)):
+        assert not a == b
+        assert a != b
+    assert pq == ParamsPQ(2, 3) and not pq != ParamsPQ(2, 3)
+    assert ParamsPQ(Fraction(4, 2), 3) == pq
+    assert hash(pq) == hash(ParamsPQ(2, 3))
+    # a mapping keyed by parameters keeps (p, q) and (alpha, A) apart
+    keyed = {pq: "pq", alpha_a: "alpha_a"}
+    assert len(keyed) == 2
+    assert keyed[ParamsPQ(2, 3)] == "pq" and keyed[ParamsAlphaA(2, 3)] == "alpha_a"
+    assert (2, 3) not in keyed
+
+
 def test_quad_value_arithmetic_is_not_tuple_arithmetic():
     root2 = quad(0, 1, 2)
     assert root2 + 1 == quad(1, 1, 2)
