@@ -39,14 +39,10 @@ and substitution clears binding denominators in a single common-denominator
 pass so that composed maps stay in the expected normalized shape.
 
 `substitute` builds each output polynomial in one pass over the target's
-terms, on ints alone.  For every bound variable it forms the power rows
-``num^e * den^(emax-e)`` once, as packed term maps scaled to one common
-integer denominator.  A term's bound part is ``key & mask``; the product
-of the rows for each distinct bound part is formed once per call and kept
-as ``(key offset, coefficient)`` pairs, so each term product is one key
-addition and one multiply-add into a single int accumulator, which is
-canonicalised once at the end.  `Poly.__mul__` and the power rows share
-one term-product loop, `_term_product`.
+terms, on ints alone: every term product is one key addition and one
+multiply-add into a single int accumulator, canonicalised once at the end.
+`Poly.__mul__` and the power rows of `substitute` share one term-product
+loop.
 
 Everything here is immutable after construction and safe to share; the only
 state filled in later is that cache of decoded keys, derived from the terms.
@@ -245,7 +241,14 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum((self, other))
+        den = math.lcm(self._den, other._den)
+        acc = {}
+        get = acc.get
+        for p in (self, other):
+            scale = den // p._den
+            for m, c in p._terms.items():
+                acc[m] = get(m, 0) + c * scale
+        return _make({m: c for m, c in acc.items() if c}, den)
 
     __radd__ = __add__
 
@@ -369,20 +372,7 @@ def _make(terms: dict[int, int], den: int) -> Poly:
     return p
 
 
-def _sum(polys: Iterable[Poly]) -> Poly:
-    """Sum of polynomials over their least common denominator."""
-    polys = tuple(polys)
-    den = math.lcm(*(p._den for p in polys))
-    acc: dict[int, int] = {}
-    get = acc.get
-    for p in polys:
-        scale = den // p._den
-        for m, c in p._terms.items():
-            acc[m] = get(m, 0) + c * scale
-    return _make({m: c for m, c in acc.items() if c}, den)
-
-
-def _term_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def _term_product(a, b):
     """Packed terms of the product of two term maps, zero coefficients dropped.
 
     Raises ValueError before forming a key whose total degree would reach
@@ -393,7 +383,7 @@ def _term_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         return {}
     if (max(a) >> _DEG_SHIFT) + (max(b) >> _DEG_SHIFT) >= _LIMIT:
         raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
-    out: dict[int, int] = {}
+    out = {}
     get = out.get
     b_items = b.items()
     for ma, ca in a.items():
@@ -526,31 +516,26 @@ def _as_rf(value) -> "RationalFn":
 # -- operations over the engine ---------------------------------------------
 
 
-def _power_rows(image: RationalFn, emax: int) -> tuple[list[dict[int, int]], int]:
+def _power_rows(image, emax):
     """Rows ``num^e * den^(emax-e)`` of one binding, e = 0..emax, as packed
     term maps over one common int denominator, returned with it.
 
-    Row e carries the scale ``n^(emax-e) * d^e``, where n and d are the
-    content denominators of the image's numerator and denominator, so every
-    row sits over ``(n*d)^emax``.  A constant-one image denominator
-    contributes no powers.
+    With n and d the content denominators of the image's numerator and
+    denominator, the image equals ``(num*n*d) / (den*n*d)``, whose halves
+    have int coefficients; row e over ``(n*d)^emax`` is formed from those.
+    A constant-one denominator contributes no powers.
     """
-    num, den = image.num, image.den
-    num_pows = [{0: 1}]
+    n, d = image.num._den, image.den._den
+    num = {m: c * d for m, c in image.num._terms.items()}
+    den = {m: c * n for m, c in image.den._terms.items()}
+    rows = [{0: 1}]
     for _ in range(emax):
-        num_pows.append(_term_product(num_pows[-1], num._terms))
-    if den.is_one:
-        rows = num_pows
-    else:
-        den_pows = [{0: 1}]
-        for _ in range(emax):
-            den_pows.append(_term_product(den_pows[-1], den._terms))
-        rows = [_term_product(num_pows[e], den_pows[emax - e]) for e in range(emax + 1)]
-    n, d = num._den, den._den
-    for e, row in enumerate(rows):
-        factor = n ** (emax - e) * d ** e
-        if factor != 1:
-            rows[e] = {m: c * factor for m, c in row.items()}
+        rows.append(_term_product(rows[-1], num))
+    if den != {0: 1}:
+        den_pow = {0: 1}
+        for e in range(emax - 1, -1, -1):
+            den_pow = _term_product(den_pow, den)
+            rows[e] = _term_product(rows[e], den_pow)
     return rows, (n * d) ** emax
 
 
@@ -584,7 +569,7 @@ def substitute(target: RationalFn | Poly,
         if coerced is NotImplemented:
             raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or exact scalar")
         images[var_id(name)] = coerced
-    rows: dict[int, list[dict[int, int]]] = {}
+    rows = {}
     scale = 1
     mask = 0
     for vid, image in images.items():
@@ -595,9 +580,9 @@ def substitute(target: RationalFn | Poly,
             mask |= _FIELD_MASK << _SHIFTS[vid]
     if not rows:
         return rf
-    products: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+    products = {}
 
-    def product_of(fields: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    def product_of(fields):
         # ``fields`` holds the bound exponent fields; with their degree added
         # it is the packed bound monomial, which each offset subtracts so
         # that ``key + offset`` is the kept monomial times the product's.
@@ -611,8 +596,8 @@ def substitute(target: RationalFn | Poly,
         pairs = tuple((m - bound, c) for m, c in prod.items())
         return pairs, max(prod, default=bound) - bound
 
-    def image_of(poly: Poly) -> Poly:
-        acc: dict[int, int] = {}
+    def image_of(poly):
+        acc = {}
         get = acc.get
         for key, coeff in poly._terms.items():
             fields = key & mask
