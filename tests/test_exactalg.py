@@ -448,9 +448,9 @@ def test_kernel_substitute_matches_reference(num, den, xn, xd, yn, yd):
 
 
 def test_substitute_non_integral_image_matches_reference():
-    # both halves of each image carry a content denominator, so the kernel
-    # scales its power rows; the outputs must equal the reference term for
-    # term, not only up to a constant factor
+    # both halves of each image carry a content denominator, which the
+    # kernel clears before forming its power rows; the outputs must equal
+    # the reference term for term, not only up to a constant factor
     X, Y, U, T = (var_id(name) for name in ("x", "y", "u", "t"))
     num = {((X, 2), (Y, 1)): Fraction(3, 4), ((X, 1),): Fraction(-2, 5), (): Fraction(1, 3)}
     den = {((X, 1), (Y, 1)): Fraction(5, 6), ((Y, 2),): Fraction(1)}
