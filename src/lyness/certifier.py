@@ -19,12 +19,15 @@ x <= u <= y, ``q3``: both <= u, ``q4``: y <= u <= x), and ``segment-x-eq-u``
 axes.  Steps whose name ends in ``-clearing`` certify the positivity of a
 denominator that was cleared while substituting.
 
-The one-step claims on q2 and q4 are the factors of the closed form
-(`q2q4_steps`).  The two-step claims are one table, `CHARTS`: each chart
-maps x and y onto coordinates of one region and lists its splits along the
-diagonal, and `certify_charts` expands the table, pushing the two-step
-difference numerator through each chart once.  `GROUPS` names every
-certificate group; `run_full_certificate` runs any selection of them.
+Every substitution step is a row of one table, `CHARTS`: a chart pushes
+its expression (by default the two-step difference numerator) through its
+bindings once and splits the image into steps.  The one-step claims on q2
+and q4 are rows holding the factors of the closed form, each split by its
+quadrant map; the two-step claims on q1, q3 and the segments are rows that
+map x and y onto one region and split it along the diagonal.
+`certify_charts` runs one group of rows.  `GROUPS` names every certificate
+group, the exact ``delta1-identity`` check and the groups of `CHARTS`;
+`run_full_certificate` runs any selection of them.
 """
 from __future__ import annotations
 
@@ -86,16 +89,15 @@ def shifted_pole() -> Poly:
     return _A * _U + _U * _U - _U + _Y
 
 
-def delta1_closed_form() -> RationalFn:
-    """Factored closed form of the one-step difference g - g(T(x, y))."""
-    num = _A * (1 + _Y) * line_factor() * parabola_factor()
-    den = _X * (_A + _X) * _Y * shifted_pole()
-    return RationalFn(num, den)
-
-
 def delta1_denominator() -> Poly:
     """Denominator of the factored one-step difference."""
     return _X * (_A + _X) * _Y * shifted_pole()
+
+
+def delta1_closed_form() -> RationalFn:
+    """Factored closed form of the one-step difference g - g(T(x, y))."""
+    num = _A * (1 + _Y) * line_factor() * parabola_factor()
+    return RationalFn(num, delta1_denominator())
 
 
 def delta2_denominator() -> Poly:
@@ -211,30 +213,6 @@ def _expand(step: SubstitutionStep) -> RationalFn:
     return rf
 
 
-def _run_step(step: SubstitutionStep,
-              expanded: Callable[[], RationalFn] | None = None) -> list[CertificateReport]:
-    """Expand the step and report on numerator and clearing factor.
-
-    ``expanded`` supplies a cached expansion (see `certify_charts`); by
-    default the step's stages are applied here.
-    """
-    start = time.perf_counter()
-    rf = _expand(step) if expanded is None else expanded()
-    elapsed = (time.perf_counter() - start) * 1000.0
-    bindings = _bindings_of(*step.context, *step.stages)
-    reports = [
-        _poly_report(step.name, step.region, bindings,
-                     step.expr.num.monomial_count(), rf.num, elapsed,
-                     step.require_integer)
-    ]
-    if not rf.is_polynomial:
-        reports.append(_poly_report(
-            f"{step.name}-clearing",
-            "denominator cleared during the substitution; must be positive",
-            bindings, rf.den.monomial_count(), rf.den, 0.0))
-    return reports
-
-
 def map_to_plane(step: SubstitutionStep,
                  assignment: Mapping[str, object]) -> dict[str, Fraction]:
     """Map an assignment of a step's parameters to a plane point.
@@ -285,103 +263,73 @@ def verify_delta1_identity(closed_form: RationalFn | None = None) -> Certificate
     )
 
 
-def q2q4_steps() -> tuple[SubstitutionStep, ...]:
-    """Steps certifying the one-step difference on q2 and q4.
-
-    The difference factors as A(1+y) * F_line * F_parabola over a positive
-    denominator; on q2 both factors are <= 0 and on q4 both are >= 0, so the
-    product is nonnegative and vanishes only at the fixed point.  Quadrant
-    interiors are parameterized by a positive Moebius coordinate on the
-    bounded side and a nonnegative shift on the unbounded side, which also
-    covers the y = u edge of q2 and the x = u edge of q4.
-    """
-    f1, f2 = line_factor(), parabola_factor()
-    q2_stage = {"x": _MOBIUS_W, "y": _U + _Y0}
-    q4_stage = {"x": _U + _X0, "y": _MOBIUS_V}
-    u_stage = {"u": U_POSITIVE}
-    return (
-        SubstitutionStep(
-            name="delta1-numerator-cofactor",
-            region="all x, y > 0: cofactor A(1+y) multiplying the two "
-                   "sign-carrying factors",
-            expr=RationalFn(_A * (1 + _Y)),
-            stages=(u_stage,),
-        ),
-        SubstitutionStep(
-            name="delta1-denominator",
-            region="all x, y > 0 and u > 1: denominator of the factored "
-                   "one-step difference",
-            expr=RationalFn(delta1_denominator()),
-            stages=(u_stage,),
-        ),
-        SubstitutionStep(
-            name="q2-line-factor-negated",
-            region="q2 with x < u (0 < x < u via w > 0, y = u + y0 with "
-                   "y0 >= 0): the line factor is negative there",
-            expr=RationalFn(-f1),
-            stages=(q2_stage, u_stage),
-            delta_index=1,
-        ),
-        SubstitutionStep(
-            name="q2-parabola-factor-negated",
-            region="q2 with x < u: the parabola factor is negative there",
-            expr=RationalFn(-f2),
-            stages=(q2_stage, u_stage),
-            delta_index=1,
-        ),
-        SubstitutionStep(
-            name="q4-line-factor",
-            region="q4 with y < u (x = u + x0 with x0 >= 0, 0 < y < u via "
-                   "v > 0): the line factor is positive there",
-            expr=RationalFn(f1),
-            stages=(q4_stage, u_stage),
-            delta_index=1,
-        ),
-        SubstitutionStep(
-            name="q4-parabola-factor",
-            region="q4 with y < u: the parabola factor is positive there",
-            expr=RationalFn(f2),
-            stages=(q4_stage, u_stage),
-            delta_index=1,
-        ),
-    )
-
-
-def certify_q2q4() -> list[CertificateReport]:
-    """Certify that the one-step difference is positive on q2 and q4."""
-    reports: list[CertificateReport] = []
-    for step in q2q4_steps():
-        reports.extend(_run_step(step))
-    return reports
-
-
 class Chart(NamedTuple):
-    """A change of variables onto one region of the two-step claim.
+    """One row of the step table: an expression, a chart, and its splits.
 
-    ``bindings`` maps x and y onto chart coordinates; the two-step
-    difference numerator is pushed through them once, and the denominator
-    cleared on the way is certified by the report ``clearing`` names
-    (``(step name, region)``; None when nothing is cleared).  Each split
-    ``(step name, split stage, region)`` becomes one step that applies the
-    split stage (none when empty) and then u = 1 + t.  The caches below key
-    a chart by its group and its index in `CHARTS`.
+    ``expr`` is the polynomial the row certifies; None stands for the
+    two-step difference numerator, built on first use by `_chart_image`.
+    ``delta_index`` records which Lyapunov difference the row's region
+    claim concerns (1, 2, or None for bookkeeping rows).  ``bindings`` maps
+    x and y onto chart coordinates (none for the one-step rows); ``expr`` is
+    pushed through them once, and the denominator cleared on the way is
+    certified by the report ``clearing`` names (``(step name, region)``;
+    None when nothing is cleared).  Each split ``(step name, split stage,
+    region)`` becomes one step that applies the split stage (none when
+    empty), whose images may contain u, and then u = 1 + t; a split
+    expansion with a denominator adds a ``<step name>-clearing`` report for
+    it.  The caches below key a row by its group and its index in `CHARTS`.
     """
 
     bindings: Mapping[str, object]
     splits: tuple[tuple[str, Mapping[str, object], str], ...]
     clearing: tuple[str, str] | None = None
     require_integer: bool = False
+    expr: Poly | None = None
+    delta_index: int | None = 2
 
+
+_Q2_MAP = {"x": _MOBIUS_W, "y": _U + _Y0}
+_Q4_MAP = {"x": _U + _X0, "y": _MOBIUS_V}
 
 _SEGMENT_CLEARING = ("chart denominator cleared while restricting to the "
                      "segment; must be positive")
 
-#: The two-step roster: each certificate group and the charts it certifies.
-#: q1 is shifted to its corner and split along its diagonal and its two
+#: Every substitution step, by certificate group in run order.  The q2q4
+#: rows certify the factors of the one-step difference A(1+y) * F_line *
+#: F_parabola over a positive denominator: on q2 both factors are <= 0 and
+#: on q4 both are >= 0, so the product is nonnegative and vanishes only at
+#: the fixed point.  Each quadrant map takes a positive Moebius coordinate
+#: on the bounded side and a nonnegative shift on the unbounded side, which
+#: also covers the y = u edge of q2 and the x = u edge of q4.  The two-step
+#: rows shift q1 to its corner and split it along its diagonal and its two
 #: boundary half-lines; q3 and the coordinate strictly between 0 and u on
 #: each open segment use the Moebius chart, whose diagonal v = w is the
 #: plane's diagonal y = x.
 CHARTS: Mapping[str, tuple[Chart, ...]] = {
+    "q2q4": (
+        Chart({}, (("delta1-numerator-cofactor", {},
+                    "all x, y > 0: cofactor A(1+y) multiplying the two "
+                    "sign-carrying factors"),),
+              expr=_A * (1 + _Y), delta_index=None),
+        Chart({}, (("delta1-denominator", {},
+                    "all x, y > 0 and u > 1: denominator of the factored "
+                    "one-step difference"),),
+              expr=delta1_denominator(), delta_index=None),
+        Chart({}, (("q2-line-factor-negated", _Q2_MAP,
+                    "q2 with x < u (0 < x < u via w > 0, y = u + y0 with "
+                    "y0 >= 0): the line factor is negative there"),),
+              expr=-line_factor(), delta_index=1),
+        Chart({}, (("q2-parabola-factor-negated", _Q2_MAP,
+                    "q2 with x < u: the parabola factor is negative there"),),
+              expr=-parabola_factor(), delta_index=1),
+        Chart({}, (("q4-line-factor", _Q4_MAP,
+                    "q4 with y < u (x = u + x0 with x0 >= 0, 0 < y < u via "
+                    "v > 0): the line factor is positive there"),),
+              expr=line_factor(), delta_index=1),
+        Chart({}, (("q4-parabola-factor", _Q4_MAP,
+                    "q4 with y < u: the parabola factor is positive there"),),
+              expr=parabola_factor(), delta_index=1),
+    ),
     "q1": (Chart(
         bindings={"x": _X0 + _U, "y": _Y0 + _U},
         splits=(
@@ -420,21 +368,19 @@ CHARTS: Mapping[str, tuple[Chart, ...]] = {
 
 @lru_cache(maxsize=None)
 def _chart_image(group: str, index: int) -> RationalFn:
-    """Two-step difference numerator pushed through ``CHARTS[group][index]``.
+    """The expression of ``CHARTS[group][index]`` pushed through its bindings.
 
     The returned denominator is the cleared chart factor, e.g.
     (w+1)^a (v+1)^b for the Moebius chart of q3.
     """
-    return substitute(build_symbolic_model().delta2.num, CHARTS[group][index].bindings)
+    chart = CHARTS[group][index]
+    expr = build_symbolic_model().delta2.num if chart.expr is None else chart.expr
+    return substitute(expr, chart.bindings)
 
 
 @lru_cache(maxsize=None)
 def _chart_image_u(group: str, index: int) -> RationalFn:
-    """The chart image's numerator under u = 1 + t, once per chart.
-
-    No split binds u or t, so a split applied to this is the polynomial its
-    step's stages (the split, then u = 1 + t) give.
-    """
+    """The chart image's numerator under u = 1 + t, once per chart."""
     return substitute(_chart_image(group, index).num, {"u": U_POSITIVE})
 
 
@@ -451,7 +397,7 @@ def _chart_steps(group: str, index: int,
             context=(chart.bindings,),
             stages=(split, u_stage) if split else (u_stage,),
             require_integer=chart.require_integer,
-            delta_index=2,
+            delta_index=chart.delta_index,
         )
         for name, split, region in chart.splits)
 
@@ -460,13 +406,15 @@ def _chart_steps(group: str, index: int,
 def _split_expansion(group: str, index: int, split: int) -> RationalFn:
     """Split ``split`` of ``CHARTS[group][index]`` expanded under u = 1 + t.
 
-    Equal to `_expand` of the split's step, but u is substituted once per
-    chart (`_chart_image_u`).  Shared by the step's report and, for the
-    first q1 split, by the ``eq17`` landmark of `landmark_counts`.
+    Equal to `_expand` of the split's step (the split, then u = 1 + t), but
+    u is substituted once per chart (`_chart_image_u`) and then in the
+    split's images, which may contain it.  Shared by the step's report and,
+    for the first q1 split, by the ``eq17`` landmark of `landmark_counts`.
     """
+    u_stage = {"u": U_POSITIVE}
     stage = CHARTS[group][index].splits[split][1]
-    image = _chart_image_u(group, index)
-    return substitute(image, stage) if stage else image
+    return substitute(_chart_image_u(group, index),
+                      {name: substitute(image, u_stage) for name, image in stage.items()})
 
 
 def chart_steps(group: str,
@@ -481,11 +429,13 @@ def chart_steps(group: str,
 
 def certify_charts(group: str,
                    u_image: RationalFn | Poly | None = None) -> list[CertificateReport]:
-    """Certify the two-step difference on every chart of ``group``.
+    """Certify every chart of ``group`` (a key of `CHARTS`).
 
-    Each chart yields its clearing report, timed over the chart
-    substitution, then one report per split.  Expansions under the default
-    u are cached; an explicit ``u_image`` is expanded afresh.
+    Each chart yields its clearing report, if it names one, timed over the
+    chart substitution.  Each split yields its report, timed over its
+    expansion, and a ``-clearing`` report (0 ms) when the expansion has a
+    denominator.  Expansions under the default u are cached; an explicit
+    ``u_image`` is expanded afresh.
     """
     reports: list[CertificateReport] = []
     for index, chart in enumerate(CHARTS[group]):
@@ -497,20 +447,29 @@ def certify_charts(group: str,
             reports.append(_poly_report(name, region, _bindings_of(chart.bindings),
                                         image.den.monomial_count(), image.den, elapsed))
         for split, step in enumerate(_chart_steps(group, index, u_image)):
-            cached = None if u_image is not None else partial(_split_expansion,
-                                                              group, index, split)
-            reports.extend(_run_step(step, cached))
+            start = time.perf_counter()
+            rf = _split_expansion(group, index, split) if u_image is None else _expand(step)
+            elapsed = (time.perf_counter() - start) * 1000.0
+            bindings = _bindings_of(*step.context, *step.stages)
+            reports.append(_poly_report(step.name, step.region, bindings,
+                                        image.num.monomial_count(), rf.num, elapsed,
+                                        step.require_integer))
+            if not rf.is_polynomial:
+                reports.append(_poly_report(
+                    f"{step.name}-clearing",
+                    "denominator cleared during the substitution; must be positive",
+                    bindings, rf.den.monomial_count(), rf.den, 0.0))
     return reports
-
-
-def shifted_numerator() -> Poly:
-    """Two-step difference numerator in corner coordinates x0 = x - u, y0 = y - u."""
-    return _chart_image("q1", 0).num
 
 
 def q3_steps() -> tuple[SubstitutionStep, ...]:
     """Steps certifying the two-step difference on the interior of q3."""
     return chart_steps("q3")
+
+
+def certify_q2q4() -> list[CertificateReport]:
+    """Certify that the one-step difference is positive on q2 and q4."""
+    return certify_charts("q2q4")
 
 
 def certify_q1(u_image: RationalFn | Poly | None = None) -> list[CertificateReport]:
@@ -549,12 +508,13 @@ def landmark_counts() -> dict:
     """Monomial counts of the three landmark expansions, as golden anchors.
 
     ``delta2Numerator`` counts the canonical two-step difference numerator,
-    ``eq16`` its corner shift, and ``eq17`` the first diagonal sector
-    expansion of the shift (keys follow the published report schema).
+    ``eq16`` its corner shift (the q1 chart image), and ``eq17`` the first
+    diagonal sector expansion of the shift (keys follow the published report
+    schema).
     """
     return {
         "delta2Numerator": build_symbolic_model().delta2.num.monomial_count(),
-        "eq16": shifted_numerator().monomial_count(),
+        "eq16": _chart_image("q1", 0).num.monomial_count(),
         "eq17": _split_expansion("q1", 0, 0).num.monomial_count(),
     }
 
@@ -562,10 +522,7 @@ def landmark_counts() -> dict:
 #: Certificate groups by name, in run order; ``lyness certify --step`` picks one.
 GROUPS: Mapping[str, Callable[[], list[CertificateReport]]] = {
     "identity": lambda: [verify_delta1_identity()],
-    "q2q4": certify_q2q4,
-    "q1": certify_q1,
-    "q3": certify_q3,
-    "segments": certify_segments,
+    **{group: partial(certify_charts, group) for group in CHARTS},
 }
 
 

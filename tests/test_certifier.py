@@ -22,10 +22,8 @@ from lyness.certifier import (
     map_to_plane,
     parabola_factor,
     proportionality_constant,
-    q2q4_steps,
     q3_steps,
     run_full_certificate,
-    shifted_numerator,
     summary_to_dict,
     summary_to_json,
     summary_to_text,
@@ -91,6 +89,23 @@ def test_full_certificate_roster_frozen(summary):
     assert got == EXPECTED_ROSTER
 
 
+def test_chart_rows_name_every_substitution_report():
+    # one table: GROUPS is read from CHARTS, and the rows' splits, clearings
+    # and the clearings of rational split expansions are the whole roster
+    # apart from the exact delta1 identity
+    assert set(certifier.GROUPS) == {"identity", *certifier.CHARTS}
+    names = {"delta1-identity"}
+    for group, charts in certifier.CHARTS.items():
+        for index, chart in enumerate(charts):
+            if chart.clearing is not None:
+                names.add(chart.clearing[0])
+            for split, (name, _, _) in enumerate(chart.splits):
+                names.add(name)
+                if not certifier._split_expansion(group, index, split).is_polynomial:
+                    names.add(f"{name}-clearing")
+    assert names == set(EXPECTED_ROSTER)
+
+
 def test_reports_sorted_by_step_name(summary):
     names = [r.step for r in summary.reports]
     assert names == sorted(names)
@@ -132,7 +147,7 @@ def test_delta2_numerator_coefficient_anchors():
 
 
 def test_corner_shift_coefficient_anchors():
-    shift = shifted_numerator()
+    shift = certifier._chart_image("q1", 0).num
     assert shift.monomial_count() == 233
     assert shift.coefficient(mono(A=1, u=4, x0=2)) == 1
     assert shift.coefficient(mono(A=1, u=5, x0=2)) == 1
@@ -252,7 +267,7 @@ STEP_PARAMS = {
 
 
 def _delta_steps():
-    steps = (*q2q4_steps(), *chart_steps("q1"), *q3_steps(), *chart_steps("segments"))
+    steps = (*chart_steps("q2q4"), *chart_steps("q1"), *q3_steps(), *chart_steps("segments"))
     return [s for s in steps if s.delta_index is not None]
 
 

@@ -24,7 +24,7 @@ RECORDS = {
     "EquilibriumInfo": (lambda: EquilibriumInfo(5.0, 1.25, 0.3125), "xbar"),
     "QuadValue": (lambda: quad(1, 1, 2), "b"),
     "SymbolicModel": (build_symbolic_model, "delta2"),
-    "SubstitutionStep": (lambda: certifier.q2q4_steps()[0], "stages"),
+    "SubstitutionStep": (lambda: certifier.chart_steps("q2q4")[0], "stages"),
     "CertificateReport": (certifier.verify_delta1_identity, "all_positive"),
     "CertificateSummary": (lambda: certifier.run_full_certificate(("identity",)),
                            "overall_pass"),
