@@ -4,9 +4,14 @@ The recurrence is applied in one place, the generator ``_orbit``, in the
 original x-coordinates (float or exact rational).  ``simulate`` walks it,
 and ``descent_along`` checks the one-or-two-step descent of the Lyapunov
 function g along a trace's states, computing g at y = x/q where it is
-defined.  The module also evaluates local stability of the fixed point,
-classifies parameter points against the five previously-settled parameter
-regions, and emits grids of g for inspection.
+defined.  Both walks are the convergence sweep's inner loops, so they are
+written tight: ``simulate`` builds a state tuple only when it records one,
+and the descent core ``_descent`` keeps its three-state window in locals and
+evaluates its float screen inline, the one place that formula is written.
+``lyapunov_descent_check`` feeds ``_descent`` straight from ``_orbit``.  The
+module also evaluates local stability of the fixed point, classifies
+parameter points against the five previously-settled parameter regions,
+and emits grids of g for inspection.
 """
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .model import ParamsPQ, equilibrium, invariant_value
 
@@ -90,21 +94,27 @@ def simulate(params: ParamsPQ,
     states: list[tuple[int, float, float]] = []
     verdict = "max-iters-exceeded"
     iters_to_tol = None
+    inf = math.inf
+    exact = number is Fraction
     for n, (x_prev, x_cur) in enumerate(_orbit(p, q, seed)):
-        if not 0 < x_cur < math.inf:
+        if not 0 < x_cur < inf:
             verdict = "diverged-nonfinite"
+            n -= 1  # the last state is the one before, still in a and b
             break
-        state = (n, float(x_prev), float(x_cur))
+        if exact:
+            a, b = float(x_prev), float(x_cur)
+        else:
+            a, b = x_prev, x_cur
         if record_states:
-            states.append(state)
-        if abs(state[1] - xbar) < tol and abs(state[2] - xbar) < tol:
+            states.append((n, a, b))
+        if abs(a - xbar) < tol and abs(b - xbar) < tol:
             verdict = "converged"
             iters_to_tol = n
             break
         if n >= max_iters:
             break
     if not record_states:
-        states.append(state)
+        states.append((n, a, b))
     qf = float(params.q)
     g_values = tuple(invariant_value(info.alpha_tilde, a / qf, b / qf)
                      for _, a, b in states)
@@ -155,37 +165,12 @@ def _drops(g_next: tuple[int, int], g_cur: tuple[int, int]) -> bool:
     return n * d0 * 10**12 < (n0 * 10**12 + d0) * d
 
 
-#: c eps = 12 * 2**-53 in the float screen's error bound (see ``_g_shifted``).
+#: c eps = 12 * 2**-53 in the float screen's error bound (see ``descent_along``).
 _ROUNDOFF_BOUND = 12 * 2.0**-53
 
 #: The float screen's margin: a float strictly below 1e-12, however the
 #: literal 1e-12 rounds, so that a screened drop is a certified one.
 _SCREEN_MARGIN = 1e-12 * (1 - 1e-9)
-
-
-def _g_shifted(u: float, y0: float, y1: float) -> tuple[float, float]:
-    """Floats (lo, hi) with lo <= G <= hi for G = g(y0, y1) - g(u, u).
-
-    Here alpha~ = u(u - 1) exactly and y0, y1 > 0; ``descent_along`` states
-    the identity evaluated and the bound E = c eps T / (y0 y1).  Evaluated as
-    written, each term of G carries at most 10 roundings, so the float G is
-    within gamma_10 T / (y0 y1) of the true one.  E covers that error, the
-    11 roundings of E itself and the one of G -/+ E once c >= 11 + O(eps),
-    so c = 12.  An intermediate overflow gives an infinite or nan bound, and
-    so a screen that decides nothing.  The count assumes no underflow: a
-    nonzero s or t is at least 2**-53 in magnitude.
-    """
-    s = y0 - u
-    t = y1 - u
-    st = s * t
-    ss = s * s
-    tt = t * t
-    stu = st / u
-    k = 1.0 + u
-    g = (k * (ss + tt - stu) + st * (s + t)) / y0 / y1
-    e = _ROUNDOFF_BOUND * ((k * (ss + tt + abs(stu)) + abs(st) * (abs(s) + abs(t)))
-                           / y0 / y1)
-    return g - e, g + e
 
 
 def descent_along(params: ParamsPQ,
@@ -211,18 +196,38 @@ def descent_along(params: ParamsPQ,
     holds exactly, and its quadratic part is positive definite for u >= 1,
     so G has a small relative error in floats even next to the fixed point,
     where g - g(u, u) formed from two values of g cancels.  The float screen
-    (``_g_shifted``) encloses each state's G in [G - E, G + E], with
+    encloses each state's G in [G - E, G + E], with
 
-        E = c eps ((1+u)(s^2 + t^2 + |st|/u) + |st|(|s| + |t|)) / (y[n-1] y[n]),
+        E = c eps T / (y[n-1] y[n]),  T = (1+u)(s^2 + t^2 + |st|/u) + |st|(|s| + |t|),
 
-    eps = 2**-53 and c = 12, and accepts a step when
-    min(hi[n+1], hi[n+2]) < lo[n] + 1e-12 (1 - 1e-9): every accepted step is
-    then a certified drop.  Any step the screen cannot accept, every
-    violation among them, is re-evaluated exactly: g is a rational function,
-    so its value at the states' exact binary values is a ratio of integers,
-    held as an unreduced (num, den) pair and compared by cross-multiplication.
-    A reported violation is therefore a genuine property of the given states,
-    not of rounding; its g values are the floats ``invariant_value`` gives.
+    eps = 2**-53 and c = 12.  Evaluated as written, each term of G carries
+    at most 10 roundings, so the float G is within gamma_10 T / (y[n-1] y[n])
+    of the true one; E covers that error, the 11
+    roundings of E itself and the one of G -/+ E once c >= 11 + O(eps), so
+    c = 12.  An intermediate overflow gives an infinite or nan bound, and so
+    a screen that decides nothing.  The count assumes no underflow: a
+    nonzero s or t is at least 2**-53 in magnitude.
+
+    The screen accepts a step when min(hi[n+1], hi[n+2]) < lo[n] + 1e-12
+    (1 - 1e-9): every accepted step is then a certified drop.  Any step the
+    screen cannot accept, every violation among them, is re-evaluated
+    exactly: g is a rational function, so its value at the states' exact
+    binary values is a ratio of integers, held as an unreduced (num, den)
+    pair and compared by cross-multiplication.  A reported violation is
+    therefore a genuine property of the given states, not of rounding; its
+    g values are the floats ``invariant_value`` gives.
+    """
+    return _descent(params, ((n, (a, b)) for n, a, b in states))
+
+
+def _descent(params: ParamsPQ,
+             numbered: Iterable[tuple[int, tuple[float, float]]]) -> DescentResult:
+    """``descent_along`` on (n, (x[n-1], x[n])) pairs, the shape
+    ``zip(range(...), _orbit(...))`` yields.
+
+    The three-state window lives in plain locals, oldest first: (n0, a0, b0)
+    is the state a step is checked at, and lo/hi are the screen's bounds on
+    each state's G.
     """
     if not params.q < params.p:
         raise ValueError("descent check requires q < p")
@@ -233,49 +238,65 @@ def descent_along(params: ParamsPQ,
     un, ud = u.as_integer_ratio()
     an, ad = un * (un - ud), ud * ud  # alpha~ = u(u - 1), exactly
 
-    def g_exact(state: tuple) -> tuple[int, int]:
-        """g at the state's exact (y[n-1], y[n]) as an unreduced (num, den > 0)."""
-        xn, xd = state[1].as_integer_ratio()
-        yn, yd = state[2].as_integer_ratio()
+    def g_exact(ya: float, yb: float) -> tuple[int, int]:
+        """g at the exact (y[n-1], y[n]) as an unreduced (num, den > 0)."""
+        xn, xd = ya.as_integer_ratio()
+        yn, yd = yb.as_integer_ratio()
         num = (xd + xn) * (yd + yn) * (an * xd * yd + ad * (xn * yd + yn * xd))
         return num, ad * xd * yd * xn * yn
 
-    # the last three states, oldest first, each (n, y[n-1], y[n], lo, hi)
-    cur = nxt = nxt2 = None
+    inf = math.inf
+    k = 1.0 + u
+    bound, margin = _ROUNDOFF_BOUND, _SCREEN_MARGIN
+    n1 = n2 = None
+    a1 = b1 = lo1 = hi1 = a2 = b2 = lo2 = hi2 = 0.0
     checked = skipped = exact = 0
-    for n, a, b in states:
-        ya, yb = a / qf, b / qf
-        if not (0 < ya < math.inf and 0 < yb < math.inf):
+    for n, (x0, x1) in numbered:
+        n0, a0, b0 = n1, a1, b1
+        lo0 = lo1
+        n1, a1, b1 = n2, a2, b2
+        lo1, hi1 = lo2, hi2
+        n2 = n
+        a2 = ya = x0 / qf
+        b2 = yb = x1 / qf
+        if not (0 < ya < inf and 0 < yb < inf):
             raise ValueError(f"descent state n={n} must be positive and finite, "
-                             f"also divided by q: got ({a!r}, {b!r})")
-        cur, nxt, nxt2 = nxt, nxt2, (n, ya, yb, *_g_shifted(u, ya, yb))
-        if cur is None:
+                             f"also divided by q: got ({x0!r}, {x1!r})")
+        s = ya - u
+        t = yb - u
+        st = s * t
+        ss = s * s
+        tt = t * t
+        stu = st / u
+        g = (k * (ss + tt - stu) + st * (s + t)) / ya / yb
+        e = bound * ((k * (ss + tt + abs(stu)) + abs(st) * (abs(s) + abs(t))) / ya / yb)
+        lo2, hi2 = g - e, g + e
+        if n0 is None:
             continue
-        if abs(cur[1] - u) <= skip_below and abs(cur[2] - u) <= skip_below:
+        if abs(a0 - u) <= skip_below and abs(b0 - u) <= skip_below:
             skipped += 1
             continue
         checked += 1
-        bar = cur[3] + _SCREEN_MARGIN
-        if nxt[4] < bar or nxt2[4] < bar:
+        bar = lo0 + margin
+        if hi1 < bar or hi2 < bar:
             continue
         exact += 1
-        g_cur = g_exact(cur)
-        if _drops(g_exact(nxt), g_cur) or _drops(g_exact(nxt2), g_cur):
+        g0 = g_exact(a0, b0)
+        if _drops(g_exact(a1, b1), g0) or _drops(g_exact(a2, b2), g0):
             continue
-        g = [invariant_value(info.alpha_tilde, y0, y1) for _, y0, y1, _, _ in (cur, nxt, nxt2)]
-        return DescentResult(False, DescentViolation(cur[0], *g), checked, skipped, exact)
+        g = [invariant_value(info.alpha_tilde, *y) for y in ((a0, b0), (a1, b1), (a2, b2))]
+        return DescentResult(False, DescentViolation(n0, *g), checked, skipped, exact)
     return DescentResult(True, None, checked, skipped, exact)
 
 
 def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:
     """``descent_along`` the first ``steps + 3`` states of the float orbit from
     ``seed``: the states ``simulate`` walks, so ``steps + 1`` steps are
-    checked or skipped."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    checked or skipped.  ``steps`` must be a nonnegative int."""
+    if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 0):
+        raise ValueError("steps must be a nonnegative int")
     orbit = _orbit(float(params.p), float(params.q), (float(seed[0]), float(seed[1])))
-    states = ((n, a, b) for n, (a, b) in enumerate(islice(orbit, steps + 3)))
-    return descent_along(params, states)
+    return _descent(params, zip(range(steps + 3), orbit))
 
 
 # -- local stability ---------------------------------------------------------------

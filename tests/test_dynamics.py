@@ -17,7 +17,6 @@ from lyness.dynamics import (
     DescentViolation,
     _SCREEN_MARGIN,
     _drops,
-    _g_shifted,
     g_grid,
     grid_to_csv,
     classify_regions,
@@ -102,13 +101,21 @@ def test_simulate_validation():
 
 
 def test_simulate_without_recording_keeps_final_state():
-    full = simulate(ParamsPQ(20, 4), (1.0, 2.0), record_states=True)
-    thin = simulate(ParamsPQ(20, 4), (1.0, 2.0), record_states=False)
-    assert len(thin.states) == 1
-    assert thin.states[0] == full.states[-1]
-    assert thin.verdict == full.verdict
-    assert thin.iters_to_tol == full.iters_to_tol
-    assert thin.g_values == full.g_values[-1:]
+    # converged, diverged (the thin trace keeps the last finite state) and
+    # stopped at max_iters
+    for params, seed, kwargs, verdict in (
+            (ParamsPQ(20, 4), (1.0, 2.0), {}, "converged"),
+            (ParamsPQ(1.0, 1e4), (1e-30, 1e305), {"max_iters": 50}, "diverged-nonfinite"),
+            (ParamsPQ(20, 4), (1.0, 2.0), {"max_iters": 10, "tol": 1e-300},
+             "max-iters-exceeded")):
+        full = simulate(params, seed, record_states=True, **kwargs)
+        thin = simulate(params, seed, record_states=False, **kwargs)
+        assert full.verdict == verdict
+        assert len(thin.states) == 1
+        assert thin.states[0] == full.states[-1]
+        assert thin.verdict == full.verdict
+        assert thin.iters_to_tol == full.iters_to_tol
+        assert thin.g_values == full.g_values[-1:]
 
 
 def test_exact_mode_accepts_rational_alias():
@@ -237,6 +244,30 @@ def test_descent_along_reports_a_rise():
                                                    near / 4, near / 4)
 
 
+def _g_shifted(u, y0, y1):
+    """Reference enclosure: floats (lo, hi) with lo <= G <= hi for
+    G = g(y0, y1) - g(u, u), written out as ``descent_along``'s docstring
+    states it (c = 12), apart from the monitor's inline copy.
+
+    Here alpha~ = u(u - 1) exactly and y0, y1 > 0.  Evaluated as written,
+    each term of G carries at most 10 roundings, so the float G is within
+    gamma_10 T / (y0 y1) of the true one.  E covers that error, the 11
+    roundings of E itself and the one of G -/+ E once c >= 11 + O(eps), so
+    c = 12.  The count assumes no underflow.
+    """
+    s = y0 - u
+    t = y1 - u
+    st = s * t
+    ss = s * s
+    tt = t * t
+    stu = st / u
+    k = 1.0 + u
+    g = (k * (ss + tt - stu) + st * (s + t)) / y0 / y1
+    e = 12 * 2.0**-53 * ((k * (ss + tt + abs(stu)) + abs(st) * (abs(s) + abs(t)))
+                         / y0 / y1)
+    return g - e, g + e
+
+
 def test_descent_along_takes_the_exact_path_when_the_screen_cannot_decide():
     # far from the fixed point at large u the rounding bound E dwarfs 1e-12,
     # so a repeated state (no drop in floats, g' = g < g + 1e-12 exactly)
@@ -312,13 +343,19 @@ def test_descent_along_matches_fraction_tie_break(case):
     assert_same_descent(descent_along(params, states), descent_reference(params, states))
 
 
-def test_descent_along_matches_the_g_screen_on_the_sweep_orbits():
-    # criterion 08's 300 orbits, state for state: the shifted screen changes
-    # which steps take the exact path, never a verdict or a count
+def sweep_orbit_states():
+    """(params, states) of criterion 08's 300 orbits, each walked as far as
+    criterion 08 checks it."""
     for params, seed in random_instances(random.Random(74), 100, 3):
         trace = simulate(params, seed, tol=1e-8, max_iters=10**6, record_states=False)
         steps = trace.iters_to_tol if trace.iters_to_tol is not None else 500
-        states = simulate(params, seed, tol=1e-300, max_iters=steps + 2).states
+        yield params, simulate(params, seed, tol=1e-300, max_iters=steps + 2).states
+
+
+def test_descent_along_matches_the_g_screen_on_the_sweep_orbits():
+    # criterion 08's 300 orbits, state for state: the shifted screen changes
+    # which steps take the exact path, never a verdict or a count
+    for params, states in sweep_orbit_states():
         assert_same_descent(descent_along(params, states), descent_reference(params, states))
 
 
@@ -328,12 +365,101 @@ def g_fraction(u, y0, y1):
     return invariant_value(u * (u - 1), y0, y1) - (1 + u) ** 3 / u
 
 
+def descent_screened(params, states):
+    """``descent_along`` as its docstring specifies it, built on the
+    reference enclosure ``_g_shifted``: the skip rule, the shifted screen
+    with its margin, and the tie-break on ``g_fraction``."""
+    info = equilibrium(params)
+    u = info.ybar
+    qf = float(params.q)
+    ys = [(n, a / qf, b / qf) for n, a, b in states]
+    bounds = [_g_shifted(u, ya, yb) for _, ya, yb in ys]
+    checked = skipped = exact = 0
+    for i in range(len(ys) - 2):
+        n, ya, yb = ys[i]
+        if max(abs(ya - u), abs(yb - u)) <= EQ_TOL * max(1.0, u):
+            skipped += 1
+            continue
+        checked += 1
+        if min(bounds[i + 1][1], bounds[i + 2][1]) < bounds[i][0] + _SCREEN_MARGIN:
+            continue
+        exact += 1
+        g_cur, g_next, g_next2 = (g_fraction(u, *y[1:]) for y in ys[i:i + 3])
+        if min(g_next, g_next2) < g_cur + Fraction(1, 10**12):
+            continue
+        g = [invariant_value(info.alpha_tilde, *y[1:]) for y in ys[i:i + 3]]
+        return DescentResult(False, DescentViolation(n, *g), checked, skipped, exact)
+    return DescentResult(True, None, checked, skipped, exact)
+
+
+@settings(max_examples=400, deadline=None)
+@given(states_near_the_fixed_point())
+def test_descent_along_matches_the_reference_screen(case):
+    params, states = case
+    assert descent_along(params, states) == descent_screened(params, states)
+
+
+def test_descent_along_matches_the_reference_screen_on_the_sweep_orbits():
+    for params, states in sweep_orbit_states():
+        assert descent_along(params, states) == descent_screened(params, states)
+
+
+def screen_edge(params, cur, w, z):
+    """Second coordinates next to the point where the reference screen's
+    verdict on the step from ``cur`` to (w, .) flips, starting from ``z``.
+
+    The states are in y = x/q.  One of z (1 +- 1e-8) gets the other verdict
+    than z, and bisection over the floats between them finds two adjacent
+    floats with different verdicts; the 32 floats on either side follow."""
+    u = equilibrium(params).ybar
+    bar = _g_shifted(u, *cur)[0] + _SCREEN_MARGIN
+
+    def decided(zz):
+        return _g_shifted(u, w, zz)[1] < bar
+
+    inside = decided(z)
+    outside = next(zz for zz in (z * (1 + 1e-8), z * (1 - 1e-8)) if decided(zz) != inside)
+    while math.nextafter(z, outside) != outside:
+        mid = (z + outside) / 2
+        if mid in (z, outside):
+            mid = math.nextafter(z, outside)
+        z, outside = (mid, outside) if decided(mid) == inside else (z, mid)
+    toward = math.inf if outside > z else -math.inf
+    for _ in range(32):
+        z = math.nextafter(z, -toward)
+    edge = []
+    for _ in range(64):
+        edge.append(z)
+        z = math.nextafter(z, toward)
+    return edge
+
+
+def test_descent_along_matches_the_reference_screen_at_its_edge():
+    # steps whose screen verdict flips within a few ulps: any change to the
+    # enclosure (its constant, an absolute value) moves decided_exactly here
+    params = ParamsPQ(20, 4)  # q = 4: x = 4y and y = x/4 are exact
+    u = equilibrium(params).ybar
+    far = (1e6 * u, 1e6 * u)
+    for cur, w, z in (((3 * u, u / 2), 3 * u, u / 2), ((u / 2, 3 * u), u / 2, 3 * u),
+                      ((2 * u, 2.5 * u), 2 * u, 2.5 * u), ((1e5, 1e5), 1e5, 1e5),
+                      ((1e5, u / 3), 1e5, u / 3)):
+        verdicts = set()
+        for zz in screen_edge(params, cur, w, z):
+            states = [(n, 4 * a, 4 * b) for n, (a, b) in enumerate((cur, (w, zz), far))]
+            result = descent_along(params, states)
+            assert result == descent_screened(params, states), (cur, zz)
+            verdicts.add(result.decided_exactly)
+        assert verdicts == {0, 1}, cur
+
+
 @st.composite
-def screened_steps(draw):
-    """u in [1, 1e6], a state at relative offsets from 0 to 1 off (u, u), and
-    a second state a few ulps to 1e-6 relative from the first, so that the
-    two values of g are often within rounding of the 1e-12 margin."""
-    u = draw(st.floats(1.0, 1e6))
+def screened_steps(draw, u=None):
+    """u in [1, 1e6] unless given, a state at relative offsets from 0 to 1
+    off (u, u), and a second state a few ulps to 1e-6 relative from the
+    first, so that the two values of g are often within rounding of the
+    1e-12 margin."""
+    if u is None:
+        u = draw(st.floats(1.0, 1e6))
     scales = st.sampled_from([0.0] + [10.0**-k for k in range(15)])
 
     def away():
@@ -358,6 +484,30 @@ def test_shifted_screen_is_sound(case):
     assert lo_next <= exact_next <= hi_next
     if hi_next < lo + _SCREEN_MARGIN:
         assert exact_next < exact + Fraction(1, 10**12)
+
+
+@st.composite
+def screened_orbit_steps(draw):
+    """Params with q < p and ``screened_steps`` around their fixed point."""
+    p = draw(st.floats(0.05, 500.0))
+    params = ParamsPQ(p, p * draw(st.floats(1e-4, 0.99)))
+    _, cur, nxt = draw(screened_steps(equilibrium(params).ybar))
+    return params, cur, nxt
+
+
+@settings(max_examples=500, deadline=None)
+@given(screened_orbit_steps())
+def test_descent_along_screens_only_exact_drops(case):
+    # the monitor's own screen: a step it decides without the exact path is
+    # an exact drop at the states' y = x/q
+    params, cur, nxt = case
+    q = float(params.q)
+    states = [(n, a * q, b * q) for n, (a, b) in enumerate((cur, nxt, nxt))]
+    result = descent_along(params, states)
+    if result.checked == 1 and result.decided_exactly == 0:
+        u = equilibrium(params).ybar
+        (_, a0, b0), (_, a1, b1), _ = states
+        assert g_fraction(u, a1 / q, b1 / q) < g_fraction(u, a0 / q, b0 / q) + Fraction(1, 10**12)
 
 
 def test_screen_margin_is_below_the_certified_one():
@@ -396,8 +546,9 @@ def test_descent_requires_q_below_p():
         lyapunov_descent_check(ParamsPQ(2, 2), (1.0, 1.0), 10)
     with pytest.raises(ValueError, match="q < p"):
         descent_along(ParamsPQ(2, 2), [(0, 1.0, 1.0)])
-    with pytest.raises(ValueError, match="steps"):
-        lyapunov_descent_check(ParamsPQ(2, 1), (1.0, 1.0), -1)
+    for steps in (-1, 10.0, 1.5, True, False, "3"):
+        with pytest.raises(ValueError, match="steps must be a nonnegative int"):
+            lyapunov_descent_check(ParamsPQ(2, 1), (1.0, 1.0), steps)
 
 
 # ---------------------------------------------------------------------------
