@@ -245,16 +245,10 @@ def test_descent_along_reports_a_rise():
 
 
 def _g_shifted(u, y0, y1):
-    """Reference enclosure: floats (lo, hi) with lo <= G <= hi for
-    G = g(y0, y1) - g(u, u), written out as ``descent_along``'s docstring
-    states it (c = 12), apart from the monitor's inline copy.
-
-    Here alpha~ = u(u - 1) exactly and y0, y1 > 0.  Evaluated as written,
-    each term of G carries at most 10 roundings, so the float G is within
-    gamma_10 T / (y0 y1) of the true one.  E covers that error, the 11
-    roundings of E itself and the one of G -/+ E once c >= 11 + O(eps), so
-    c = 12.  The count assumes no underflow.
-    """
+    """Reference for the monitor's inline screen: floats (lo, hi) with
+    lo <= G <= hi for G = g(y0, y1) - g(u, u), alpha~ = u(u - 1) and
+    y0, y1 > 0, written out as ``descent_along``'s docstring states it
+    (c = 12)."""
     s = y0 - u
     t = y1 - u
     st = s * t
@@ -404,14 +398,15 @@ def test_descent_along_matches_the_reference_screen_on_the_sweep_orbits():
         assert descent_along(params, states) == descent_screened(params, states)
 
 
-def screen_edge(params, cur, w, z):
-    """Second coordinates next to the point where the reference screen's
-    verdict on the step from ``cur`` to (w, .) flips, starting from ``z``.
+def screen_edge(params, cur):
+    """Values z next to where the reference screen's verdict on the step
+    from ``cur`` = (w, z0) to (w, z) flips, in y = x/q.
 
-    The states are in y = x/q.  One of z (1 +- 1e-8) gets the other verdict
-    than z, and bisection over the floats between them finds two adjacent
-    floats with different verdicts; the 32 floats on either side follow."""
+    One of z0 (1 +- 1e-8) gets a different verdict from z0; bisection over
+    the floats between them finds two adjacent floats with different
+    verdicts, and the 32 floats on either side are returned."""
     u = equilibrium(params).ybar
+    w, z = cur
     bar = _g_shifted(u, *cur)[0] + _SCREEN_MARGIN
 
     def decided(zz):
@@ -440,14 +435,12 @@ def test_descent_along_matches_the_reference_screen_at_its_edge():
     params = ParamsPQ(20, 4)  # q = 4: x = 4y and y = x/4 are exact
     u = equilibrium(params).ybar
     far = (1e6 * u, 1e6 * u)
-    for cur, w, z in (((3 * u, u / 2), 3 * u, u / 2), ((u / 2, 3 * u), u / 2, 3 * u),
-                      ((2 * u, 2.5 * u), 2 * u, 2.5 * u), ((1e5, 1e5), 1e5, 1e5),
-                      ((1e5, u / 3), 1e5, u / 3)):
+    for cur in ((3 * u, u / 2), (u / 2, 3 * u), (2 * u, 2.5 * u), (1e5, 1e5), (1e5, u / 3)):
         verdicts = set()
-        for zz in screen_edge(params, cur, w, z):
-            states = [(n, 4 * a, 4 * b) for n, (a, b) in enumerate((cur, (w, zz), far))]
+        for z in screen_edge(params, cur):
+            states = [(n, 4 * a, 4 * b) for n, (a, b) in enumerate((cur, (cur[0], z), far))]
             result = descent_along(params, states)
-            assert result == descent_screened(params, states), (cur, zz)
+            assert result == descent_screened(params, states), (cur, z)
             verdicts.add(result.decided_exactly)
         assert verdicts == {0, 1}, cur
 
