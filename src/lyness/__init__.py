@@ -25,22 +25,20 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in (
     ("exactalg", ("Monomial", "Poly", "RationalFn", "grlex_key", "mono_text",
                   "substitute")),
-    ("model", ("EquilibriumInfo", "ParamsAlphaA", "ParamsPQ", "QuadValue",
-               "SymbolicModel", "alpha_of_u", "build_symbolic_model", "equilibrium",
-               "equilibrium_exact", "equilibrium_residual", "eval_delta",
-               "from_alpha_A", "invariant_value", "lyness_equilibrium",
-               "lyness_invariance_check", "lyness_orbit", "lyness_step",
-               "to_alpha_A")),
+    ("model", ("EquilibriumInfo", "ParamsPQ", "QuadValue", "SymbolicModel",
+               "build_symbolic_model", "equilibrium", "equilibrium_exact",
+               "equilibrium_residual", "eval_delta", "invariant_value",
+               "lyness_invariance_check", "lyness_orbit", "lyness_step")),
     ("certifier", ("CertificateReport", "CertificateSummary", "SubstitutionStep",
                    "certify_q1", "certify_q2q4", "certify_q3", "certify_segments",
                    "landmark_counts", "map_to_plane", "run_full_certificate",
                    "summary_to_dict", "summary_to_json", "summary_to_text",
                    "verify_delta1_identity")),
     ("dynamics", ("DescentResult", "DescentViolation", "OrbitTrace", "RegionCheck",
-                  "RegionCoverage", "StabilityInfo", "classify_regions",
+                  "RegionCoverage", "StabilityInfo", "SweepRecord", "classify_regions",
                   "descent_along", "g_grid", "grid_to_csv", "lyapunov_descent_check",
                   "local_stability", "random_instances", "simulate",
-                  "stability_from_ua", "trace_to_csv")),
+                  "stability_from_ua", "sweep", "trace_to_csv")),
 ) for name in names}
 
 __all__ = list(_EXPORTS)

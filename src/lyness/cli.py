@@ -1,20 +1,23 @@
-"""Command-line interface: certificates, identities, simulation, regions, grids.
+"""Command-line interface: certificates, identities, simulation, sweeps,
+regions, grids.
 
 Exit codes are the machine contract: 0 success, 1 verification failure
 (a failed certificate step, a failed identity, or a non-converging /
-descent-violating orbit), 2 usage or validation error, an output path that
-cannot be opened included, 141 when the reader of stdout goes away early, as
-in ``lyness certify | head -1`` (128 + SIGPIPE, what a shell reports for a
-tool that SIGPIPE ended; no traceback is printed).  Data outputs are
+descent-violating orbit, in a sweep any one of them), 2 usage or validation
+error, an output path that cannot be opened included, 141 when the reader
+of stdout goes away early, as in ``lyness certify | head -1`` (128 +
+SIGPIPE, what a shell reports for a tool that SIGPIPE ended; no traceback
+is printed).  Data outputs are
 deterministic; JSON certificate reports carry wall-clock timings unless
 ``--no-timing`` is given, which makes reruns byte-identical.
 
-`dynamics` is imported by the three commands that use it, so that
-``lyness certify`` never loads it.
+`dynamics` is imported by the four commands that use it, and `csv` by
+``sweep``, so that ``lyness certify`` loads neither.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -46,11 +49,11 @@ def _window(text: str) -> tuple[float, float, float, float]:
     return vals
 
 
-def _open_output(path: str):
+def _open_output(path: str, newline: str | None = None):
     """Open an output file for writing; a path that cannot be opened is a
     usage error, not a traceback."""
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, "w", encoding="utf-8", newline=newline)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -115,6 +118,50 @@ def _cmd_simulate(args) -> int:
     return 0 if ok else 1
 
 
+#: The columns of ``lyness sweep --csv``, one row per orbit.
+SWEEP_FIELDS = ("p", "q", "seed0", "seed1", "verdict", "iters", "final",
+                "descent_ok", "descent_checked", "spectral_radius")
+
+
+def _cmd_sweep(args) -> int:
+    if args.instances < 1 or args.seeds < 1:
+        raise ValueError("--instances and --seeds must be at least 1")
+    if args.max_iters < 0:
+        raise ValueError("--max-iters must be nonnegative")
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise ValueError("--tol must be positive and finite")
+    import csv
+    import random
+    import time
+    from contextlib import nullcontext
+
+    from . import dynamics
+    # Opened before the sweep, so that a path that cannot be written is a
+    # usage error up front and not one after the whole run.
+    out = nullcontext() if args.csv is None else _open_output(args.csv, newline="")
+    with out as fh:
+        batch = dynamics.random_instances(random.Random(args.rng_seed),
+                                          args.instances, args.seeds)
+        t0 = time.perf_counter()
+        records = dynamics.sweep(batch, args.tol, args.max_iters)
+        elapsed = time.perf_counter() - t0
+        worst = max((args.max_iters if r.trace.iters_to_tol is None
+                     else r.trace.iters_to_tol for r in records), default=0)
+        print(f"orbits: {len(records)}"
+              f"  converged: {sum(r.trace.converged for r in records)}"
+              f"  descent ok: {sum(r.descent.ok for r in records)}"
+              f"  max iterations: {worst}  elapsed: {elapsed:.2f}s")
+        if fh is not None:
+            writer = csv.writer(fh)
+            writer.writerow(SWEEP_FIELDS)
+            writer.writerows(
+                (r.params.p, r.params.q, r.seed[0], r.seed[1], r.trace.verdict,
+                 r.trace.iters_to_tol, r.trace.states[-1][2], r.descent.ok,
+                 r.descent.checked, r.stability.spectral_radius) for r in records)
+            print(f"wrote {args.csv}")
+    return 0 if all(r.ok for r in records) else 1
+
+
 def _cmd_regions(args) -> int:
     from . import dynamics
     coverage = dynamics.classify_regions(ParamsPQ(args.p, args.q))
@@ -170,6 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="iterate with exact rational arithmetic")
     sim.add_argument("--csv", metavar="PATH", help="write the trace as CSV")
     sim.set_defaults(func=_cmd_simulate)
+
+    swp = sub.add_parser("sweep", help="convergence and descent over random "
+                                       "(p, q) with q < p")
+    swp.add_argument("--instances", type=int, default=100,
+                     help="(p, q) pairs, log-uniform on [0.01, 1000]")
+    swp.add_argument("--seeds", type=int, default=3, help="seeds per pair")
+    swp.add_argument("--rng-seed", type=int, default=74)
+    swp.add_argument("--tol", type=float, default=1e-8)
+    swp.add_argument("--max-iters", type=int, default=10**6)
+    swp.add_argument("--csv", metavar="PATH", help="write one row per orbit")
+    swp.set_defaults(func=_cmd_sweep)
 
     reg = sub.add_parser("regions", help="classify (p, q) against settled regions")
     reg.add_argument("--p", type=_rational, required=True)

@@ -11,7 +11,8 @@ evaluates its float screen inline, the one place that formula is written.
 ``lyapunov_descent_check`` feeds ``_descent`` straight from ``_orbit``.  The
 module also evaluates local stability of the fixed point, classifies
 parameter points against the five previously-settled parameter regions,
-and emits grids of g for inspection.
+emits grids of g for inspection, and samples parameter batches for
+``sweep``, which runs convergence, descent and stability over a batch.
 """
 from __future__ import annotations
 
@@ -215,7 +216,8 @@ def descent_along(params: ParamsPQ,
     binary values is a ratio of integers, held as an unreduced (num, den)
     pair and compared by cross-multiplication.  A reported violation is
     therefore a genuine property of the given states, not of rounding; its
-    g values are the floats ``invariant_value`` gives.
+    g values are the floats ``invariant_value`` gives or, where that
+    overflows, the exact values rounded once.
     """
     return _descent(params, ((n, (a, b)) for n, a, b in states))
 
@@ -282,11 +284,29 @@ def _descent(params: ParamsPQ,
             continue
         exact += 1
         g0 = g_exact(a0, b0)
-        if _drops(g_exact(a1, b1), g0) or _drops(g_exact(a2, b2), g0):
+        g1 = g_exact(a1, b1)
+        if _drops(g1, g0):
             continue
-        g = [invariant_value(info.alpha_tilde, *y) for y in ((a0, b0), (a1, b1), (a2, b2))]
+        g2 = g_exact(a2, b2)
+        if _drops(g2, g0):
+            continue
+        g = [_g_display(info.alpha_tilde, ya, yb, pair)
+             for ya, yb, pair in ((a0, b0, g0), (a1, b1, g1), (a2, b2, g2))]
         return DescentResult(False, DescentViolation(n0, *g), checked, skipped, exact)
     return DescentResult(True, None, checked, skipped, exact)
+
+
+def _g_display(alpha_tilde: float, ya: float, yb: float, pair: tuple[int, int]) -> float:
+    """A violation's g value: ``invariant_value`` in floats, or, where that
+    overflows, the exact pair's num / den rounded once (inf beyond the float
+    range)."""
+    g = invariant_value(alpha_tilde, ya, yb)
+    if math.isfinite(g):
+        return g
+    try:
+        return pair[0] / pair[1]
+    except OverflowError:
+        return math.inf
 
 
 def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:
@@ -394,7 +414,8 @@ def g_grid(alpha_tilde: float,
     """Tabulate g over an inclusive grid of ``resolution`` points per axis.
 
     ``window`` is (xmin, xmax, ymin, ymax) and must stay strictly positive
-    since g blows up on the axes.
+    since g blows up on the axes.  A grid point or a value of g that
+    overflows the float range is a ValueError.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in window)
     if not all(math.isfinite(v) for v in (xmin, xmax, ymin, ymax)):
@@ -412,7 +433,11 @@ def g_grid(alpha_tilde: float,
         x = xmin + (xmax - xmin) * i / (resolution - 1)
         for j in range(resolution):
             y = ymin + (ymax - ymin) * j / (resolution - 1)
-            rows.append((x, y, invariant_value(alpha_tilde, x, y)))
+            g = invariant_value(alpha_tilde, x, y)
+            if not math.isfinite(g):  # also when x or y overflowed
+                raise ValueError(f"g is not finite at x={x:.17g}, y={y:.17g}: "
+                                 "narrow the window or lower alpha_tilde")
+            rows.append((x, y, g))
     return rows
 
 
@@ -449,3 +474,47 @@ def random_instances(rng, count: int, seeds_per_instance: int,
             seed = (math.exp(rng.uniform(slo, shi)), math.exp(rng.uniform(slo, shi)))
             out.append((params, seed))
     return out
+
+
+# -- sweep --------------------------------------------------------------------------
+
+
+#: Descent steps checked along an orbit that never reached the tolerance.
+UNCONVERGED_DESCENT_STEPS = 500
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """One orbit of a sweep: its thin trace, the descent check over the steps
+    the trace took, and the local stability of the fixed point."""
+
+    params: ParamsPQ
+    seed: tuple[float, float]
+    trace: OrbitTrace
+    descent: DescentResult
+    stability: StabilityInfo
+
+    @property
+    def ok(self) -> bool:
+        """The sweep's pass rule: the orbit converged and g descended."""
+        return self.trace.converged and self.descent.ok
+
+
+def sweep(batch: Iterable[tuple[ParamsPQ, tuple[float, float]]],
+          tol: float, max_iters: int) -> tuple[SweepRecord, ...]:
+    """Convergence, descent and stability for every (params, seed) of ``batch``.
+
+    Each orbit is simulated to ``tol`` without recording states, then the
+    descent monitor checks the same orbit for as many steps as it took
+    (``UNCONVERGED_DESCENT_STEPS`` when it stopped short of ``tol``).
+    """
+    records = []
+    for params, seed in batch:
+        trace = simulate(params, seed, tol=tol, max_iters=max_iters, record_states=False)
+        steps = trace.iters_to_tol
+        if steps is None:
+            steps = UNCONVERGED_DESCENT_STEPS
+        records.append(SweepRecord(params, seed, trace,
+                                   lyapunov_descent_check(params, seed, steps),
+                                   local_stability(params)))
+    return tuple(records)

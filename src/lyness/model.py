@@ -1,4 +1,4 @@
-"""Recurrence model: parameter changes, equilibria, and the symbolic invariant.
+"""Recurrence model: equilibria and the symbolic invariant.
 
 The recurrence x[n+1] = (p + q*x[n]) / (1 + x[n-1]) is studied through the
 substitution p = alpha/A^2, q = 1/A, x = q*y, which turns it into
@@ -31,17 +31,8 @@ Number = Union[int, float, Fraction]
 # The records below are `typing.NamedTuple`s: immutable, and far cheaper to
 # define at import time than frozen dataclasses.  A record that validates its
 # fields does so in ``__new__`` on a NamedTuple base, which NamedTuple itself
-# does not allow to override.  The two parameter records also compare their
-# type, as the dataclasses did, so that (p, q) never equals (alpha, A) or a
-# plain tuple.
-
-
-def _record_eq(self, other: object) -> bool:
-    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-
-def _record_ne(self, other: object) -> bool:
-    return not _record_eq(self, other)
+# does not allow to override.  The parameter record also compares its type,
+# as the dataclass did, so that (p, q) never equals a plain tuple.
 
 
 class _ParamsPQ(NamedTuple):
@@ -53,34 +44,18 @@ class ParamsPQ(_ParamsPQ):
     """Parameters of the recurrence x[n+1] = (p + q*x[n]) / (1 + x[n-1])."""
 
     __slots__ = ()
-    __eq__ = _record_eq
-    __ne__ = _record_ne
     __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not ParamsPQ.__eq__(self, other)
 
     def __new__(cls, p: Number, q: Number):
         if not (p > 0 and q > 0):
             raise ValueError("parameters p and q must be positive")
         return super().__new__(cls, p, q)
-
-
-class _ParamsAlphaA(NamedTuple):
-    alpha: Number
-    cap_a: Number
-
-
-class ParamsAlphaA(_ParamsAlphaA):
-    """Parameters (alpha, A) of the transformed recurrence
-    y[n+1] = (alpha + y[n]) / (A + y[n-1])."""
-
-    __slots__ = ()
-    __eq__ = _record_eq
-    __ne__ = _record_ne
-    __hash__ = tuple.__hash__
-
-    def __new__(cls, alpha: Number, cap_a: Number):
-        if not (alpha > 0 and cap_a > 0):
-            raise ValueError("parameters alpha and A must be positive")
-        return super().__new__(cls, alpha, cap_a)
 
 
 class EquilibriumInfo(NamedTuple):
@@ -91,41 +66,23 @@ class EquilibriumInfo(NamedTuple):
     alpha_tilde: float
 
 
-def to_alpha_A(params: ParamsPQ) -> ParamsAlphaA:
-    """Parameter change A = 1/q, alpha = p/q^2 (exact on rational input)."""
-    q = params.q
-    if isinstance(params.p, float) or isinstance(q, float):
-        return ParamsAlphaA(float(params.p) / float(q) ** 2, 1.0 / float(q))
-    q = Fraction(q)
-    return ParamsAlphaA(Fraction(params.p) / q ** 2, 1 / q)
-
-
-def from_alpha_A(params: ParamsAlphaA) -> ParamsPQ:
-    """Inverse parameter change q = 1/A, p = alpha/A^2."""
-    a = params.cap_a
-    if isinstance(params.alpha, float) or isinstance(a, float):
-        return ParamsPQ(float(params.alpha) / float(a) ** 2, 1.0 / float(a))
-    a = Fraction(a)
-    return ParamsPQ(Fraction(params.alpha) / a ** 2, 1 / a)
-
-
 def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
     """Positive equilibrium xbar = (q - 1 + sqrt((q-1)^2 + 4p)) / 2, plus its
     transformed value ybar = xbar/q and alpha~ = ybar^2 - ybar.  Raises
-    ValueError when p or q rounds to 0.0 as a float."""
+    ValueError when p or q rounds to 0.0 as a float, and when xbar or ybar
+    overflows the float range."""
     p = float(params.p)
     q = float(params.q)
     for name, value in (("p", p), ("q", q)):
         if value == 0.0:
             raise ValueError(f"parameter {name} is too small for float arithmetic")
-    xbar = 0.5 * (q - 1.0 + math.sqrt((q - 1.0) ** 2 + 4.0 * p))
+    d = q - 1.0
+    xbar = 0.5 * (d + math.sqrt(d * d + 4.0 * p))
     ybar = xbar / q
+    if not math.isfinite(ybar):  # an infinite xbar gives an infinite ybar
+        raise ValueError(f"the equilibrium at p={p:.17g}, q={q:.17g} "
+                         "is beyond the float range")
     return EquilibriumInfo(xbar, ybar, ybar * ybar - ybar)
-
-
-def alpha_of_u(u: Number, cap_a: Number) -> Number:
-    """alpha = u^2 + (A - 1)*u: the alpha for which u is the equilibrium."""
-    return u * u + (cap_a - 1) * u
 
 
 # -- exact quadratic values ---------------------------------------------------
@@ -319,11 +276,6 @@ def lyness_orbit(alpha_tilde: Number, seed: tuple[Number, Number], steps: int) -
         z_prev, z_curr = z_curr, lyness_step(alpha_tilde, z_prev, z_curr)
         orbit.append(z_curr)
     return orbit
-
-
-def lyness_equilibrium(alpha_tilde: float) -> float:
-    """Positive fixed point z of z^2 = alpha~ + z."""
-    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * float(alpha_tilde)))
 
 
 def lyness_invariance_check(alpha_tilde: Fraction,

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from lyness import certifier
+from lyness import certifier, dynamics
 from lyness.certifier import (
     certify_q1,
     delta2_denominator,
@@ -23,8 +23,6 @@ from lyness.certifier import (
 )
 from lyness.dynamics import (
     classify_regions,
-    local_stability,
-    lyapunov_descent_check,
     random_instances,
     simulate,
     stability_from_ua,
@@ -56,14 +54,10 @@ def _clear_symbolic_caches():
 @pytest.fixture(scope="module")
 def sweep():
     """Criterion 7's orbit collection, shared by criteria 8 and 10."""
-    rng = random.Random(74)
-    instances = random_instances(rng, 100, 3)
+    batch = random_instances(random.Random(74), 100, 3)
     t0 = time.perf_counter()
-    rows = [(params, seed,
-             simulate(params, seed, tol=1e-8, max_iters=10**6, record_states=False))
-            for params, seed in instances]
-    elapsed = time.perf_counter() - t0
-    return rows, elapsed
+    records = dynamics.sweep(batch, tol=1e-8, max_iters=10**6)
+    return records, time.perf_counter() - t0
 
 
 def test_criterion_01_one_step_identity():
@@ -196,14 +190,13 @@ def test_criterion_06_sampled_sign_lemmas():
 
 
 def test_criterion_07_convergence_sweep(sweep):
-    rows, elapsed = sweep
-    failures = [(params, seed) for params, seed, trace in rows
-                if not trace.converged]
+    records, elapsed = sweep
+    failures = [(r.params, r.seed) for r in records if not r.trace.converged]
     showcase = simulate(ParamsPQ(20, 4), (1.0, 2.0), tol=1e-9, max_iters=10**6)
     limit = 0.5 * (3.0 + math.sqrt(89.0))
     showcase_ok = showcase.converged and abs(showcase.states[-1][2] - limit) < 1e-9
     ok = not failures and showcase_ok and elapsed < 60.0
-    detail = (f"{len(rows)} orbits all within 1e-8 of the equilibrium "
+    detail = (f"{len(records)} orbits all within 1e-8 of the equilibrium "
               f"({elapsed:.2f}s < 60s); showcase instance reaches "
               f"{showcase.states[-1][2]:.9f} within 1e-9")
     assert ok, _line(7, ok, detail)
@@ -211,17 +204,15 @@ def test_criterion_07_convergence_sweep(sweep):
 
 
 def test_criterion_08_descent_along_sweep(sweep):
-    rows, _ = sweep
+    records, _ = sweep
     violations = []
     total_checked = total_skipped = total_exact = 0
-    for params, seed, trace in rows:
-        steps = trace.iters_to_tol if trace.iters_to_tol is not None else 500
-        result = lyapunov_descent_check(params, seed, steps)
-        total_checked += result.checked
-        total_skipped += result.skipped_near_equilibrium
-        total_exact += result.decided_exactly
-        if not result.ok:
-            violations.append((params, seed, result.violation))
+    for r in records:
+        total_checked += r.descent.checked
+        total_skipped += r.descent.skipped_near_equilibrium
+        total_exact += r.descent.decided_exactly
+        if not r.descent.ok:
+            violations.append((r.params, r.seed, r.descent.violation))
     ok = not violations
     detail = (f"min of the next two invariant values undercuts the current one "
               f"(+1e-12) at every off-equilibrium step; "
@@ -279,8 +270,8 @@ def test_criterion_09_region_classifier():
 
 
 def test_criterion_10_local_stability(sweep):
-    rows, _ = sweep
-    radii = [local_stability(params).spectral_radius for params, _, _ in rows]
+    records, _ = sweep
+    radii = [r.stability.spectral_radius for r in records]
     all_stable = all(0.0 < r < 1.0 for r in radii)
     reference = stability_from_ua(2.0, 1.0).spectral_radius
     ref_ok = abs(reference - math.sqrt(2.0 / 3.0)) < 1e-12

@@ -239,15 +239,35 @@ def test_ggrid_invalid_window_is_usage_error(capsys):
     ["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2", "--tol", "nan"],
     ["ggrid", "--alpha-tilde", "2", "--window", "0.5,inf,0.5,1", "--res", "5"],
     ["ggrid", "--alpha-tilde", "inf", "--window", "0.5,1,0.5,1", "--res", "5"],
+    ["regions", "--p", "1.7e308", "--q", "2"],
+    ["simulate", "--p", "1.7e308", "--q", "2", "--xm1", "1", "--x0", "1"],
+    ["regions", "--p", "1e300", "--q", "1e300"],
+    ["simulate", "--p", "1e300", "--q", "1e300", "--xm1", "1", "--x0", "1"],
+    ["ggrid", "--alpha-tilde", "2", "--window", "1,1e308,1,2", "--res", "3"],
+    ["ggrid", "--alpha-tilde", "1e308", "--window", "0.5,1,0.5,1", "--res", "5"],
 ], ids=" ".join)
 def test_out_of_range_values_are_usage_errors(argv):
     # rationals beyond the float range, a seed, p or q that rounds to 0.0,
-    # and non-finite float options: exit 2 with a message, never a traceback
+    # an equilibrium or a grid value that overflows, and non-finite float
+    # options: exit 2 with a message, never a traceback
     proc = subprocess.run([sys.executable, "-m", "lyness", *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["regions", "simulate"])
+@pytest.mark.parametrize("p, q", [("1.7e308", "2"), ("1e300", "1e300")])
+def test_an_equilibrium_beyond_the_float_range_names_p_and_q(command, p, q, capsys):
+    argv = [command, "--p", p, "--q", q]
+    if command == "simulate":
+        argv += ["--xm1", "1", "--x0", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: the equilibrium at p={float(p):.17g}, q={float(q):.17g} "
+                   "is beyond the float range\n")
 
 
 def test_bad_rational_is_argparse_error(capsys):

@@ -1,58 +1,55 @@
-"""Tests for scripts/convergence_sweep.py."""
+"""Tests for ``lyness sweep`` and ``dynamics.sweep``, the one convergence sweep."""
 
 import csv
-import importlib.util
+import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from lyness import dynamics
+from lyness.cli import main
 from lyness.model import ParamsPQ, equilibrium
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "convergence_sweep.py"
-
-
-@pytest.fixture(scope="module")
-def sweep_script():
-    spec = importlib.util.spec_from_file_location("convergence_sweep", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+#: The CSV header of ``lyness sweep --csv``, CRLF-terminated like every row.
+HEADER = (b"p,q,seed0,seed1,verdict,iters,final,descent_ok,descent_checked,"
+          b"spectral_radius\r\n")
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--instances", "0"], "must be at least 1"),
-    (["--seeds", "0"], "must be at least 1"),
-    (["--instances", "-3", "--csv", "out.csv"], "must be at least 1"),
+    (["--instances", "0"], "--instances and --seeds must be at least 1"),
+    (["--seeds", "0"], "--instances and --seeds must be at least 1"),
+    (["--instances", "-3", "--csv", "out.csv"], "--instances and --seeds must be at least 1"),
     (["--max-iters", "-1"], "--max-iters must be nonnegative"),
     (["--tol", "nan"], "--tol must be positive and finite"),
     (["--tol", "0"], "--tol must be positive and finite"),
 ], ids=["instances-0", "seeds-0", "instances-negative", "max-iters-negative",
         "tol-nan", "tol-0"])
-def test_out_of_range_options_are_usage_errors(sweep_script, argv, message, capsys):
-    with pytest.raises(SystemExit) as exc:
-        sweep_script.main(argv)
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+def test_out_of_range_options_are_usage_errors(argv, message, tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert f"error: {message}" in err
+    assert "orbits:" not in out
+    assert not (tmp_path / "out.csv").exists()
 
 
-def test_empty_batch_writes_a_header_only_csv(sweep_script, tmp_path):
+def test_empty_batch_writes_a_header_only_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(dynamics, "random_instances", lambda *args: [])
     out = tmp_path / "sweep.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        assert sweep_script.run(sweep_script.SweepConfig(instances=0), fh)
-    assert out.read_text(encoding="utf-8").splitlines() == [",".join(sweep_script.FIELDS)]
+    assert main(["sweep", "--csv", str(out)]) == 0
+    assert out.read_bytes() == HEADER
 
 
 def test_an_orbit_converged_at_step_zero_counts_zero_iterations(
-        sweep_script, tmp_path, monkeypatch, capsys):
+        tmp_path, monkeypatch, capsys):
     params = ParamsPQ(20, 4)
     xbar = equilibrium(params).xbar
-    monkeypatch.setattr(sweep_script, "random_instances",
+    monkeypatch.setattr(dynamics, "random_instances",
                         lambda *args: [(params, (xbar, xbar))])
     out = tmp_path / "sweep.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        assert sweep_script.run(sweep_script.SweepConfig(), fh)
+    assert main(["sweep", "--csv", str(out)]) == 0
     assert "max iterations: 0 " in capsys.readouterr().out
     with open(out, newline="", encoding="utf-8") as fh:
         (row,) = csv.DictReader(fh)
@@ -62,10 +59,61 @@ def test_an_orbit_converged_at_step_zero_counts_zero_iterations(
 def test_unwritable_csv_path_is_a_usage_error_before_the_sweep(tmp_path):
     target = tmp_path / "missing" / "sweep.csv"
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--instances", "1", "--seeds", "1",
+        [sys.executable, "-m", "lyness", "sweep", "--instances", "1", "--seeds", "1",
          "--csv", str(target)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert f"error: cannot write {target}: No such file or directory" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "orbits:" not in proc.stdout
+
+
+def test_csv_rows_are_the_records(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--instances", "20", "--seeds", "2", "--rng-seed", "5",
+                 "--csv", str(out)]) == 0
+    summary, wrote = capsys.readouterr().out.splitlines()
+    assert summary.startswith("orbits: 40  converged: 40  descent ok: 40  max iterations: ")
+    assert wrote == f"wrote {out}"
+    data = out.read_bytes()
+    assert data.startswith(HEADER) and data.count(b"\r\n") == 41
+    batch = dynamics.random_instances(random.Random(5), 20, 2)
+    records = dynamics.sweep(batch, tol=1e-8, max_iters=10**6)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(row["p"]), float(row["q"]), float(row["seed0"]), float(row["seed1"]),
+             row["verdict"], int(row["iters"]), float(row["final"]),
+             row["descent_ok"], int(row["descent_checked"]),
+             float(row["spectral_radius"])) for row in rows] == [
+        (r.params.p, r.params.q, r.seed[0], r.seed[1], r.trace.verdict,
+         r.trace.iters_to_tol, r.trace.states[-1][2], str(r.descent.ok),
+         r.descent.checked, r.stability.spectral_radius) for r in records]
+
+
+def test_an_orbit_short_of_the_tolerance_fails_the_sweep(capsys):
+    assert main(["sweep", "--instances", "2", "--seeds", "1", "--max-iters", "3"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "orbits: 2  converged: 0  descent ok: 2  max iterations: 3 ")
+
+
+def test_sweep_records_the_three_calls_it_pairs():
+    batch = dynamics.random_instances(random.Random(11), 4, 2)
+    for max_iters in (10**6, 5):
+        records = dynamics.sweep(batch, tol=1e-8, max_iters=max_iters)
+        assert [(r.params, r.seed) for r in records] == batch
+        for r in records:
+            trace = dynamics.simulate(r.params, r.seed, tol=1e-8, max_iters=max_iters,
+                                      record_states=False)
+            steps = trace.iters_to_tol
+            if steps is None:
+                steps = dynamics.UNCONVERGED_DESCENT_STEPS
+            assert r.trace == trace
+            assert r.descent == dynamics.lyapunov_descent_check(r.params, r.seed, steps)
+            assert r.stability == dynamics.local_stability(r.params)
+            assert r.ok == (trace.converged and r.descent.ok)
+    # an orbit stopped by max_iters gets UNCONVERGED_DESCENT_STEPS, and
+    # lyapunov_descent_check checks or skips one step more than it is given
+    (short,) = dynamics.sweep(batch[:1], tol=1e-8, max_iters=5)
+    assert short.trace.iters_to_tol is None
+    assert (short.descent.checked + short.descent.skipped_near_equilibrium
+            == dynamics.UNCONVERGED_DESCENT_STEPS + 1)

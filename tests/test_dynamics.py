@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lyness.dynamics import (
     EQ_TOL,
+    UNCONVERGED_DESCENT_STEPS,
     DescentResult,
     DescentViolation,
     _SCREEN_MARGIN,
@@ -244,6 +245,23 @@ def test_descent_along_reports_a_rise():
                                                    near / 4, near / 4)
 
 
+def test_a_violation_reports_finite_g_where_the_float_formula_overflows():
+    # g ~ 1e200 here, but (1+x)(1+y)(alpha~+x+y) overflows before the division
+    params = ParamsPQ(1e200, 2)
+    states = simulate(params, (1.0, 1.0), max_iters=5).states
+    result = descent_along(params, states)
+    v = result.violation
+    assert v.index == 2
+    info = equilibrium(params)
+    u = Fraction(info.ybar)
+    floats = [invariant_value(info.alpha_tilde, a / 2, b / 2) for _, a, b in states[2:5]]
+    exact = [float(invariant_value(u * (u - 1), Fraction(a) / 2, Fraction(b) / 2))
+             for _, a, b in states[2:5]]
+    assert [math.isfinite(g) for g in floats] == [False, False, True]
+    # the overflowed values come from the exact pairs; a finite one stays as it is
+    assert [v.g_n, v.g_next, v.g_next2] == exact[:2] + floats[2:]
+
+
 def _g_shifted(u, y0, y1):
     """Reference for the monitor's inline screen: floats (lo, hi) with
     lo <= G <= hi for G = g(y0, y1) - g(u, u), alpha~ = u(u - 1) and
@@ -342,7 +360,9 @@ def sweep_orbit_states():
     criterion 08 checks it."""
     for params, seed in random_instances(random.Random(74), 100, 3):
         trace = simulate(params, seed, tol=1e-8, max_iters=10**6, record_states=False)
-        steps = trace.iters_to_tol if trace.iters_to_tol is not None else 500
+        steps = trace.iters_to_tol
+        if steps is None:
+            steps = UNCONVERGED_DESCENT_STEPS
         yield params, simulate(params, seed, tol=1e-300, max_iters=steps + 2).states
 
 
@@ -687,6 +707,16 @@ def test_g_grid_validation():
         g_grid(math.inf, (0.5, 1.0, 0.5, 1.0), 11)
     with pytest.raises(ValueError, match="finite"):
         g_grid(2.0, (0.5, math.inf, 0.5, 1.0), 11)
+
+
+@pytest.mark.parametrize("alpha_tilde, window", [
+    (2.0, (1.0, 1e308, 1.0, 2.0)),  # (xmax - xmin) * 2 overflows to x = inf
+    (2.0, (1.0, 2.0, 1.0, 1e308)),
+    (1e308, (0.5, 1.0, 0.5, 1.0)),  # every g overflows
+], ids=["x", "y", "g"])
+def test_g_grid_rejects_values_beyond_the_float_range(alpha_tilde, window):
+    with pytest.raises(ValueError, match="g is not finite"):
+        g_grid(alpha_tilde, window, 3)
 
 
 def test_grid_csv_format():

@@ -1,4 +1,4 @@
-"""Every import in the package, the scripts and the tests is used.
+"""Every import in the package and the tests is used.
 
 The check reads each file with the standard-library ``ast`` module: a name
 bound by an import must appear as a name somewhere else in the same file.
@@ -12,7 +12,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
     list((ROOT / "src" / "lyness").glob("*.py"))
-    + list((ROOT / "scripts").glob("*.py"))
     + list((ROOT / "tests").glob("*.py")))
 
 

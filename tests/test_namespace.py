@@ -27,14 +27,15 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_certify_loads_neither_dynamics_nor_dataclasses():
+    # nor csv, which only ``lyness sweep`` imports
     out = run_python(
         "import contextlib, io, sys\n"
         "from lyness import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['certify', '--no-timing'])\n"
         "print(code, *(m in sys.modules for m in"
-        " ('lyness.certifier', 'lyness.dynamics', 'dataclasses', 'inspect')))")
-    assert out == "0 True False False False\n"
+        " ('lyness.certifier', 'lyness.dynamics', 'dataclasses', 'inspect', 'csv')))")
+    assert out == "0 True False False False False\n"
 
 
 def test_simulate_still_runs_in_a_fresh_interpreter():

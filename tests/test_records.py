@@ -12,7 +12,6 @@ from lyness import certifier
 from lyness.certifier import CHARTS, _chart_steps, _expand, _split_expansion
 from lyness.model import (
     EquilibriumInfo,
-    ParamsAlphaA,
     ParamsPQ,
     build_symbolic_model,
     quad,
@@ -20,7 +19,6 @@ from lyness.model import (
 
 RECORDS = {
     "ParamsPQ": (lambda: ParamsPQ(20, 4), "p"),
-    "ParamsAlphaA": (lambda: ParamsAlphaA(Fraction(5, 4), Fraction(1, 4)), "cap_a"),
     "EquilibriumInfo": (lambda: EquilibriumInfo(5.0, 1.25, 0.3125), "xbar"),
     "QuadValue": (lambda: quad(1, 1, 2), "b"),
     "SymbolicModel": (build_symbolic_model, "delta2"),
@@ -44,9 +42,7 @@ def test_fields_are_read_only(name):
 @pytest.mark.parametrize("make", [
     lambda: ParamsPQ(-1, 2),
     lambda: ParamsPQ(p=1, q=0),
-    lambda: ParamsAlphaA(0, 1),
-    lambda: ParamsAlphaA(alpha=1, cap_a=Fraction(-1, 3)),
-], ids=["pq-p", "pq-q-keyword", "alpha", "cap-a-keyword"])
+], ids=["pq-p", "pq-q-keyword"])
 def test_parameter_records_reject_nonpositive_values(make):
     with pytest.raises(ValueError, match="must be positive"):
         make()
@@ -67,19 +63,17 @@ def test_quad_values_are_not_ordered(other):
 
 
 def test_parameter_records_compare_their_type():
-    pq, alpha_a = ParamsPQ(2, 3), ParamsAlphaA(2, 3)
-    for a, b in ((pq, alpha_a), (alpha_a, pq), (pq, (2, 3)), ((2, 3), pq),
-                 (alpha_a, (2, 3)), ((2, 3), alpha_a)):
+    pq = ParamsPQ(2, 3)
+    for a, b in ((pq, (2, 3)), ((2, 3), pq)):
         assert not a == b
         assert a != b
     assert pq == ParamsPQ(2, 3) and not pq != ParamsPQ(2, 3)
     assert ParamsPQ(Fraction(4, 2), 3) == pq
     assert hash(pq) == hash(ParamsPQ(2, 3))
-    # a mapping keyed by parameters keeps (p, q) and (alpha, A) apart
-    keyed = {pq: "pq", alpha_a: "alpha_a"}
+    # a mapping keyed by parameters keeps (p, q) and a plain pair apart
+    keyed = {pq: "pq", (2, 3): "pair"}
     assert len(keyed) == 2
-    assert keyed[ParamsPQ(2, 3)] == "pq" and keyed[ParamsAlphaA(2, 3)] == "alpha_a"
-    assert (2, 3) not in keyed
+    assert keyed[ParamsPQ(2, 3)] == "pq" and keyed[(2, 3)] == "pair"
 
 
 def test_quad_value_arithmetic_is_not_tuple_arithmetic():
