@@ -13,14 +13,24 @@ deterministic; JSON certificate reports carry wall-clock timings unless
 
 `dynamics` is imported by the four commands that use it, and `csv` by
 ``sweep``, so that ``lyness certify`` loads neither.
+
+`run` is the process entry point of ``python -m lyness`` and of the
+``lyness`` console script; `main` is the in-process API, which tests and
+embedding code call.  `run` ends the process through ``sys.exit`` after
+``gc.freeze()``, so the collection at interpreter shutdown does not walk
+the objects the run built (about 5 ms of a cold ``certify``).  Atexit
+handlers and the flush of the standard streams still run, and every file a
+command writes is closed before `main` returns.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from . import certifier
 from .model import ParamsPQ, build_symbolic_model
@@ -264,5 +274,18 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """Run `main` on ``sys.argv`` and exit the process with its code.
+
+    ``gc.freeze()`` moves every live object to the collector's permanent
+    generation, which the shutdown collection skips; the objects die with
+    the process.  In-process callers use `main`, which leaves the
+    collector as it found it.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

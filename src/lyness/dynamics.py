@@ -378,7 +378,8 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
     q <= 1.  Region (e) is the set where 4 p (q-1)^2 <= 25: the showcase
     point (20, 4) must fall outside all five regions, and the region's
     boundary curve p = 25 / (4 (q-1)^2) reproduces the known crossover near
-    p = 112 where it overtakes region (c).
+    p = 112 where it overtakes region (c).  Raises ValueError when the
+    equilibrium or region (c)'s left-hand side overflows the float range.
     """
     p, q = float(params.p), float(params.q)
     xbar = equilibrium(params).xbar
@@ -387,7 +388,11 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
         RegionCheck("b", True, 2 * (q + 1) >= p, 2 * (q + 1), p, "2(q+1) >= p"),
     ]
     if q > 1:
-        c_lhs = 2 * (q**3 - q**2 + q + math.sqrt(q**4 - 1) - 1) / (q - 1) ** 2
+        try:
+            c_lhs = 2 * (q**3 - q**2 + q + math.sqrt(q**4 - 1) - 1) / (q - 1) ** 2
+        except OverflowError:  # q**4 passes the float range near q = 1.3e77
+            raise ValueError(f"region (c) at p={p:.17g}, q={q:.17g} "
+                             "is beyond the float range") from None
         checks.append(RegionCheck("c", True, c_lhs >= p, c_lhs, p,
                                   "2(q^3-q^2+q+sqrt(q^4-1)-1)/(q-1)^2 >= p"))
         d_rhs = (q * q + 1) / (q - 1)

@@ -415,6 +415,65 @@ def test_charts_cover_the_open_quadrant():
 
 
 # ---------------------------------------------------------------------------
+# identity: every expansion is its expression in chart coordinates
+# ---------------------------------------------------------------------------
+
+_Q1_SPLITS = ("q1-case-above-diagonal", "q1-case-below-diagonal", "q1-case-diagonal",
+              "q1-edge-x0-zero", "q1-edge-y0-zero")
+_Q3_SPLITS = ("q3-case-above-diagonal", "q3-case-below-diagonal", "q3-case-diagonal")
+
+# each substitution step of the default roster: the polynomial in x, y, u, A
+# it certifies (None for the two-step difference numerator), the plane
+# coordinates its chart maps by a Moebius coordinate, and the report that
+# certifies the denominator cleared on the way (None when nothing is)
+IDENTITY_CASES = {
+    "delta1-numerator-cofactor": (Poly.var("A") * (1 + Poly.var("y")), "", None),
+    "delta1-denominator": (delta1_denominator(), "", None),
+    "q2-line-factor-negated": (-line_factor(), "x", "q2-line-factor-negated-clearing"),
+    "q2-parabola-factor-negated": (-parabola_factor(), "x",
+                                   "q2-parabola-factor-negated-clearing"),
+    "q4-line-factor": (line_factor(), "y", "q4-line-factor-clearing"),
+    "q4-parabola-factor": (parabola_factor(), "y", "q4-parabola-factor-clearing"),
+    **{name: (None, "", None) for name in _Q1_SPLITS},
+    **{name: (None, "xy", "q3-mobius-clearing") for name in _Q3_SPLITS},
+    "segment-x-eq-u": (None, "y", "segment-x-eq-u-clearing"),
+    "segment-y-eq-u": (None, "x", "segment-y-eq-u-clearing"),
+}
+
+
+def test_expansions_are_their_expressions_times_the_cleared_denominator(summary):
+    # E(params) == expr(x, y, u, A) * D(params) at 3 random points per step,
+    # D the cleared chart denominator: x = u*w/(w+1) clears w + 1 = u/(u - x)
+    # once per degree of expr in x (y and v alike).  A wrong expansion of
+    # degree d passes a point with probability at most d/2^30 (Schwartz-Zippel).
+    rng = random.Random(2008)
+    delta2_num = build_symbolic_model().delta2.num
+    steps = [s for group in certifier.CHARTS for s in chart_steps(group)]
+    assert {s.name for s in steps} == set(IDENTITY_CASES)
+    checked = set()
+    for step in steps:
+        expr, mobius, clearing = IDENTITY_CASES[step.name]
+        expr = delta2_num if expr is None else expr
+        for _ in range(3):
+            params = {n: Fraction(rng.randint(1, 2**30), rng.randint(1, 2**30))
+                      for n in STEP_PARAMS.get(step.name, ("x", "y", "t", "A"))}
+            plane = map_to_plane(step, params)
+            u = plane["u"]
+            cleared, chart = Fraction(1), {}
+            for coord, name in (("x", "w"), ("y", "v")):
+                if coord in mobius:
+                    cleared *= (u / (u - plane[coord])) ** expr.degree_in(coord)
+                    chart[name] = plane[coord] / (u - plane[coord])
+            expansion = summary.report(step.name).expansion
+            assert expansion.evaluate(params) == expr.evaluate(plane) * cleared, step.name
+            if clearing is not None:
+                denominator = summary.report(clearing).expansion
+                assert denominator.evaluate({**params, **chart}) == cleared, clearing
+        checked |= {step.name, clearing}
+    assert checked - {None} == {r.step for r in summary.reports} - {"delta1-identity"}
+
+
+# ---------------------------------------------------------------------------
 # determinism and serialization
 # ---------------------------------------------------------------------------
 

@@ -1,14 +1,18 @@
 """Tests for the command-line interface (driven in-process through main)."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from lyness import cli
 from lyness.cli import EXIT_CLOSED_PIPE, main
 
 #: SHA-256 of the byte-identical ``lyness certify --no-timing`` output.
@@ -245,6 +249,7 @@ def test_ggrid_invalid_window_is_usage_error(capsys):
     ["simulate", "--p", "1e300", "--q", "1e300", "--xm1", "1", "--x0", "1"],
     ["ggrid", "--alpha-tilde", "2", "--window", "1,1e308,1,2", "--res", "3"],
     ["ggrid", "--alpha-tilde", "1e308", "--window", "0.5,1,0.5,1", "--res", "5"],
+    ["regions", "--p", "1e300", "--q", "1e100"],
 ], ids=" ".join)
 def test_out_of_range_values_are_usage_errors(argv):
     # rationals beyond the float range, a seed, p or q that rounds to 0.0,
@@ -267,6 +272,15 @@ def test_an_equilibrium_beyond_the_float_range_names_p_and_q(command, p, q, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"error: the equilibrium at p={float(p):.17g}, q={float(q):.17g} "
+                   "is beyond the float range\n")
+
+
+def test_a_region_c_bound_beyond_the_float_range_names_p_and_q(capsys):
+    # q**4 overflows while the equilibrium is still finite
+    assert main(["regions", "--p", "1e300", "--q", "1e100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: region (c) at p=1.0000000000000001e+300, q=1e+100 "
                    "is beyond the float range\n")
 
 
@@ -295,6 +309,59 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "flags: (none)" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# process entry point
+# ---------------------------------------------------------------------------
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert main(["regions", "--p", "20", "--q", "4"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_the_heap_and_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["lyness", "regions", "--p", "20", "--q", "4"])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert "flags: (none)" in capsys.readouterr().out
+
+
+def test_module_and_console_script_go_through_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+    runpy.run_module("lyness", run_name="__main__")
+    assert calls == ["run"]
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"lyness": "lyness.cli:run"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["certify", "--no-timing"], "--json"),
+    (["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2"], "--csv"),
+    (["sweep", "--instances", "3", "--seeds", "2"], "--csv"),
+], ids=["certify-json", "simulate-csv", "sweep-csv"])
+def test_a_process_writes_the_same_file_as_main(argv, flag, tmp_path, capsys):
+    # the process exits through run; the file it leaves must be complete
+    in_process, child = tmp_path / "main.out", tmp_path / "child.out"
+    main([*argv, flag, str(in_process)])
+    capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "lyness", *argv, flag, str(child)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert child.read_bytes() == in_process.read_bytes() != b""
 
 
 def test_closed_stdout_pipe_exits_without_traceback():
