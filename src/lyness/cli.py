@@ -18,9 +18,9 @@ deterministic; JSON certificate reports carry wall-clock timings unless
 ``lyness`` console script; `main` is the in-process API, which tests and
 embedding code call.  `run` ends the process through ``sys.exit`` after
 ``gc.freeze()``, so the collection at interpreter shutdown does not walk
-the objects the run built (about 5 ms of a cold ``certify``).  Atexit
-handlers and the flush of the standard streams still run, and every file a
-command writes is closed before `main` returns.
+the objects the run built.  Atexit handlers and the flush of the standard
+streams still run, and every file a command writes is closed before `main`
+returns.
 """
 from __future__ import annotations
 
