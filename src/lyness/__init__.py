@@ -25,9 +25,8 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in (
     ("exactalg", ("Monomial", "Poly", "RationalFn", "grlex_key", "mono_text",
                   "substitute")),
-    ("model", ("EquilibriumInfo", "ParamsPQ", "QuadValue", "SymbolicModel",
-               "build_symbolic_model", "equilibrium", "equilibrium_exact",
-               "equilibrium_residual", "eval_delta", "invariant_value",
+    ("model", ("EquilibriumInfo", "ParamsPQ", "SymbolicModel", "build_symbolic_model",
+               "equilibrium", "eval_delta", "invariant_value",
                "lyness_invariance_check", "lyness_orbit", "lyness_step")),
     ("certifier", ("CertificateReport", "CertificateSummary", "SubstitutionStep",
                    "certify_q1", "certify_q2q4", "certify_q3", "certify_segments",

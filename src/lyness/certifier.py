@@ -25,8 +25,11 @@ bindings once and splits the image into steps.  The one-step claims on q2
 and q4 are rows holding the factors of the closed form, each split by its
 quadrant map; the two-step claims on q1, q3 and the segments are rows that
 map x and y onto one region and split it along the diagonal.
-`certify_charts` runs one group of rows.  `GROUPS` names every certificate
-group, the exact ``delta1-identity`` check and the groups of `CHARTS`;
+`certify_charts` runs one group of rows under one image of u (u = 1 + t
+by default; u = 1 - t is the negative control), and every split, under
+either image, is expanded by one cached route that substitutes u once per
+chart.  `GROUPS` names every certificate group, the exact
+``delta1-identity`` check and the groups of `CHARTS`;
 `run_full_certificate` runs any selection of them.
 """
 from __future__ import annotations
@@ -205,14 +208,6 @@ def _poly_report(name: str, region: str, bindings: tuple[tuple[str, str], ...],
     )
 
 
-def _expand(step: SubstitutionStep) -> RationalFn:
-    """Apply the step's stages, in order, to its expression."""
-    rf = step.expr
-    for stage in step.stages:
-        rf = substitute(rf, stage)
-    return rf
-
-
 def map_to_plane(step: SubstitutionStep,
                  assignment: Mapping[str, object]) -> dict[str, Fraction]:
     """Map an assignment of a step's parameters to a plane point.
@@ -379,15 +374,14 @@ def _chart_image(group: str, index: int) -> RationalFn:
 
 
 @lru_cache(maxsize=None)
-def _chart_image_u(group: str, index: int) -> RationalFn:
-    """The chart image's numerator under u = 1 + t, once per chart."""
-    return substitute(_chart_image(group, index).num, {"u": U_POSITIVE})
+def _chart_image_u(group: str, index: int, u_image: Poly) -> RationalFn:
+    """The chart image's numerator under u = ``u_image``, once per chart."""
+    return substitute(_chart_image(group, index).num, {"u": u_image})
 
 
-def _chart_steps(group: str, index: int,
-                 u_image: RationalFn | Poly | None = None) -> tuple[SubstitutionStep, ...]:
+def _chart_steps(group: str, index: int, u_image: Poly) -> tuple[SubstitutionStep, ...]:
     chart = CHARTS[group][index]
-    u_stage = {"u": U_POSITIVE if u_image is None else u_image}
+    u_stage = {"u": u_image}
     expr = RationalFn(_chart_image(group, index).num)
     return tuple(
         SubstitutionStep(
@@ -403,39 +397,39 @@ def _chart_steps(group: str, index: int,
 
 
 @lru_cache(maxsize=None)
-def _split_expansion(group: str, index: int, split: int) -> RationalFn:
-    """Split ``split`` of ``CHARTS[group][index]`` expanded under u = 1 + t.
+def _split_expansion(group: str, index: int, split: int, u_image: Poly) -> RationalFn:
+    """Split ``split`` of ``CHARTS[group][index]`` expanded under u = ``u_image``.
 
-    Equal to `_expand` of the split's step (the split, then u = 1 + t), but
-    u is substituted once per chart (`_chart_image_u`) and then in the
+    Equal to applying the split's step stages in order (the split, then u),
+    but u is substituted once per chart (`_chart_image_u`) and then in the
     split's images, which may contain it.  Shared by the step's report and,
-    for the first q1 split, by the ``eq17`` landmark of `landmark_counts`.
+    for the first q1 split under u = 1 + t, by the ``eq17`` landmark of
+    `landmark_counts`.  ``u_image`` has no default: the cache keys a call by
+    its arguments as passed, so every caller passes it positionally.
     """
-    u_stage = {"u": U_POSITIVE}
+    u_stage = {"u": u_image}
     stage = CHARTS[group][index].splits[split][1]
-    return substitute(_chart_image_u(group, index),
+    return substitute(_chart_image_u(group, index, u_image),
                       {name: substitute(image, u_stage) for name, image in stage.items()})
 
 
-def chart_steps(group: str,
-                u_image: RationalFn | Poly | None = None) -> tuple[SubstitutionStep, ...]:
+def chart_steps(group: str, u_image: Poly = U_POSITIVE) -> tuple[SubstitutionStep, ...]:
     """The split steps of every chart of ``group`` (a key of `CHARTS`).
 
-    ``u_image`` overrides the default binding u -> 1 + t.
+    ``u_image`` replaces the default binding u -> 1 + t.
     """
     return tuple(step for index in range(len(CHARTS[group]))
                  for step in _chart_steps(group, index, u_image))
 
 
-def certify_charts(group: str,
-                   u_image: RationalFn | Poly | None = None) -> list[CertificateReport]:
-    """Certify every chart of ``group`` (a key of `CHARTS`).
+def certify_charts(group: str, u_image: Poly = U_POSITIVE) -> list[CertificateReport]:
+    """Certify every chart of ``group`` (a key of `CHARTS`) under u = ``u_image``.
 
     Each chart yields its clearing report, if it names one, timed over the
     chart substitution.  Each split yields its report, timed over its
     expansion, and a ``-clearing`` report (0 ms) when the expansion has a
-    denominator.  Expansions under the default u are cached; an explicit
-    ``u_image`` is expanded afresh.
+    denominator.  Expansions are cached per u image, which is a `Poly` so
+    that it can key the cache.
     """
     reports: list[CertificateReport] = []
     for index, chart in enumerate(CHARTS[group]):
@@ -448,7 +442,7 @@ def certify_charts(group: str,
                                         image.den.monomial_count(), image.den, elapsed))
         for split, step in enumerate(_chart_steps(group, index, u_image)):
             start = time.perf_counter()
-            rf = _split_expansion(group, index, split) if u_image is None else _expand(step)
+            rf = _split_expansion(group, index, split, u_image)
             elapsed = (time.perf_counter() - start) * 1000.0
             bindings = _bindings_of(*step.context, *step.stages)
             reports.append(_poly_report(step.name, step.region, bindings,
@@ -472,7 +466,7 @@ def certify_q2q4() -> list[CertificateReport]:
     return certify_charts("q2q4")
 
 
-def certify_q1(u_image: RationalFn | Poly | None = None) -> list[CertificateReport]:
+def certify_q1(u_image: Poly = U_POSITIVE) -> list[CertificateReport]:
     """Certify that the two-step difference is positive on q1 (x0, y0 >= 0).
 
     Passing ``u_image`` = 1 - t violates the standing assumption u > 1 and
@@ -515,7 +509,7 @@ def landmark_counts() -> dict:
     return {
         "delta2Numerator": build_symbolic_model().delta2.num.monomial_count(),
         "eq16": _chart_image("q1", 0).num.monomial_count(),
-        "eq17": _split_expansion("q1", 0, 0).num.monomial_count(),
+        "eq17": _split_expansion("q1", 0, 0, U_POSITIVE).num.monomial_count(),
     }
 
 

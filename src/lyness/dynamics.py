@@ -1,15 +1,16 @@
 """Orbit machinery for the recurrence x[n+1] = (p + q*x[n]) / (1 + x[n-1]).
 
 The recurrence is applied in one place, the generator ``_orbit``, in the
-original x-coordinates (float or exact rational).  ``simulate`` walks it,
-and ``descent_along`` checks the one-or-two-step descent of the Lyapunov
-function g along a trace's states, computing g at y = x/q where it is
+original x-coordinates (float or exact rational); it yields the
+(n, x[n-1], x[n]) states that ``OrbitTrace.states`` holds.  ``simulate``
+walks it, and ``descent_along`` checks the one-or-two-step descent of the
+Lyapunov function g along such states, computing g at y = x/q where it is
 defined.  Both walks are the convergence sweep's inner loops, so they are
 written tight: ``simulate`` builds a state tuple only when it records one,
-and the descent core ``_descent`` keeps its three-state window in locals and
-evaluates its float screen inline, the one place that formula is written.
-``lyapunov_descent_check`` feeds ``_descent`` straight from ``_orbit``.  The
-module also evaluates local stability of the fixed point, classifies
+and ``descent_along`` keeps its three-state window in locals and evaluates
+its float screen inline, the one place that formula is written.
+``lyapunov_descent_check`` feeds ``descent_along`` straight from ``_orbit``.
+The module also evaluates local stability of the fixed point, classifies
 parameter points against the five previously-settled parameter regions,
 emits grids of g for inspection, and samples parameter batches for
 ``sweep``, which runs convergence, descent and stability over a batch.
@@ -20,6 +21,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 from .model import ParamsPQ, equilibrium, invariant_value
 
@@ -46,15 +48,16 @@ class OrbitTrace:
 
 
 def _orbit(p, q, seed: tuple):
-    """Yield (x[n-1], x[n]) for n = 0, 1, ..., starting with ``seed``.
+    """Yield the states (n, x[n-1], x[n]) for n = 0, 1, ..., starting with
+    ``seed``, in the shape ``OrbitTrace.states`` holds.
 
     This is the one place the recurrence is applied.  Arithmetic follows the
     types of ``p``, ``q`` and ``seed``: floats give the float orbit, Fractions
     the exact one.  The generator never stops; callers decide when to.
     """
     x_prev, x_cur = seed
-    while True:
-        yield x_prev, x_cur
+    for n in count():
+        yield n, x_prev, x_cur
         x_prev, x_cur = x_cur, (p + q * x_cur) / (1 + x_prev)
 
 
@@ -76,10 +79,8 @@ def simulate(params: ParamsPQ,
     rejected with ValueError, and one beyond the float range raises
     OverflowError.
     """
-    if mode == "exact-rational":
-        mode = "exact"
     if mode not in ("float", "exact"):
-        raise ValueError(f"mode must be 'float' or 'exact-rational', got {mode!r}")
+        raise ValueError(f"mode must be 'float' or 'exact', got {mode!r}")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be positive and finite")
     if max_iters < 0:
@@ -97,7 +98,7 @@ def simulate(params: ParamsPQ,
     iters_to_tol = None
     inf = math.inf
     exact = number is Fraction
-    for n, (x_prev, x_cur) in enumerate(_orbit(p, q, seed)):
+    for n, x_prev, x_cur in _orbit(p, q, seed):
         if not 0 < x_cur < inf:
             verdict = "diverged-nonfinite"
             n -= 1  # the last state is the one before, still in a and b
@@ -219,18 +220,6 @@ def descent_along(params: ParamsPQ,
     g values are the floats ``invariant_value`` gives or, where that
     overflows, the exact values rounded once.
     """
-    return _descent(params, ((n, (a, b)) for n, a, b in states))
-
-
-def _descent(params: ParamsPQ,
-             numbered: Iterable[tuple[int, tuple[float, float]]]) -> DescentResult:
-    """``descent_along`` on (n, (x[n-1], x[n])) pairs, the shape
-    ``zip(range(...), _orbit(...))`` yields.
-
-    The three-state window lives in plain locals, oldest first: (n0, a0, b0)
-    is the state a step is checked at, and lo/hi are the screen's bounds on
-    each state's G.
-    """
     if not params.q < params.p:
         raise ValueError("descent check requires q < p")
     info = equilibrium(params)
@@ -250,10 +239,13 @@ def _descent(params: ParamsPQ,
     inf = math.inf
     k = 1.0 + u
     bound, margin = _ROUNDOFF_BOUND, _SCREEN_MARGIN
+    # The three-state window lives in plain locals, oldest first: (n0, a0, b0)
+    # is the state a step is checked at, and lo/hi are the screen's bounds on
+    # each state's G.
     n1 = n2 = None
     a1 = b1 = lo1 = hi1 = a2 = b2 = lo2 = hi2 = 0.0
     checked = skipped = exact = 0
-    for n, (x0, x1) in numbered:
+    for n, x0, x1 in states:
         n0, a0, b0 = n1, a1, b1
         lo0 = lo1
         n1, a1, b1 = n2, a2, b2
@@ -316,7 +308,7 @@ def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> Descent
     if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 0):
         raise ValueError("steps must be a nonnegative int")
     orbit = _orbit(float(params.p), float(params.q), (float(seed[0]), float(seed[1])))
-    return _descent(params, zip(range(steps + 3), orbit))
+    return descent_along(params, islice(orbit, steps + 3))
 
 
 # -- local stability ---------------------------------------------------------------
@@ -378,7 +370,8 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
     q <= 1.  Region (e) is the set where 4 p (q-1)^2 <= 25: the showcase
     point (20, 4) must fall outside all five regions, and the region's
     boundary curve p = 25 / (4 (q-1)^2) reproduces the known crossover near
-    p = 112 where it overtakes region (c).  Raises ValueError when the
+    p = 112 where it overtakes region (c).  Region (d) is decided in exact
+    rational arithmetic on p and q as given.  Raises ValueError when the
     equilibrium or region (c)'s left-hand side overflows the float range.
     """
     p, q = float(params.p), float(params.q)
@@ -395,8 +388,13 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
                              "is beyond the float range") from None
         checks.append(RegionCheck("c", True, c_lhs >= p, c_lhs, p,
                                   "2(q^3-q^2+q+sqrt(q^4-1)-1)/(q-1)^2 >= p"))
-        d_rhs = (q * q + 1) / (q - 1)
-        checks.append(RegionCheck("d", True, xbar <= d_rhs, xbar, d_rhs,
+        # xbar is the larger root of f(x) = x^2 - (q-1)x - p, and
+        # R = (q^2+1)/(q-1) lies above the roots' midpoint (q-1)/2, so
+        # xbar <= R iff f(R) >= 0: decided exactly, floats are for display
+        pe, qe = Fraction(params.p), Fraction(params.q)
+        r = (qe * qe + 1) / (qe - 1)
+        checks.append(RegionCheck("d", True, r * r - (qe - 1) * r - pe >= 0,
+                                  xbar, (q * q + 1) / (q - 1),
                                   "equilibrium <= (q^2+1)/(q-1)"))
     else:
         checks.append(RegionCheck("c", False, False, math.nan, p,
@@ -456,17 +454,22 @@ def grid_to_csv(rows: Iterable[tuple[float, float, float]], stream) -> None:
 # -- batch sampling -----------------------------------------------------------------
 
 
-def random_instances(rng, count: int, seeds_per_instance: int,
-                     param_range: tuple[float, float] = (1e-2, 1e3),
-                     seed_range: tuple[float, float] = (1e-2, 1e2),
-                     ) -> list[tuple[ParamsPQ, tuple[float, float]]]:
-    """Sample (p, q) pairs with q < p, log-uniform per component, plus seeds.
+#: The log-uniform sampling ranges of ``random_instances``.
+_PARAM_RANGE = (1e-2, 1e3)
+_SEED_RANGE = (1e-2, 1e2)
+
+
+def random_instances(rng, count: int,
+                     seeds_per_instance: int) -> list[tuple[ParamsPQ, tuple[float, float]]]:
+    """Sample (p, q) pairs with q < p, log-uniform per component on
+    [1e-2, 1e3], plus ``seeds_per_instance`` seeds each, log-uniform per
+    component on [1e-2, 1e2].
 
     Pairs violating q < p are rejected and redrawn, so the marginal law of
     the accepted components stays log-uniform on the ordered region.
     """
-    lo, hi = (math.log(v) for v in param_range)
-    slo, shi = (math.log(v) for v in seed_range)
+    lo, hi = (math.log(v) for v in _PARAM_RANGE)
+    slo, shi = (math.log(v) for v in _SEED_RANGE)
     out = []
     for _ in range(count):
         while True:

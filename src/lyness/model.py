@@ -85,114 +85,6 @@ def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
     return EquilibriumInfo(xbar, ybar, ybar * ybar - ybar)
 
 
-# -- exact quadratic values ---------------------------------------------------
-
-
-class QuadValue(NamedTuple):
-    """Exact value a + b*sqrt(d) with rational a, b and integer d >= 0.
-
-    Construct through `quad`, which collapses perfect-square radicands so that
-    equality is well defined.  Arithmetic requires matching radicands.  The
-    order comparisons raise `TypeError`: the tuple order on (a, b, d) is not
-    the order of the reals the values denote.
-    """
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __add__(self, other: "QuadValue | int | Fraction") -> "QuadValue":
-        other = _as_quad(other, self.d)
-        _check_compatible(self, other)
-        d = self.d if self.b else other.d
-        return quad(self.a + other.a, self.b + other.b, d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadValue":
-        return QuadValue(-self.a, -self.b, self.d)
-
-    def __sub__(self, other: "QuadValue | int | Fraction") -> "QuadValue":
-        return self + (-_as_quad(other, self.d))
-
-    def __rsub__(self, other: "QuadValue | int | Fraction") -> "QuadValue":
-        return _as_quad(other, self.d) + (-self)
-
-    def __mul__(self, other: "QuadValue | int | Fraction") -> "QuadValue":
-        other = _as_quad(other, self.d)
-        _check_compatible(self, other)
-        d = self.d if self.b else other.d
-        return quad(self.a * other.a + self.b * other.b * d,
-                    self.a * other.b + self.b * other.a, d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: "int | Fraction") -> "QuadValue":
-        s = Fraction(scalar)
-        return QuadValue(self.a / s, self.b / s, self.d)
-
-    def to_float(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-    def __lt__(self, other):
-        raise TypeError("QuadValue values are not ordered")
-
-    __le__ = __gt__ = __ge__ = __lt__
-
-
-def quad(a: Number, b: Number, d: int) -> QuadValue:
-    """Normalized a + b*sqrt(d): perfect squares and b == 0 collapse to
-    rational values (d = 0)."""
-    a, b = Fraction(a), Fraction(b)
-    if d < 0:
-        raise ValueError("radicand must be nonnegative")
-    if b == 0 or d == 0:
-        return QuadValue(a, Fraction(0), 0)
-    root = math.isqrt(d)
-    if root * root == d:
-        return QuadValue(a + b * root, Fraction(0), 0)
-    return QuadValue(a, b, d)
-
-
-def _as_quad(value, d: int) -> QuadValue:
-    if isinstance(value, QuadValue):
-        return value
-    return QuadValue(Fraction(value), Fraction(0), 0)
-
-
-def _check_compatible(lhs: QuadValue, rhs: QuadValue):
-    if lhs.b and rhs.b and lhs.d != rhs.d:
-        raise ValueError("incompatible radicands")
-
-
-def equilibrium_exact(p: Fraction, q: Fraction) -> tuple[QuadValue, QuadValue, QuadValue]:
-    """Exact (xbar, ybar, alpha~) as quadratic values over sqrt of the
-    discriminant (q-1)^2 + 4p.  Rational whenever the discriminant is a
-    perfect square."""
-    p, q = Fraction(p), Fraction(q)
-    if not (p > 0 and q > 0):
-        raise ValueError("parameters p and q must be positive")
-    disc = (q - 1) ** 2 + 4 * p
-    # sqrt(m/n) = sqrt(m*n)/n with integer radicand m*n
-    m, n = disc.numerator, disc.denominator
-    root = quad(0, Fraction(1, n), m * n)
-    xbar = (root + (q - 1)) / 2
-    ybar = xbar / q
-    alpha_tilde = ybar * ybar - ybar
-    return xbar, ybar, alpha_tilde
-
-
-def equilibrium_residual(p: Fraction, q: Fraction) -> QuadValue:
-    """Exact residual xbar*(1 + xbar) - p - q*xbar; zero when xbar solves the
-    fixed-point equation."""
-    xbar, _, _ = equilibrium_exact(p, q)
-    return xbar * (xbar + 1) - Fraction(p) - Fraction(q) * xbar
-
-
 # -- symbolic model -----------------------------------------------------------
 
 

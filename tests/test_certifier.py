@@ -101,7 +101,8 @@ def test_chart_rows_name_every_substitution_report():
                 names.add(chart.clearing[0])
             for split, (name, _, _) in enumerate(chart.splits):
                 names.add(name)
-                if not certifier._split_expansion(group, index, split).is_polynomial:
+                if not certifier._split_expansion(group, index, split,
+                                                   certifier.U_POSITIVE).is_polynomial:
                     names.add(f"{name}-clearing")
     assert names == set(EXPECTED_ROSTER)
 

@@ -191,6 +191,15 @@ def test_regions_small_point(capsys):
     assert "flags: abcde" in out
 
 
+def test_regions_decides_d_exactly(capsys):
+    # both sides of (d) round to 1e70, yet xbar < q + 1 < (q^2+1)/(q-1)
+    assert main(["regions", "--p", "1e-300", "--q", "1e70"]) == 0
+    out = capsys.readouterr().out
+    assert "flags: abcde" in out
+    assert ("(d) equilibrium <= (q^2+1)/(q-1): satisfied [lhs=1e+70 rhs=1e+70]"
+            in out)
+
+
 def test_regions_not_applicable_at_q_one(capsys):
     assert main(["regions", "--p", "2", "--q", "1"]) == 0
     out = capsys.readouterr().out

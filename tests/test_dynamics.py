@@ -86,8 +86,9 @@ def test_simulate_detects_float_overflow():
 
 
 def test_simulate_validation():
-    with pytest.raises(ValueError, match="mode"):
-        simulate(ParamsPQ(2, 1), (1.0, 1.0), mode="symbolic")
+    for mode in ("symbolic", "exact-rational"):
+        with pytest.raises(ValueError, match="mode must be 'float' or 'exact'"):
+            simulate(ParamsPQ(2, 1), (1.0, 1.0), mode=mode)
     with pytest.raises(ValueError, match="tolerance"):
         simulate(ParamsPQ(2, 1), (1.0, 1.0), tol=0.0)
     with pytest.raises(ValueError, match="tolerance"):
@@ -117,14 +118,6 @@ def test_simulate_without_recording_keeps_final_state():
         assert thin.verdict == full.verdict
         assert thin.iters_to_tol == full.iters_to_tol
         assert thin.g_values == full.g_values[-1:]
-
-
-def test_exact_mode_accepts_rational_alias():
-    a = simulate(ParamsPQ(Fraction(7, 2), Fraction(3, 2)),
-                 (Fraction(1), Fraction(2)), mode="exact", max_iters=5, tol=1e-300)
-    b = simulate(ParamsPQ(Fraction(7, 2), Fraction(3, 2)),
-                 (Fraction(1), Fraction(2)), mode="exact-rational", max_iters=5, tol=1e-300)
-    assert a == b
 
 
 def test_float_and_exact_orbits_agree():

@@ -1,7 +1,10 @@
-"""Every import in the package and the tests is used.
+"""Every import in the package and the tests is used, and every private
+module-level name of the package is read.
 
-The check reads each file with the standard-library ``ast`` module: a name
-bound by an import must appear as a name somewhere else in the same file.
+The checks read each file with the standard-library ``ast`` module: a name
+bound by an import must appear as a name somewhere else in the same file,
+and a module-level ``_name`` that a file of the package defines must be
+read, as a name or an attribute, somewhere in the package.
 """
 
 import ast
@@ -10,9 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(
-    list((ROOT / "src" / "lyness").glob("*.py"))
-    + list((ROOT / "tests").glob("*.py")))
+PACKAGE = sorted((ROOT / "src" / "lyness").glob("*.py"))
+FILES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +42,43 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_names`` defined in ``sources`` (file name -> source)
+    that no source reads; dunder names are not private."""
+    defined = {}
+    read = set()
+    for where, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.setdefault(name, f"{where} line {node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{where}: {name}" for name, where in defined.items()
+                  if name not in read)
+
+
+def test_checker_flags_a_dead_private_name():
+    sources = {"a.py": "_used = 1\n_dead = 2\n__all__ = []\n"
+                       "def _helper():\n    return _used\n",
+               "b.py": "import a\nclass _Unread:\n    pass\nprint(a._helper())\n"}
+    assert dead_private_names(sources) == ["a.py line 2: _dead", "b.py line 2: _Unread"]
+
+
+def test_no_dead_private_names_in_the_package():
+    assert dead_private_names({path.name: path.read_text(encoding="utf-8")
+                               for path in PACKAGE}) == []

@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 from lyness.certifier import delta1_closed_form, delta2_denominator, proportionality_constant
 from lyness.model import (
     ParamsPQ,
-    QuadValue,
     build_symbolic_model,
     equilibrium,
-    equilibrium_exact,
-    equilibrium_residual,
     eval_delta,
     invariant_value,
     lyness_invariance_check,
@@ -40,21 +37,6 @@ def delta_direct(which, x, y, u, a):
     for _ in range(which):
         cx, cy = step_direct(cx, cy, u, a)
     return g_direct(x, y, u) - g_direct(cx, cy, u)
-
-
-def quad_sign(z: QuadValue) -> int:
-    """Exact sign of a + b*sqrt(d)."""
-    if z.b == 0:
-        return (z.a > 0) - (z.a < 0)
-    if z.a >= 0 and z.b > 0:
-        return 1
-    if z.a <= 0 and z.b < 0:
-        return -1
-    lhs = z.a * z.a
-    rhs = z.b * z.b * z.d
-    if z.a > 0:  # b < 0
-        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-    return -1 if lhs > rhs else (1 if lhs < rhs else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,35 +77,25 @@ def test_equilibrium_solves_fixed_point_equation():
         assert abs(residual) <= 1e-9 * max(1.0, info.xbar ** 2)
 
 
-def test_equilibrium_exact_collapses_on_perfect_square():
-    # p = q makes the discriminant (q+1)^2, so everything is rational and
-    # the transformed equilibrium sits exactly at 1
-    for q in (Fraction(2), Fraction(7, 2), Fraction(1, 3)):
-        xbar, ybar, alpha_tilde = equilibrium_exact(q, q)
-        assert xbar.is_rational and xbar.a == q
-        assert ybar.is_rational and ybar.a == 1
-        assert alpha_tilde.is_rational and alpha_tilde.a == 0
-
-
-def test_equilibrium_residual_is_exactly_zero():
-    rng = random.Random(23)
-    for _ in range(50):
-        p = Fraction(rng.randint(1, 500), rng.randint(1, 50))
-        q = Fraction(rng.randint(1, 500), rng.randint(1, 50))
-        res = equilibrium_residual(p, q)
-        assert res.a == 0 and res.b == 0
-
-
 def test_transformed_equilibrium_exceeds_one_iff_q_below_p():
+    # ybar = xbar/q > 1 iff xbar > q; xbar is the larger root of
+    # f(x) = x^2 - (q-1)x - p and the other root is negative (their product
+    # is -p), so for q > 0 that holds iff f(q) < 0
+    def crosses(p, q):
+        return q * q - (q - 1) * q - p < 0
+
     rng = random.Random(31)
     for _ in range(200):
         p = Fraction(rng.randint(1, 300), rng.randint(1, 30))
         q = Fraction(rng.randint(1, 300), rng.randint(1, 30))
-        _, ybar, _ = equilibrium_exact(p, q)
-        assert (quad_sign(ybar - 1) > 0) == (q < p)
+        assert crosses(p, q) == (q < p)
+        if abs(p - q) > Fraction(1, 1000) * max(p, q):
+            assert (equilibrium(ParamsPQ(p, q)).ybar > 1) == (q < p)
     # boundary: p = q gives ybar exactly 1
-    _, ybar, _ = equilibrium_exact(Fraction(5), Fraction(5))
-    assert quad_sign(ybar - 1) == 0
+    q = Fraction(5)
+    assert q * q - (q - 1) * q - q == 0
+    assert not crosses(q, q)
+    assert equilibrium(ParamsPQ(5, 5)).ybar == 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,13 @@ from fractions import Fraction
 import pytest
 
 from lyness import certifier
-from lyness.certifier import CHARTS, _chart_steps, _expand, _split_expansion
-from lyness.model import (
-    EquilibriumInfo,
-    ParamsPQ,
-    build_symbolic_model,
-    quad,
-)
+from lyness.certifier import CHARTS, U_POSITIVE, _chart_steps, _split_expansion
+from lyness.exactalg import Poly, RationalFn, substitute
+from lyness.model import EquilibriumInfo, ParamsPQ, build_symbolic_model
 
 RECORDS = {
     "ParamsPQ": (lambda: ParamsPQ(20, 4), "p"),
     "EquilibriumInfo": (lambda: EquilibriumInfo(5.0, 1.25, 0.3125), "xbar"),
-    "QuadValue": (lambda: quad(1, 1, 2), "b"),
     "SymbolicModel": (build_symbolic_model, "delta2"),
     "SubstitutionStep": (lambda: certifier.chart_steps("q2q4")[0], "stages"),
     "CertificateReport": (certifier.verify_delta1_identity, "all_positive"),
@@ -48,20 +43,6 @@ def test_parameter_records_reject_nonpositive_values(make):
         make()
 
 
-@pytest.mark.parametrize("other", [quad(1, 1, 2), quad(2, 0, 0), 0, (1, 1, 2)],
-                         ids=["surd", "rational", "int", "tuple"])
-def test_quad_values_are_not_ordered(other):
-    # tuple order on (a, b, d) would say 2 < 1 + sqrt(2) is False and
-    # 1 + sqrt(2) < 2 + 0*sqrt(0) is True by the first field alone
-    value = quad(1, 1, 2)
-    for compare in (lambda a, b: a < b, lambda a, b: a <= b,
-                    lambda a, b: a > b, lambda a, b: a >= b):
-        with pytest.raises(TypeError):
-            compare(value, other)
-        with pytest.raises(TypeError):
-            compare(other, value)
-
-
 def test_parameter_records_compare_their_type():
     pq = ParamsPQ(2, 3)
     for a, b in ((pq, (2, 3)), ((2, 3), pq)):
@@ -76,14 +57,6 @@ def test_parameter_records_compare_their_type():
     assert keyed[ParamsPQ(2, 3)] == "pq" and keyed[(2, 3)] == "pair"
 
 
-def test_quad_value_arithmetic_is_not_tuple_arithmetic():
-    root2 = quad(0, 1, 2)
-    assert root2 + 1 == quad(1, 1, 2)
-    assert 1 + root2 == quad(1, 1, 2)
-    assert 2 * root2 == quad(0, 2, 2)
-    assert root2 * root2 == quad(2, 0, 0)
-
-
 def test_report_repr_leaves_out_the_expansion():
     report = certifier.certify_segments()[1]
     text = repr(report)
@@ -93,14 +66,25 @@ def test_report_repr_leaves_out_the_expansion():
     assert report.expansion.monomial_count() > 1
 
 
-@pytest.mark.parametrize("group", sorted(CHARTS))
-def test_cached_split_expansions_equal_the_step_stages(group):
-    # the cache substitutes u = 1 + t once per chart and applies each split
-    # to that; the step's own stages apply the split first
+def expand(step) -> RationalFn:
+    """Reference expansion: apply the step's stages, in order, to its expression."""
+    rf = step.expr
+    for stage in step.stages:
+        rf = substitute(rf, stage)
+    return rf
+
+
+@pytest.mark.parametrize("group, u_image", [
+    *((group, U_POSITIVE) for group in sorted(CHARTS)),
+    ("q1", 1 - Poly.var("t")),
+], ids=[*sorted(CHARTS), "q1-negative-control"])
+def test_cached_split_expansions_equal_the_step_stages(group, u_image):
+    # the cache substitutes u once per chart and applies each split to that;
+    # the step's own stages apply the split first
     for index, chart in enumerate(CHARTS[group]):
-        steps = _chart_steps(group, index)
+        steps = _chart_steps(group, index, u_image)
         assert len(steps) == len(chart.splits)
         for split, step in enumerate(steps):
-            cached = _split_expansion(group, index, split)
-            expanded = _expand(step)
+            cached = _split_expansion(group, index, split, u_image)
+            expanded = expand(step)
             assert (cached.num, cached.den) == (expanded.num, expanded.den), step.name
