@@ -413,13 +413,10 @@ def _split_expansion(group: str, index: int, split: int, u_image: Poly) -> Ratio
                       {name: substitute(image, u_stage) for name, image in stage.items()})
 
 
-def chart_steps(group: str, u_image: Poly = U_POSITIVE) -> tuple[SubstitutionStep, ...]:
-    """The split steps of every chart of ``group`` (a key of `CHARTS`).
-
-    ``u_image`` replaces the default binding u -> 1 + t.
-    """
+def chart_steps(group: str) -> tuple[SubstitutionStep, ...]:
+    """The split steps of every chart of ``group`` (a key of `CHARTS`), u -> 1 + t."""
     return tuple(step for index in range(len(CHARTS[group]))
-                 for step in _chart_steps(group, index, u_image))
+                 for step in _chart_steps(group, index, U_POSITIVE))
 
 
 def certify_charts(group: str, u_image: Poly = U_POSITIVE) -> list[CertificateReport]:

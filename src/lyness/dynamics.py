@@ -77,7 +77,8 @@ def simulate(params: ParamsPQ,
     positive and finite once converted to the working type and to the float
     view the trace records, so a rational seed that rounds to 0.0 is
     rejected with ValueError, and one beyond the float range raises
-    OverflowError.
+    OverflowError.  A recorded state whose float view, divided by q,
+    underflows to 0.0 leaves g undefined: ValueError names its n.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"mode must be 'float' or 'exact', got {mode!r}")
@@ -118,9 +119,14 @@ def simulate(params: ParamsPQ,
     if not record_states:
         states.append((n, a, b))
     qf = float(params.q)
-    g_values = tuple(invariant_value(info.alpha_tilde, a / qf, b / qf)
-                     for _, a, b in states)
-    return OrbitTrace(tuple(states), g_values, verdict, iters_to_tol)
+    g_values = []
+    for n, a, b in states:
+        ya, yb = a / qf, b / qf
+        if not (ya > 0 and yb > 0):  # an underflow, as exact views can
+            raise ValueError(f"state n={n} must be positive, also divided by q "
+                             f"in floats: got ({a!r}, {b!r})")
+        g_values.append(invariant_value(info.alpha_tilde, ya, yb))
+    return OrbitTrace(tuple(states), tuple(g_values), verdict, iters_to_tol)
 
 
 def trace_to_csv(trace: OrbitTrace, stream) -> None:
@@ -366,43 +372,46 @@ class RegionCoverage:
 def classify_regions(params: ParamsPQ) -> RegionCoverage:
     """Membership of (p, q) in the five previously-settled parameter regions.
 
+    Every membership is decided in exact rational arithmetic on p and q as
+    given; each check's lhs and rhs are float views, for display only.
     Regions (c) and (d) divide by q - 1 and are marked not applicable at
     q <= 1.  Region (e) is the set where 4 p (q-1)^2 <= 25: the showcase
     point (20, 4) must fall outside all five regions, and the region's
     boundary curve p = 25 / (4 (q-1)^2) reproduces the known crossover near
-    p = 112 where it overtakes region (c).  Region (d) is decided in exact
-    rational arithmetic on p and q as given.  Raises ValueError when the
+    p = 112 where it overtakes region (c).  Raises ValueError when the
     equilibrium or region (c)'s left-hand side overflows the float range.
     """
-    p, q = float(params.p), float(params.q)
+    pe, qe = Fraction(params.p), Fraction(params.q)
+    p, q = float(pe), float(qe)
+    d = float(qe - 1)  # exact first, so a q that rounds to 1.0 keeps d != 0
     xbar = equilibrium(params).xbar
     checks = [
-        RegionCheck("a", True, q >= p, q, p, "q >= p"),
-        RegionCheck("b", True, 2 * (q + 1) >= p, 2 * (q + 1), p, "2(q+1) >= p"),
+        RegionCheck("a", True, qe >= pe, q, p, "q >= p"),
+        RegionCheck("b", True, 2 * (qe + 1) >= pe, 2 * (q + 1), p, "2(q+1) >= p"),
     ]
-    if q > 1:
-        try:
-            c_lhs = 2 * (q**3 - q**2 + q + math.sqrt(q**4 - 1) - 1) / (q - 1) ** 2
-        except OverflowError:  # q**4 passes the float range near q = 1.3e77
+    if qe > 1:
+        # c_lhs >= p iff a + 2 sqrt(q^4 - 1) >= 0, a = 2(q^3-q^2+q-1) - p(q-1)^2;
+        # the float view writes q^3-q^2+q-1 = d(q^2+1), q^4-1 = d(q+1)(q^2+1)
+        s = q * q + 1
+        c_lhs = 2 * (d * s + math.sqrt(d * (q + 1) * s)) / d / d if d else math.inf
+        if not math.isfinite(c_lhs):  # from about q = 1.2e77, or q next to 1
             raise ValueError(f"region (c) at p={p:.17g}, q={q:.17g} "
-                             "is beyond the float range") from None
-        checks.append(RegionCheck("c", True, c_lhs >= p, c_lhs, p,
+                             "is beyond the float range")
+        a = 2 * (qe**3 - qe**2 + qe - 1) - pe * (qe - 1) ** 2
+        checks.append(RegionCheck("c", True, a >= 0 or a * a <= 4 * (qe**4 - 1), c_lhs, p,
                                   "2(q^3-q^2+q+sqrt(q^4-1)-1)/(q-1)^2 >= p"))
         # xbar is the larger root of f(x) = x^2 - (q-1)x - p, and
         # R = (q^2+1)/(q-1) lies above the roots' midpoint (q-1)/2, so
-        # xbar <= R iff f(R) >= 0: decided exactly, floats are for display
-        pe, qe = Fraction(params.p), Fraction(params.q)
+        # xbar <= R iff f(R) >= 0
         r = (qe * qe + 1) / (qe - 1)
         checks.append(RegionCheck("d", True, r * r - (qe - 1) * r - pe >= 0,
-                                  xbar, (q * q + 1) / (q - 1),
-                                  "equilibrium <= (q^2+1)/(q-1)"))
+                                  xbar, s / d, "equilibrium <= (q^2+1)/(q-1)"))
     else:
         checks.append(RegionCheck("c", False, False, math.nan, p,
                                   "not applicable at q <= 1"))
         checks.append(RegionCheck("d", False, False, xbar, math.nan,
                                   "not applicable at q <= 1"))
-    e_lhs = 4 * p * (q - 1) ** 2
-    checks.append(RegionCheck("e", True, e_lhs <= 25, e_lhs, 25.0,
+    checks.append(RegionCheck("e", True, 4 * pe * (qe - 1) ** 2 <= 25, 4 * p * d * d, 25.0,
                               "4p(q-1)^2 <= 25"))
     flags = frozenset(c.flag for c in checks if c.applicable and c.satisfied)
     return RegionCoverage(flags, tuple(checks))

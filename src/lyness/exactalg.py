@@ -33,10 +33,13 @@ kernel: `Poly.terms`, the `Poly.min_coefficient` witness, `Poly.to_text`,
 and `Poly.evaluate`, which decodes each polynomial's keys once and keeps
 them.
 
-Rational functions are unreduced pairs numerator/denominator.  No gcd or
-factorization is ever computed: equality is decided by cross-multiplication,
-and substitution clears binding denominators in a single common-denominator
-pass so that composed maps stay in the expected normalized shape.
+Rational functions are unreduced pairs numerator/denominator with sum,
+difference and product only, each by another rational function, a `Poly` or
+an exact scalar on the right: no quotient, negation or reflected operator.
+No gcd or factorization is ever computed: equality is decided by
+cross-multiplication, and substitution clears binding denominators in a
+single common-denominator pass so that composed maps stay in the expected
+normalized shape.
 
 `substitute` builds each output polynomial in one pass over the target's
 terms, on ints alone: every term product is one key addition and one
@@ -166,10 +169,6 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
     def const(cls, value: Scalar) -> "Poly":
         c = Fraction(value)
         return _make({0: c.numerator}, c.denominator) if c else cls()
@@ -197,11 +196,6 @@ class Poly:
         return not self._terms
 
     @property
-    def is_one(self) -> bool:
-        """True for the constant polynomial 1."""
-        return self._den == 1 and self._terms == {0: 1}
-
-    @property
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return self._den == 1
@@ -211,21 +205,6 @@ class Poly:
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return Fraction(self._terms.get(_pack(mono), 0), self._den)
-
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self._terms:
-            return -1
-        return max(self._terms) >> _DEG_SHIFT
-
-    def degree_in(self, name: str) -> int:
-        """Largest exponent of one variable (0 when absent)."""
-        return _max_exponent((self,), var_id(name))
-
-    def variables(self) -> tuple[str, ...]:
-        """Names of the variables that actually occur, in table order."""
-        return tuple(name for vid, name in enumerate(VARIABLES)
-                     if _max_exponent((self,), vid))
 
     def min_coefficient(self) -> tuple[Fraction, Monomial]:
         """Smallest coefficient and its grlex-smallest attaining monomial."""
@@ -401,13 +380,6 @@ def _as_poly(value) -> "Poly":
     return NotImplemented
 
 
-def _max_exponent(polys: Iterable[Poly], vid: int) -> int:
-    """Largest exponent of variable ``vid`` across ``polys`` (0 when absent)."""
-    shift = _SHIFTS[vid]
-    return max(((key >> shift) & _FIELD_MASK for p in polys for key in p._terms),
-               default=0)
-
-
 class RationalFn:
     """Unreduced quotient of two polynomials; denominator never identically 0.
 
@@ -426,17 +398,9 @@ class RationalFn:
         self.num = n
         self.den = d
 
-    @classmethod
-    def const(cls, value: Scalar) -> "RationalFn":
-        return cls(Poly.const(value))
-
-    @classmethod
-    def var(cls, name: str) -> "RationalFn":
-        return cls(Poly.var(name))
-
     @property
     def is_polynomial(self) -> bool:
-        return self.den.is_one
+        return self.den == 1
 
     def __add__(self, other: "RationalFn | Poly | Scalar") -> "RationalFn":
         other = _as_rf(other)
@@ -445,11 +409,6 @@ class RationalFn:
         return RationalFn(self.num * other.den + other.num * self.den,
                           self.den * other.den)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
-
     def __sub__(self, other: "RationalFn | Poly | Scalar") -> "RationalFn":
         other = _as_rf(other)
         if other is NotImplemented:
@@ -457,25 +416,11 @@ class RationalFn:
         return RationalFn(self.num * other.den - other.num * self.den,
                           self.den * other.den)
 
-    def __rsub__(self, other: "RationalFn | Poly | Scalar") -> "RationalFn":
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other: "RationalFn | Poly | Scalar") -> "RationalFn":
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
         return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RationalFn | Poly | Scalar") -> "RationalFn":
-        other = _as_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFn(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other: object) -> bool:
         rhs = _as_rf(other)
@@ -573,11 +518,13 @@ def substitute(target: RationalFn | Poly,
     scale = 1
     mask = 0
     for vid, image in images.items():
-        emax = _max_exponent((rf.num, rf.den), vid)
+        shift = _SHIFTS[vid]
+        emax = max(((key >> shift) & _FIELD_MASK for p in (rf.num, rf.den) for key in p._terms),
+                   default=0)
         if emax:
             rows[vid], row_den = _power_rows(image, emax)
             scale *= row_den
-            mask |= _FIELD_MASK << _SHIFTS[vid]
+            mask |= _FIELD_MASK << shift
     if not rows:
         return rf
     products = {}

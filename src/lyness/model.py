@@ -68,16 +68,18 @@ class EquilibriumInfo(NamedTuple):
 
 def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
     """Positive equilibrium xbar = (q - 1 + sqrt((q-1)^2 + 4p)) / 2, plus its
-    transformed value ybar = xbar/q and alpha~ = ybar^2 - ybar.  Raises
-    ValueError when p or q rounds to 0.0 as a float, and when xbar or ybar
-    overflows the float range."""
+    transformed value ybar = xbar/q and alpha~ = ybar^2 - ybar.  At q < 1
+    xbar is computed as 2p / (sqrt((q-1)^2 + 4p) - (q-1)), which does not
+    cancel.  Raises ValueError when p or q rounds to 0.0 as a float, and when
+    xbar or ybar overflows the float range."""
     p = float(params.p)
     q = float(params.q)
     for name, value in (("p", p), ("q", q)):
         if value == 0.0:
             raise ValueError(f"parameter {name} is too small for float arithmetic")
     d = q - 1.0
-    xbar = 0.5 * (d + math.sqrt(d * d + 4.0 * p))
+    root = math.sqrt(d * d + 4.0 * p)
+    xbar = 0.5 * (d + root) if d >= 0 else 2.0 * p / (root - d)
     ybar = xbar / q
     if not math.isfinite(ybar):  # an infinite xbar gives an infinite ybar
         raise ValueError(f"the equilibrium at p={p:.17g}, q={q:.17g} "

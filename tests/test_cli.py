@@ -166,6 +166,29 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert len(lines) > 2
 
 
+@pytest.mark.parametrize("argv", [
+    # q < 1: the equilibrium formula must not cancel to 0.0
+    ["simulate", "--p", "1e-30", "--q", "1e-300", "--x0", "1", "--xm1", "2",
+     "--max-iters", "50"],
+    # the seed divided by q underflows
+    ["simulate", "--p", "1e-300", "--q", "1e100", "--x0", "1e-250", "--xm1", "1e-250",
+     "--max-iters", "3"],
+], ids=["xbar-below-q-one", "seed-over-q-underflows"])
+def test_simulate_at_extreme_values_ends_without_a_traceback(argv, capsys):
+    assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_simulate_names_the_state_whose_float_view_underflows(capsys):
+    # the exact orbit stays positive, its float view underflows at n = 2
+    assert main(["simulate", "--p", "1e-300", "--q", "1e-300", "--x0", "1e300",
+                 "--xm1", "1e300", "--max-iters", "8", "--exact", "--tol", "1e-300"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: state n=2 must be positive, also divided by q in floats: "
+                   "got (1e-300, 0.0)\n")
+
+
 def test_simulate_rejects_nonpositive_seed(capsys):
     code = main(["simulate", "--p", "2", "--q", "1", "--xm1", "0", "--x0", "1"])
     err = capsys.readouterr().err

@@ -215,12 +215,15 @@ def test_descent_batch_over_many_instances():
 
 
 def test_descent_check_reads_the_simulated_orbit():
-    # the monitor checks exactly the states simulate walks, bit for bit
+    # the monitor checks exactly the states simulate walks, bit for bit; an
+    # orbit that lands on the correctly rounded equilibrium stops there, as
+    # one instance's orbits do at n = 28 whatever the tolerance
     for params, seed in random_instances(random.Random(31), 10, 2):
         for steps in (0, 60):
             trace = simulate(params, seed, tol=1e-300, max_iters=steps + 2)
-            assert len(trace.states) == steps + 3
-            assert (lyapunov_descent_check(params, seed, steps)
+            walked = len(trace.states) - 3
+            assert walked == steps or trace.converged
+            assert (lyapunov_descent_check(params, seed, walked)
                     == descent_along(params, trace.states))
 
 
@@ -658,6 +661,21 @@ def test_region_e_boundary_behavior():
     p_on = 25.0 / (4.0 * (q - 1.0) ** 2)
     assert "e" in classify_regions(ParamsPQ(p_on * 0.999, q)).flags
     assert "e" not in classify_regions(ParamsPQ(p_on * 1.001, q)).flags
+
+
+@pytest.mark.parametrize("p, q, flags", [
+    (10**20 + 1, 10**20, "bcd"),  # q < p by 1, equal as floats
+    (2 * 10**21 + 3, 10**21, "cd"),  # 2(q+1) < p by 1
+    (Fraction(225, 64), Fraction(7, 3), "bcde"),  # 4p(q-1)^2 = 25 exactly
+    (625, Fraction(11, 10), "e"),  # 4p(q-1)^2 = 25 exactly
+    (3, Fraction("1.0000000000000000000001"), "bcde"),  # q > 1, yet 1.0 as a float
+    # region (c)'s bound at q = 101/100 is 4434.1073439666292...; the first p
+    # lies a few ulps below it, where the float formula rounds under p
+    (Fraction("4434.107343966627"), Fraction(101, 100), "cde"),
+    (Fraction("4434.107343966630"), Fraction(101, 100), "de"),
+])
+def test_regions_are_decided_exactly(p, q, flags):
+    assert classify_regions(ParamsPQ(p, q)).flags == frozenset(flags)
 
 
 # ---------------------------------------------------------------------------

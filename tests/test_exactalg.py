@@ -49,7 +49,7 @@ def test_difference_of_squares():
 
 def test_add_zero_is_identity():
     f = 3 * x * y - Fraction(1, 2) * u ** 3
-    assert f + Poly.zero() == f
+    assert f + Poly() == f
     assert f + 0 == f
     assert 0 + f == f
 
@@ -73,7 +73,7 @@ def test_scalar_fraction_coefficients():
 
 def test_negation_and_subtraction():
     f = x * y - x * y
-    assert f == Poly.zero()
+    assert f == Poly()
     assert f.monomial_count() == 0
     assert (-(x * y)).to_text() == "-x*y"
 
@@ -100,7 +100,7 @@ def test_parse_round_trip():
 
 
 def test_parse_examples():
-    assert parse_poly("0") == Poly.zero()
+    assert parse_poly("0") == Poly()
     assert parse_poly("x^2 - 2*x + 1") == (x - 1) ** 2
     assert parse_poly("-1/2*u*A") == Fraction(-1, 2) * u * A
 
@@ -138,7 +138,7 @@ def test_min_coefficient_negative_term():
 
 def test_min_coefficient_of_zero_raises():
     with pytest.raises(ValueError, match="empty polynomial"):
-        Poly.zero().min_coefficient()
+        Poly().min_coefficient()
 
 
 def test_min_coefficient_tie_takes_first_in_order():
@@ -209,7 +209,7 @@ def test_rf_eq_cross_multiplied():
 
 def test_rf_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        RationalFn(x, Poly.zero())
+        RationalFn(x, Poly())
 
 
 def test_evaluate_poly():
@@ -231,7 +231,7 @@ _NAMES = ("x", "y", "u", "A")
 
 
 def _mk_poly(term_map):
-    total = Poly.zero()
+    total = Poly()
     for exps, coeff in term_map.items():
         term = Poly.const(coeff)
         for name, e in zip(_NAMES, exps):
@@ -253,9 +253,9 @@ def test_ring_axioms(f, g, h):
     assert (f + g) + h == f + (g + h)
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
-    assert f + Poly.zero() == f
+    assert f + Poly() == f
     assert f * Poly.const(1) == f
-    assert f - f == Poly.zero()
+    assert f - f == Poly()
 
 
 @settings(max_examples=200)
@@ -273,7 +273,7 @@ _IMG_EXPS = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
 def _mk_image(term_map):
-    total = Poly.zero()
+    total = Poly()
     for (e1, e2), coeff in term_map.items():
         term = Poly.const(coeff)
         if e1:
@@ -511,7 +511,7 @@ def test_kernel_exact_evaluate_matches_reference(a, b, px, py, pu, pa):
     exact = rf.evaluate(point)
     assert type(exact) is Fraction
     assert exact == _ref_value(a, point) / den_value
-    if rf.num.variables() or rf.den.variables():
+    if any(m for m in (*rf.num.terms, *rf.den.terms)):  # a variable occurs
         approx = rf.evaluate({name: float(v) for name, v in point.items()})
         assert type(approx) is float
 
@@ -586,14 +586,18 @@ def test_accessors_speak_tuple_monomials():
     assert p.coefficient(()) == 7
     assert p.coefficient(((0, 1),)) == 0
     assert p.min_coefficient() == (-5, ((3, 1), (4, 1)))
-    assert (p.degree(), p.degree_in("x"), p.variables()) == (3, 2, ("x", "y", "A", "t"))
+
+
+def _degree(p):
+    """Total degree of a nonzero polynomial, read from its terms."""
+    return max(sum(e for _, e in m) for m in p.terms)
 
 
 def test_product_degree_limit():
     half = Poly({((0, 2 ** (FIELD_BITS - 1)),): 1})
     below = Poly({((1, 2 ** (FIELD_BITS - 1) - 1),): 1})
     top = half * below
-    assert top.degree() == 2 ** FIELD_BITS - 1
+    assert _degree(top) == 2 ** FIELD_BITS - 1
     assert dict(top.terms) == {((0, 2 ** (FIELD_BITS - 1)), (1, 2 ** (FIELD_BITS - 1) - 1)): 1}
     with pytest.raises(ValueError, match="product degree"):
         half * half
@@ -606,7 +610,7 @@ def test_product_degree_limit():
 def test_substitute_degree_limit():
     top = 2 ** FIELD_BITS - 1
     high = Poly({((var_id("y"), top - 1),): 1})
-    assert substitute(x * high, {"x": u}).num.degree() == top
+    assert _degree(substitute(x * high, {"x": u}).num) == top
     # a term's image would reach the limit
     with pytest.raises(ValueError, match="product degree"):
         substitute(x * high, {"x": u ** 2})

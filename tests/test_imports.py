@@ -1,10 +1,13 @@
-"""Every import in the package and the tests is used, and every private
-module-level name of the package is read.
+"""Every import in the package and the tests is used, every private
+module-level name of the package is read, and so is every public member of
+the algebra classes.
 
 The checks read each file with the standard-library ``ast`` module: a name
 bound by an import must appear as a name somewhere else in the same file,
-and a module-level ``_name`` that a file of the package defines must be
-read, as a name or an attribute, somewhere in the package.
+a module-level ``_name`` that a file of the package defines must be read,
+as a name or an attribute, somewhere in the package, and a public member of
+`Poly` or `RationalFn` must be read as an attribute by the package or the
+benchmark harness, not by the tests alone.
 """
 
 import ast
@@ -12,9 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from lyness.exactalg import Poly, RationalFn
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "lyness").glob("*.py"))
 FILES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py")))
+READERS = PACKAGE + sorted((ROOT / "bench").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -82,3 +88,29 @@ def test_checker_flags_a_dead_private_name():
 def test_no_dead_private_names_in_the_package():
     assert dead_private_names({path.name: path.read_text(encoding="utf-8")
                                for path in PACKAGE}) == []
+
+
+def unread_members(cls: type, sources) -> list[str]:
+    """Public non-dunder members of ``cls`` that no source reads as an attribute."""
+    read = {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.__name__}.{name}" for name in vars(cls)
+            if not name.startswith("_") and name not in read]
+
+
+def test_checker_flags_an_unread_member():
+    class Sample:
+        kept = 1
+
+        def dropped(self):
+            pass
+
+        def __len__(self):
+            return 0
+
+    assert unread_members(Sample, ["print(Sample().kept)\n"]) == ["Sample.dropped"]
+
+
+@pytest.mark.parametrize("cls", [Poly, RationalFn], ids=lambda cls: cls.__name__)
+def test_every_public_member_of_the_algebra_is_read_outside_the_tests(cls):
+    assert unread_members(cls, (path.read_text(encoding="utf-8") for path in READERS)) == []

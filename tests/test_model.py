@@ -1,8 +1,10 @@
 """Tests for the model layer: parameters, equilibria, symbolic objects."""
 
+import decimal
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -65,6 +67,18 @@ def test_equilibrium_reference_point():
 def test_equilibrium_beyond_the_float_range_is_a_value_error(p, q):
     with pytest.raises(ValueError, match=re.escape(f"p={p:.17g}, q={q:.17g} is beyond")):
         equilibrium(ParamsPQ(p, q))
+
+
+@pytest.mark.parametrize("p", [1e-20, 1e-10, 1e-3, 0.3])
+def test_equilibrium_below_q_one_does_not_cancel(p):
+    # the larger root of x^2 - (q-1)x - p, at 40 digits; (q-1 + sqrt(...))/2
+    # in floats cancels, to 0.0 at p = 1e-20
+    q = 0.5
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = Decimal(q) - 1
+        root = float((d + (d * d + 4 * Decimal(p)).sqrt()) / 2)
+    assert abs(equilibrium(ParamsPQ(p, q)).xbar - root) <= 2 * math.ulp(root)
 
 
 def test_equilibrium_solves_fixed_point_equation():
