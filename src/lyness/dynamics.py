@@ -122,9 +122,10 @@ def simulate(params: ParamsPQ,
     g_values = []
     for n, a, b in states:
         ya, yb = a / qf, b / qf
-        if not (ya > 0 and yb > 0):  # an underflow, as exact views can
-            raise ValueError(f"state n={n} must be positive, also divided by q "
-                             f"in floats: got ({a!r}, {b!r})")
+        # an exact state's view can underflow, a finite one over q < 1 overflow
+        if not (0 < ya < inf and 0 < yb < inf):
+            raise ValueError(f"state n={n} must be positive and finite, also "
+                             f"divided by q in floats: got ({a!r}, {b!r})")
         g_values.append(invariant_value(info.alpha_tilde, ya, yb))
     return OrbitTrace(tuple(states), tuple(g_values), verdict, iters_to_tol)
 
@@ -379,7 +380,8 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
     point (20, 4) must fall outside all five regions, and the region's
     boundary curve p = 25 / (4 (q-1)^2) reproduces the known crossover near
     p = 112 where it overtakes region (c).  Raises ValueError when the
-    equilibrium or region (c)'s left-hand side overflows the float range.
+    equilibrium overflows the float range, or region (c)'s left-hand side
+    at large q; next to q = 1 that view is inf and the verdict stands.
     """
     pe, qe = Fraction(params.p), Fraction(params.q)
     p, q = float(pe), float(qe)
@@ -392,9 +394,9 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
     if qe > 1:
         # c_lhs >= p iff a + 2 sqrt(q^4 - 1) >= 0, a = 2(q^3-q^2+q-1) - p(q-1)^2;
         # the float view writes q^3-q^2+q-1 = d(q^2+1), q^4-1 = d(q+1)(q^2+1)
-        s = q * q + 1
+        s = q * q + 1  # d is 0.0 only if q - 1 underflows: both views are inf
         c_lhs = 2 * (d * s + math.sqrt(d * (q + 1) * s)) / d / d if d else math.inf
-        if not math.isfinite(c_lhs):  # from about q = 1.2e77, or q next to 1
+        if not math.isfinite(c_lhs) and d > 1:  # from about q = 1.2e77
             raise ValueError(f"region (c) at p={p:.17g}, q={q:.17g} "
                              "is beyond the float range")
         a = 2 * (qe**3 - qe**2 + qe - 1) - pe * (qe - 1) ** 2
@@ -405,7 +407,8 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
         # xbar <= R iff f(R) >= 0
         r = (qe * qe + 1) / (qe - 1)
         checks.append(RegionCheck("d", True, r * r - (qe - 1) * r - pe >= 0,
-                                  xbar, s / d, "equilibrium <= (q^2+1)/(q-1)"))
+                                  xbar, s / d if d else math.inf,
+                                  "equilibrium <= (q^2+1)/(q-1)"))
     else:
         checks.append(RegionCheck("c", False, False, math.nan, p,
                                   "not applicable at q <= 1"))

@@ -179,14 +179,23 @@ def test_simulate_at_extreme_values_ends_without_a_traceback(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_simulate_names_the_state_whose_float_view_underflows(capsys):
-    # the exact orbit stays positive, its float view underflows at n = 2
-    assert main(["simulate", "--p", "1e-300", "--q", "1e-300", "--x0", "1e300",
-                 "--xm1", "1e300", "--max-iters", "8", "--exact", "--tol", "1e-300"]) == 2
+@pytest.mark.parametrize("argv, state", [
+    # the exact orbit stays positive, its float view underflows at n = 1
+    (["--p", "1e-300", "--q", "1", "--x0", "1e-300", "--xm1", "1e300", "--exact"],
+     "n=1 must be positive and finite, also divided by q in floats: got (1e-300, 0.0)"),
+    # the seed divided by q = 1e-300 overflows
+    (["--p", "1e-300", "--q", "1e-300", "--x0", "1e300", "--xm1", "1e300", "--exact"],
+     "n=0 must be positive and finite, also divided by q in floats: got (1e+300, 1e+300)"),
+    # a float seed divided by q = 0.5 overflows
+    (["--p", "1", "--q", "0.5", "--x0", "1.5e308", "--xm1", "1"],
+     "n=0 must be positive and finite, also divided by q in floats: got (1.0, 1.5e+308)"),
+], ids=["exact-underflow", "exact-overflow", "float-overflow"])
+def test_simulate_names_the_state_whose_float_view_over_q_leaves_the_range(
+        argv, state, capsys):
+    assert main(["simulate", *argv, "--max-iters", "8", "--tol", "1e-300"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: state n=2 must be positive, also divided by q in floats: "
-                   "got (1e-300, 0.0)\n")
+    assert err == f"error: state {state}\n"
 
 
 def test_simulate_rejects_nonpositive_seed(capsys):

@@ -215,14 +215,19 @@ def test_descent_batch_over_many_instances():
 
 
 def test_descent_check_reads_the_simulated_orbit():
-    # the monitor checks exactly the states simulate walks, bit for bit; an
-    # orbit that lands on the correctly rounded equilibrium stops there, as
-    # one instance's orbits do at n = 28 whatever the tolerance
+    # the monitor checks exactly the states simulate walks, bit for bit; at
+    # tol 1e-300 a trace stops early only where it lands on the equilibrium
+    # exactly, as one instance's orbits do at n = 28
     for params, seed in random_instances(random.Random(31), 10, 2):
+        xbar = equilibrium(params).xbar
         for steps in (0, 60):
             trace = simulate(params, seed, tol=1e-300, max_iters=steps + 2)
             walked = len(trace.states) - 3
-            assert walked == steps or trace.converged
+            if trace.converged:
+                assert trace.iters_to_tol == trace.states[-1][0] == walked + 2
+                assert trace.states[-1][1:] == (xbar, xbar)
+            else:
+                assert walked == steps
             assert (lyapunov_descent_check(params, seed, walked)
                     == descent_along(params, trace.states))
 
@@ -673,6 +678,10 @@ def test_region_e_boundary_behavior():
     # lies a few ulps below it, where the float formula rounds under p
     (Fraction("4434.107343966627"), Fraction(101, 100), "cde"),
     (Fraction("4434.107343966630"), Fraction(101, 100), "de"),
+    # next to q = 1 region (c)'s float view overflows, and once q - 1
+    # underflows so does (d)'s; neither view decides
+    (1, 1 + Fraction(1, 10**210), "abcde"),
+    (1, 1 + Fraction(1, 10**400), "abcde"),
 ])
 def test_regions_are_decided_exactly(p, q, flags):
     assert classify_regions(ParamsPQ(p, q)).flags == frozenset(flags)
