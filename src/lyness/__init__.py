@@ -5,9 +5,9 @@ The package builds the recurrence's invariant-function model symbolically
 (`model`), replays the positivity certificates that establish one-or-two-step
 Lyapunov descent (`certifier`), and provides numeric/exact orbit machinery,
 stability checks, and parameter-region classification (`dynamics`), all on a
-small sparse polynomial engine over exact rationals (`exactalg`), which
-computes on Python ints and returns `fractions.Fraction` only at its public
-coefficient accessors.
+small sparse polynomial engine over the integers (`exactalg`), whose
+rational functions are quotients of integer polynomials and whose public
+coefficient accessors return `fractions.Fraction`.
 
 The exports are lazy.  ``import lyness`` loads no submodule: `_EXPORTS` maps
 each public name to the submodule that defines it, and the module

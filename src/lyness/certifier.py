@@ -127,7 +127,6 @@ class SubstitutionStep(NamedTuple):
     expr: RationalFn
     context: tuple[Mapping[str, object], ...] = ()
     stages: tuple[Mapping[str, object], ...] = ()
-    require_integer: bool = False
     delta_index: int | None = None
 
 
@@ -136,9 +135,10 @@ class CertificateReport(NamedTuple):
 
     ``witness`` is the graded-lex-smallest monomial attaining
     ``min_coefficient``; on a failing step it is the concrete counterexample
-    to all-positivity.  ``expansion`` keeps the expanded polynomial for
-    auditing (witness lookup); it is neither serialized nor shown by
-    ``repr``.
+    to all-positivity.  ``all_integer`` is True by construction: every
+    expansion is a `Poly` over the integers.  ``expansion`` keeps the
+    expanded polynomial for auditing (witness lookup); it is neither
+    serialized nor shown by ``repr``.
     """
 
     step: str
@@ -151,13 +151,10 @@ class CertificateReport(NamedTuple):
     all_positive: bool
     all_integer: bool
     elapsed_ms: float
-    require_integer: bool = False
     expansion: Poly | None = None
 
     @property
     def passed(self) -> bool:
-        if self.require_integer and not self.all_integer:
-            return False
         return self.all_positive
 
     def __repr__(self) -> str:
@@ -187,8 +184,7 @@ def _bindings_of(*stages: Mapping[str, object]) -> tuple[tuple[str, str], ...]:
 
 
 def _poly_report(name: str, region: str, bindings: tuple[tuple[str, str], ...],
-                 input_count: int, expansion: Poly, elapsed_ms: float,
-                 require_integer: bool = False) -> CertificateReport:
+                 input_count: int, expansion: Poly, elapsed_ms: float) -> CertificateReport:
     if expansion.is_zero:
         raise ValueError(f"step {name!r} expanded to the zero polynomial")
     coeff, mono = expansion.min_coefficient()
@@ -201,9 +197,8 @@ def _poly_report(name: str, region: str, bindings: tuple[tuple[str, str], ...],
         min_coefficient=coeff,
         witness=mono,
         all_positive=coeff > 0,
-        all_integer=expansion.is_integral,
+        all_integer=True,
         elapsed_ms=elapsed_ms,
-        require_integer=require_integer,
         expansion=expansion,
     )
 
@@ -226,18 +221,16 @@ def map_to_plane(step: SubstitutionStep,
 # -- step rosters ---------------------------------------------------------------
 
 
-def verify_delta1_identity(closed_form: RationalFn | None = None) -> CertificateReport:
+def verify_delta1_identity() -> CertificateReport:
     """Check that the composed one-step difference equals its factored form.
 
     The check is exact: the cross-difference num_l*den_r - num_r*den_l must
     expand to the zero polynomial.  A nonzero cross-difference fails the
-    report and its graded-lex-smallest monomial is recorded as the witness
-    (``closed_form`` lets callers probe that failure path with a mutated
-    right-hand side).
+    report and its graded-lex-smallest monomial is recorded as the witness.
     """
     start = time.perf_counter()
     lhs = build_symbolic_model().delta1
-    rhs = delta1_closed_form() if closed_form is None else closed_form
+    rhs = delta1_closed_form()
     cross = lhs.num * rhs.den - rhs.num * lhs.den
     elapsed = (time.perf_counter() - start) * 1000.0
     holds = cross.is_zero
@@ -252,7 +245,7 @@ def verify_delta1_identity(closed_form: RationalFn | None = None) -> Certificate
         min_coefficient=coeff,
         witness=mono,
         all_positive=holds,
-        all_integer=cross.is_integral,
+        all_integer=True,
         elapsed_ms=elapsed,
         expansion=cross,
     )
@@ -278,7 +271,6 @@ class Chart(NamedTuple):
     bindings: Mapping[str, object]
     splits: tuple[tuple[str, Mapping[str, object], str], ...]
     clearing: tuple[str, str] | None = None
-    require_integer: bool = False
     expr: Poly | None = None
     delta_index: int | None = 2
 
@@ -336,8 +328,7 @@ CHARTS: Mapping[str, tuple[Chart, ...]] = {
              "q1 diagonal y = x: y0 = x0 with x0 >= 0"),
             ("q1-edge-x0-zero", {"x0": 0}, "q1 boundary half-line x = u, y >= u"),
             ("q1-edge-y0-zero", {"y0": 0}, "q1 boundary half-line y = u, x >= u"),
-        ),
-        require_integer=True),),
+        )),),
     "q3": (Chart(
         bindings={"x": _MOBIUS_W, "y": _MOBIUS_V},
         splits=(
@@ -390,7 +381,6 @@ def _chart_steps(group: str, index: int, u_image: Poly) -> tuple[SubstitutionSte
             expr=expr,
             context=(chart.bindings,),
             stages=(split, u_stage) if split else (u_stage,),
-            require_integer=chart.require_integer,
             delta_index=chart.delta_index,
         )
         for name, split, region in chart.splits)
@@ -443,8 +433,7 @@ def certify_charts(group: str, u_image: Poly = U_POSITIVE) -> list[CertificateRe
             elapsed = (time.perf_counter() - start) * 1000.0
             bindings = _bindings_of(*step.context, *step.stages)
             reports.append(_poly_report(step.name, step.region, bindings,
-                                        image.num.monomial_count(), rf.num, elapsed,
-                                        step.require_integer))
+                                        image.num.monomial_count(), rf.num, elapsed))
             if not rf.is_polynomial:
                 reports.append(_poly_report(
                     f"{step.name}-clearing",
@@ -491,7 +480,7 @@ def proportionality_constant(a: Poly, b: Poly) -> Fraction | None:
         return Fraction(0) if a.is_zero else None
     _, mono = b.min_coefficient()
     c = a.coefficient(mono) / b.coefficient(mono)
-    return c if a == b * c else None
+    return c if a * c.denominator == b * c.numerator else None
 
 
 @lru_cache(maxsize=1)

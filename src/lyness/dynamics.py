@@ -77,8 +77,9 @@ def simulate(params: ParamsPQ,
     positive and finite once converted to the working type and to the float
     view the trace records, so a rational seed that rounds to 0.0 is
     rejected with ValueError, and one beyond the float range raises
-    OverflowError.  A recorded state whose float view, divided by q,
-    underflows to 0.0 leaves g undefined: ValueError names its n.
+    OverflowError.  An exact state beyond the float range, and a recorded
+    state whose float view, divided by q, underflows to 0.0 or overflows,
+    have no float view of g: ValueError names its n.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"mode must be 'float' or 'exact', got {mode!r}")
@@ -105,7 +106,10 @@ def simulate(params: ParamsPQ,
             n -= 1  # the last state is the one before, still in a and b
             break
         if exact:
-            a, b = float(x_prev), float(x_cur)
+            try:
+                a, b = float(x_prev), float(x_cur)
+            except OverflowError:
+                raise ValueError(f"state n={n} is beyond the float range") from None
         else:
             a, b = x_prev, x_cur
         if record_states:

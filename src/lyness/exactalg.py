@@ -1,16 +1,17 @@
-"""Sparse multivariate polynomials and rational functions over exact rationals,
-computed on Python integers.
+"""Sparse multivariate polynomials over the integers and rational functions
+over them, computed on Python integers.
 
-A polynomial is a finite map from monomials to nonzero `int` coefficients
-plus one positive `int` denominator shared by every term (the content factor
-``1/den``): the coefficient of monomial ``m`` is ``terms[m] / den``.  The pair
-is kept canonical, with ``den`` the least common denominator (so gcd(den,
-coefficients) == 1), which makes equality a plain comparison.  Every
-polynomial of the certificate roster is integral (``den == 1``), so its
-products, sums, powers and substitutions run on ints alone.  `Fraction`
-appears in two places only: the public accessors (`Poly.terms`,
-`Poly.coefficient`, `Poly.min_coefficient`) return `Fraction` values, and a
-polynomial with non-integral coefficients carries ``den > 1``.
+A polynomial is a finite map from monomials to nonzero `int` coefficients,
+so equality is a plain comparison and products, sums, powers and
+substitutions run on ints alone.  Rational functions lose no generality,
+since Q(x) is the field of fractions of Z[x], and every polynomial of the
+certificate roster is integral anyway.  A coefficient may be given as an
+int or an integral `Fraction`; a non-integral one raises ValueError,
+whether it enters through `Poly(...)`, `Poly.const`, a scalar operand of
+``+``, ``-`` or ``*``, a scalar `RationalFn` or a scalar `substitute`
+binding.  Comparing with a non-integral scalar gives False.  The public
+accessors (`Poly.terms`, `Poly.coefficient`, `Poly.min_coefficient`)
+return `Fraction` values.
 
 Each monomial is stored as one packed Python `int`.  Every variable of the
 fixed global table (see `VARIABLES`) owns one `FIELD_BITS`-bit exponent
@@ -43,7 +44,7 @@ normalized shape.
 
 `substitute` builds each output polynomial in one pass over the target's
 terms, on ints alone: every term product is one key addition and one
-multiply-add into a single int accumulator, canonicalised once at the end.
+multiply-add into a single int accumulator, zeros dropped once at the end.
 `Poly.__mul__` and the power rows of `substitute` share one term-product
 loop.
 
@@ -53,7 +54,6 @@ state filled in later is that cache of decoded keys, derived from the terms.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
@@ -147,35 +147,39 @@ def _unpack(key: int) -> Monomial:
                  if (e := (key >> shift) & _FIELD_MASK))
 
 
-class Poly:
-    """Immutable sparse multivariate polynomial with exact rational
-    coefficients, stored as ints over one common denominator."""
+def _integer(value: Scalar) -> int:
+    """An integral coefficient as an int; a non-integral one raises ValueError."""
+    c = Fraction(value)
+    if c.denominator != 1:
+        raise ValueError(f"polynomial coefficients must be integers, got {c}")
+    return c.numerator
 
-    __slots__ = ("_terms", "_den", "_decoded")
+
+class Poly:
+    """Immutable sparse multivariate polynomial with integer coefficients."""
+
+    __slots__ = ("_terms", "_decoded")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] | None = None):
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
                 key = _pack(mono)
-                acc[key] = acc.get(key, _ZERO) + Fraction(coeff)
-        den = math.lcm(*(c.denominator for c in acc.values()))
-        self._terms = {m: c.numerator * (den // c.denominator)
-                       for m, c in acc.items() if c}
-        self._den = den
+                acc[key] = acc.get(key, 0) + _integer(coeff)
+        self._terms = {m: c for m, c in acc.items() if c}
         self._decoded = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        c = Fraction(value)
-        return _make({0: c.numerator}, c.denominator) if c else cls()
+        c = _integer(value)
+        return _make({0: c}) if c else cls()
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return _make({1 << _DEG_SHIFT | 1 << _SHIFTS[var_id(name)]: 1}, 1)
+        return _make({1 << _DEG_SHIFT | 1 << _SHIFTS[var_id(name)]: 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -188,23 +192,17 @@ class Poly:
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
         """Read-only map from each monomial to its `Fraction` coefficient."""
-        den = self._den
-        return MappingProxyType({m: Fraction(c, den) for m, c in self._tuple_items()})
+        return MappingProxyType({m: Fraction(c) for m, c in self._tuple_items()})
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_integral(self) -> bool:
-        """True when every coefficient is an integer."""
-        return self._den == 1
-
     def monomial_count(self) -> int:
         return len(self._terms)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self._terms.get(_pack(mono), 0), self._den)
+        return Fraction(self._terms.get(_pack(mono), 0))
 
     def min_coefficient(self) -> tuple[Fraction, Monomial]:
         """Smallest coefficient and its grlex-smallest attaining monomial."""
@@ -212,7 +210,7 @@ class Poly:
             raise ValueError("empty polynomial")
         best = min(self._terms.values())
         key = min(m for m, c in self._terms.items() if c == best)
-        return Fraction(best, self._den), _unpack(key)
+        return Fraction(best), _unpack(key)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -220,19 +218,16 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        den = math.lcm(self._den, other._den)
-        acc = {}
+        acc = dict(self._terms)
         get = acc.get
-        for p in (self, other):
-            scale = den // p._den
-            for m, c in p._terms.items():
-                acc[m] = get(m, 0) + c * scale
-        return _make({m: c for m, c in acc.items() if c}, den)
+        for m, c in other._terms.items():
+            acc[m] = get(m, 0) + c
+        return _make({m: c for m, c in acc.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _make({m: -c for m, c in self._terms.items()}, self._den)
+        return _make({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         other = _as_poly(other)
@@ -247,16 +242,10 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            n = other.numerator
-            if not n:
-                return Poly()
-            return _make({m: c * n for m, c in self._terms.items()},
-                         self._den * other.denominator)
-        if not isinstance(other, Poly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
-        return _make(_term_product(self._terms, other._terms),
-                     self._den * other._den)
+        return _make(_term_product(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -277,13 +266,13 @@ class Poly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._den == other._den and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._terms.items()), self._den))
+        return hash(frozenset(self._terms.items()))
 
     # -- evaluation / serialization -----------------------------------------
 
@@ -306,16 +295,14 @@ class Poly:
                     cache.append(cache[-1] * cache[1])
                 v = v * cache[e]
             total = total + v
-        return total / self._den if self._den != 1 else total
+        return total
 
     def to_text(self) -> str:
         """Canonical serialization: grlex term order, explicit signs."""
         if not self._terms:
             return "0"
-        den = self._den
         pieces: list[str] = []
-        for i, (key, n) in enumerate(sorted(self._terms.items())):
-            c = n if den == 1 else Fraction(n, den)
+        for i, (key, c) in enumerate(sorted(self._terms.items())):
             mag = -c if c < 0 else c
             if not key:
                 body = str(mag)
@@ -336,17 +323,10 @@ class Poly:
         return f"Poly({self.to_text()!r})"
 
 
-def _make(terms: dict[int, int], den: int) -> Poly:
-    """Poly from packed keys with nonzero int coefficients over a positive
-    denominator, reduced to the canonical (least) denominator."""
-    if den != 1:
-        g = math.gcd(den, *terms.values())
-        if g != 1:
-            den //= g
-            terms = {m: c // g for m, c in terms.items()}
+def _make(terms: dict[int, int]) -> Poly:
+    """Poly from packed keys with nonzero int coefficients."""
     p = Poly.__new__(Poly)
     p._terms = terms
-    p._den = den
     p._decoded = None
     return p
 
@@ -451,10 +431,8 @@ class RationalFn:
 def _as_rf(value) -> "RationalFn":
     if isinstance(value, RationalFn):
         return value
-    if isinstance(value, Poly):
+    if isinstance(value, (Poly, int, Fraction)):
         return RationalFn(value)
-    if isinstance(value, (int, Fraction)):
-        return RationalFn(Poly.const(value))
     return NotImplemented
 
 
@@ -463,16 +441,8 @@ def _as_rf(value) -> "RationalFn":
 
 def _power_rows(image, emax):
     """Rows ``num^e * den^(emax-e)`` of one binding, e = 0..emax, as packed
-    term maps over one common int denominator, returned with it.
-
-    With n and d the content denominators of the image's numerator and
-    denominator, the image equals ``(num*n*d) / (den*n*d)``, whose halves
-    have int coefficients; row e over ``(n*d)^emax`` is formed from those.
-    A constant-one denominator contributes no powers.
-    """
-    n, d = image.num._den, image.den._den
-    num = {m: c * d for m, c in image.num._terms.items()}
-    den = {m: c * n for m, c in image.den._terms.items()}
+    term maps.  A constant-one denominator contributes no powers."""
+    num, den = image.num._terms, image.den._terms
     rows = [{0: 1}]
     for _ in range(emax):
         rows.append(_term_product(rows[-1], num))
@@ -481,7 +451,7 @@ def _power_rows(image, emax):
         for e in range(emax - 1, -1, -1):
             den_pow = _term_product(den_pow, den)
             rows[e] = _term_product(rows[e], den_pow)
-    return rows, (n * d) ** emax
+    return rows
 
 
 def substitute(target: RationalFn | Poly,
@@ -502,8 +472,7 @@ def substitute(target: RationalFn | Poly,
     variables' power rows for that part (`_power_rows`) is formed once per
     call, shared by numerator and denominator, and kept as ``(key offset,
     int coefficient)`` pairs, so each term product is one key addition into
-    a single int accumulator.  The accumulator is canonicalised once, over
-    the target's content denominator times the rows' common denominators.
+    a single int accumulator.
     """
     rf = _as_rf(target)
     if rf is NotImplemented:
@@ -515,15 +484,13 @@ def substitute(target: RationalFn | Poly,
             raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or exact scalar")
         images[var_id(name)] = coerced
     rows = {}
-    scale = 1
     mask = 0
     for vid, image in images.items():
         shift = _SHIFTS[vid]
         emax = max(((key >> shift) & _FIELD_MASK for p in (rf.num, rf.den) for key in p._terms),
                    default=0)
         if emax:
-            rows[vid], row_den = _power_rows(image, emax)
-            scale *= row_den
+            rows[vid] = _power_rows(image, emax)
             mask |= _FIELD_MASK << shift
     if not rows:
         return rf
@@ -557,7 +524,7 @@ def substitute(target: RationalFn | Poly,
             for offset, c in pairs:
                 m = key + offset
                 acc[m] = get(m, 0) + coeff * c
-        return _make({m: c for m, c in acc.items() if c}, poly._den * scale)
+        return _make({m: c for m, c in acc.items() if c})
 
     num = image_of(rf.num)
     den = image_of(rf.den)

@@ -70,18 +70,24 @@ def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
     """Positive equilibrium xbar = (q - 1 + sqrt((q-1)^2 + 4p)) / 2, plus its
     transformed value ybar = xbar/q and alpha~ = ybar^2 - ybar.  At q < 1
     xbar is computed as 2p / (sqrt((q-1)^2 + 4p) - (q-1)), which does not
-    cancel.  Raises ValueError when p or q rounds to 0.0 as a float, and when
-    xbar or ybar overflows the float range."""
+    cancel.  Where (q-1)^2 + 4p overflows, the root is hypot(q-1, 2 sqrt(p))
+    and xbar = (q-1)/2 + root/2, which neither overflows nor cancels there.
+    Raises ValueError when p or q rounds to 0.0 as a float, and when ybar
+    overflows the float range."""
     p = float(params.p)
     q = float(params.q)
     for name, value in (("p", p), ("q", q)):
         if value == 0.0:
             raise ValueError(f"parameter {name} is too small for float arithmetic")
     d = q - 1.0
-    root = math.sqrt(d * d + 4.0 * p)
-    xbar = 0.5 * (d + root) if d >= 0 else 2.0 * p / (root - d)
+    square = d * d + 4.0 * p
+    if square == math.inf:  # d*d or 4p overflows; at d < 0 the root dwarfs -d < 1
+        xbar = 0.5 * d + 0.5 * math.hypot(d, 2.0 * math.sqrt(p))
+    else:
+        root = math.sqrt(square)
+        xbar = 0.5 * (d + root) if d >= 0 else 2.0 * p / (root - d)
     ybar = xbar / q
-    if not math.isfinite(ybar):  # an infinite xbar gives an infinite ybar
+    if not math.isfinite(ybar):
         raise ValueError(f"the equilibrium at p={p:.17g}, q={q:.17g} "
                          "is beyond the float range")
     return EquilibriumInfo(xbar, ybar, ybar * ybar - ybar)
@@ -151,10 +157,13 @@ def eval_delta(which: int,
 
 
 def invariant_value(alpha_tilde: Number, x: Number, y: Number) -> Number:
-    """g(x, y) = (1+x)(1+y)(alpha~ + x + y)/(x*y); exact on exact input."""
+    """g(x, y) = (1+x)(1+y)(alpha~ + x + y)/(x*y); exact on exact input.
+    Where a float x*y underflows to 0.0, g is the numerator times inf."""
     if not (x > 0 and y > 0):
         raise ZeroDivisionError("invariant requires positive coordinates")
-    return (1 + x) * (1 + y) * (alpha_tilde + x + y) / (x * y)
+    num = (1 + x) * (1 + y) * (alpha_tilde + x + y)
+    xy = x * y
+    return num / xy if xy else num * math.inf
 
 
 def lyness_step(alpha_tilde: Number, z_prev: Number, z_curr: Number) -> Number:

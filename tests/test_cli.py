@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyness import cli
 from lyness.cli import EXIT_CLOSED_PIPE, main
@@ -173,7 +175,10 @@ def test_simulate_writes_csv(tmp_path, capsys):
     # the seed divided by q underflows
     ["simulate", "--p", "1e-300", "--q", "1e100", "--x0", "1e-250", "--xm1", "1e-250",
      "--max-iters", "3"],
-], ids=["xbar-below-q-one", "seed-over-q-underflows"])
+    # the product of the state's coordinates under g underflows
+    ["simulate", "--p", "5e-324", "--q", "0.5", "--x0", "5e-324", "--xm1", "5e-324",
+     "--tol", "0.5", "--max-iters", "3", "--exact"],
+], ids=["xbar-below-q-one", "seed-over-q-underflows", "g-product-underflows"])
 def test_simulate_at_extreme_values_ends_without_a_traceback(argv, capsys):
     assert main(argv) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
@@ -196,6 +201,15 @@ def test_simulate_names_the_state_whose_float_view_over_q_leaves_the_range(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: state {state}\n"
+
+
+def test_simulate_names_an_exact_state_beyond_the_float_range(capsys):
+    argv = ["simulate", "--p", "1", "--q", "1e100", "--x0", "1e300", "--xm1", "1e-300",
+            "--exact", "--max-iters", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: state n=1 is beyond the float range\n"
 
 
 def test_simulate_rejects_nonpositive_seed(capsys):
@@ -284,12 +298,12 @@ def test_ggrid_invalid_window_is_usage_error(capsys):
     ["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2", "--tol", "nan"],
     ["ggrid", "--alpha-tilde", "2", "--window", "0.5,inf,0.5,1", "--res", "5"],
     ["ggrid", "--alpha-tilde", "inf", "--window", "0.5,1,0.5,1", "--res", "5"],
-    ["regions", "--p", "1.7e308", "--q", "2"],
-    ["simulate", "--p", "1.7e308", "--q", "2", "--xm1", "1", "--x0", "1"],
+    ["regions", "--p", "1e300", "--q", "1e-300"],
+    ["simulate", "--p", "1e300", "--q", "1e-300", "--xm1", "1", "--x0", "1"],
     ["regions", "--p", "1e300", "--q", "1e300"],
-    ["simulate", "--p", "1e300", "--q", "1e300", "--xm1", "1", "--x0", "1"],
     ["ggrid", "--alpha-tilde", "2", "--window", "1,1e308,1,2", "--res", "3"],
     ["ggrid", "--alpha-tilde", "1e308", "--window", "0.5,1,0.5,1", "--res", "5"],
+    ["ggrid", "--alpha-tilde", "1e-300", "--window", "1e-300,1,1e-300,1", "--res", "2"],
     ["regions", "--p", "1e300", "--q", "1e100"],
 ], ids=" ".join)
 def test_out_of_range_values_are_usage_errors(argv):
@@ -304,7 +318,7 @@ def test_out_of_range_values_are_usage_errors(argv):
 
 
 @pytest.mark.parametrize("command", ["regions", "simulate"])
-@pytest.mark.parametrize("p, q", [("1.7e308", "2"), ("1e300", "1e300")])
+@pytest.mark.parametrize("p, q", [("1e300", "1e-300")])
 def test_an_equilibrium_beyond_the_float_range_names_p_and_q(command, p, q, capsys):
     argv = [command, "--p", p, "--q", q]
     if command == "simulate":
@@ -314,6 +328,22 @@ def test_an_equilibrium_beyond_the_float_range_names_p_and_q(command, p, q, caps
     assert out == ""
     assert err == (f"error: the equilibrium at p={float(p):.17g}, q={float(q):.17g} "
                    "is beyond the float range\n")
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["regions", "--p", "1.7e308", "--q", "2"],
+     "(d) equilibrium <= (q^2+1)/(q-1): not satisfied [lhs=1.30384e+154 rhs=5]"),
+    (["simulate", "--p", "1.7e308", "--q", "2", "--xm1", "1", "--x0", "1"],
+     "equilibrium: 1.3038404810405297e+154"),
+    (["simulate", "--p", "1e300", "--q", "1e300", "--xm1", "1", "--x0", "1"],
+     "equilibrium: 1.0000000000000001e+300"),
+], ids=["1.7e308-2-regions", "1.7e308-2-simulate", "1e300-1e300-simulate"])
+def test_an_equilibrium_past_an_overflowing_square_is_shown(argv, shown, capsys):
+    # (q-1)^2 + 4p overflows in floats; the equilibrium does not
+    assert main(argv) in (0, 1)
+    out, err = capsys.readouterr()
+    assert shown in out
+    assert err == ""
 
 
 def test_a_region_c_bound_beyond_the_float_range_names_p_and_q(capsys):
@@ -431,3 +461,49 @@ def test_unwritable_output_path_is_a_usage_error(argv, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing
+# ---------------------------------------------------------------------------
+
+#: Option values at and past the edges of the float range, as typed.
+_EDGE_VALUES = st.sampled_from((
+    "0", "-1", "-0.5", "0.5", "1", "2", "4", "20",
+    "5e-324", "2.2250738585072014e-308", "1e-300", "1e300", "1.7e308",
+    "1e-400", "1e400", "nan", "inf", "-inf",
+    "123456789012345678901234567890123/7", "7/123456789012345678901234567890123",
+    "98765432109876543210/98765432109876543211",
+))
+
+#: Command lines of the four numeric commands, every count and size capped.
+_ARGVS = st.one_of(
+    st.builds(lambda p, q, x0, xm1, tol, iters, exact: [
+        "simulate", "--p", p, "--q", q, "--x0", x0, "--xm1", xm1, "--tol", tol,
+        "--max-iters", str(iters), *(["--exact"] if exact else [])],
+        _EDGE_VALUES, _EDGE_VALUES, _EDGE_VALUES, _EDGE_VALUES, _EDGE_VALUES,
+        st.integers(-1, 12), st.booleans()),
+    st.builds(lambda p, q: ["regions", "--p", p, "--q", q], _EDGE_VALUES, _EDGE_VALUES),
+    st.builds(lambda alpha, window, res: [
+        "ggrid", "--alpha-tilde", alpha, "--window", ",".join(window), "--res", str(res)],
+        _EDGE_VALUES, st.lists(_EDGE_VALUES, min_size=4, max_size=4), st.integers(-1, 4)),
+    st.builds(lambda instances, seeds, tol, iters: [
+        "sweep", "--instances", str(instances), "--seeds", str(seeds), "--tol", tol,
+        "--max-iters", str(iters)],
+        st.integers(-1, 2), st.integers(-1, 2), _EDGE_VALUES, st.integers(-1, 50)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGVS)
+def test_any_numeric_command_line_ends_with_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""

@@ -62,11 +62,24 @@ def test_equilibrium_reference_point():
     assert abs(info.alpha_tilde - (info.ybar ** 2 - info.ybar)) < 1e-12
 
 
-@pytest.mark.parametrize("p, q", [(1.7e308, 2.0), (1e300, 1e300), (1e300, 1e-300)],
-                         ids=["x-bar", "square", "y-bar"])
+@pytest.mark.parametrize("p, q", [(1e300, 1e-300)], ids=["y-bar"])
 def test_equilibrium_beyond_the_float_range_is_a_value_error(p, q):
     with pytest.raises(ValueError, match=re.escape(f"p={p:.17g}, q={q:.17g} is beyond")):
         equilibrium(ParamsPQ(p, q))
+
+
+@pytest.mark.parametrize("p, q", [(1.7e308, 2.0), (1e300, 1e300), (1.7e308, 0.5),
+                                  (1.7976931348623157e308, 1.7976931348623157e308)],
+                         ids=["x-bar", "square", "below-q-one", "largest"])
+def test_equilibrium_past_an_overflowing_square_is_finite(p, q):
+    # (q-1)^2 + 4p overflows in floats, yet xbar is near max(q, sqrt(p))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = Decimal(q) - 1
+        root = float((d + (d * d + 4 * Decimal(p)).sqrt()) / 2)
+    info = equilibrium(ParamsPQ(p, q))
+    assert abs(info.xbar - root) <= 2 * math.ulp(root)
+    assert info.ybar == info.xbar / q
 
 
 @pytest.mark.parametrize("p", [1e-20, 1e-10, 1e-3, 0.3])
@@ -227,6 +240,12 @@ def test_lyness_invariance_rejects_bad_seed():
 def test_invariant_rejects_nonpositive_coordinates():
     with pytest.raises(ZeroDivisionError):
         invariant_value(Fraction(1), Fraction(0), Fraction(1))
+
+
+def test_invariant_past_an_underflowing_product_is_infinite():
+    # x*y underflows to 0.0; g keeps the sign of its numerator
+    assert invariant_value(1.0, 1e-200, 1e-200) == math.inf
+    assert invariant_value(-3.0, 1e-200, 1e-200) == -math.inf
 
 
 _SEED_FRACTIONS = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=12)
