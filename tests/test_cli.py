@@ -346,6 +346,19 @@ def test_an_equilibrium_past_an_overflowing_square_is_shown(argv, shown, capsys)
     assert err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["regions", "--p", "1.7e308", "--q", "2"],
+    ["simulate", "--p", "1.7e308", "--q", "2", "--xm1", "1", "--x0", "1"],
+    ["simulate", "--p", "1e300", "--q", "1e300", "--xm1", "1", "--x0", "1"],
+], ids=["regions-1.7e308-2", "simulate-1.7e308-2", "simulate-1e300-1e300"])
+def test_an_overflowing_square_is_no_usage_error(argv):
+    # the entry point runs these to the end: exit 0 or 1, nothing on stderr
+    proc = subprocess.run([sys.executable, "-m", "lyness", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1)
+    assert proc.stderr == ""
+
+
 def test_a_region_c_bound_beyond_the_float_range_names_p_and_q(capsys):
     # q**4 overflows while the equilibrium is still finite
     assert main(["regions", "--p", "1e300", "--q", "1e100"]) == 2
