@@ -42,9 +42,13 @@ EXIT_CLOSED_PIPE = 141
 def _rational(text: str) -> Fraction:
     """Accept integer, a/b, and decimal literals; decimals convert exactly."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        float(value)  # every command that takes one uses its float view too
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(f"beyond the float range: {text!r}") from exc
+    return value
 
 
 def _window(text: str) -> tuple[float, float, float, float]:

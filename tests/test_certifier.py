@@ -29,7 +29,7 @@ from lyness.certifier import (
     summary_to_text,
     verify_delta1_identity,
 )
-from lyness.exactalg import Poly, RationalFn, mono_text, var_id
+from lyness.exactalg import Poly, RationalFn, mono_text, substitute, var_id
 from lyness.model import build_symbolic_model, eval_delta
 
 
@@ -96,14 +96,15 @@ def test_chart_rows_name_every_substitution_report():
     assert set(certifier.GROUPS) == {"identity", *certifier.CHARTS}
     names = {"delta1-identity"}
     for group, charts in certifier.CHARTS.items():
-        for index, chart in enumerate(charts):
-            if chart.clearing is not None:
-                names.add(chart.clearing[0])
-            for split, (name, _, _) in enumerate(chart.splits):
-                names.add(name)
-                if not certifier._split_expansion(group, index, split,
-                                                   certifier.U_POSITIVE).is_polynomial:
-                    names.add(f"{name}-clearing")
+        splits = [name for chart in charts for name, _, _ in chart.splits]
+        for name, step in zip(splits, chart_steps(group), strict=True):
+            names.add(name)
+            rf = step.expr
+            for stage in step.stages:
+                rf = substitute(rf, stage)
+            if not rf.is_polynomial:
+                names.add(f"{name}-clearing")
+        names |= {chart.clearing[0] for chart in charts if chart.clearing is not None}
     assert names == set(EXPECTED_ROSTER)
 
 
@@ -115,6 +116,28 @@ def test_reports_sorted_by_step_name(summary):
 def test_landmark_counts(summary):
     assert dict(summary.counts) == {"delta2Numerator": 277, "eq16": 233, "eq17": 371}
     assert landmark_counts() == summary.counts
+
+
+def test_cached_groups_and_landmarks_substitute_nothing(monkeypatch):
+    # one cache: after a cold full run, the landmarks and a second call of
+    # every group reuse the first run's reports without one substitution
+    calls = []
+
+    def counting_substitute(*args):
+        calls.append(args)
+        return substitute(*args)
+
+    monkeypatch.setattr(certifier, "substitute", counting_substitute)
+    certifier.certify_charts.cache_clear()
+    first = run_full_certificate()
+    assert calls
+    calls.clear()
+    assert landmark_counts() == first.counts
+    for name, group in certifier.GROUPS.items():
+        reports = group()
+        if name != "identity":
+            assert all(any(r is f for f in first.reports) for r in reports), name
+    assert calls == []
 
 
 def test_sector_expansions_are_integer(summary):
@@ -147,7 +170,9 @@ def test_delta2_numerator_coefficient_anchors():
 
 
 def test_corner_shift_coefficient_anchors():
-    shift = certifier._chart_image("q1", 0).num
+    step = chart_steps("q1")[0]
+    shift = substitute(build_symbolic_model().delta2.num, *step.context).num
+    assert shift == step.expr.num
     assert shift.monomial_count() == 233
     assert shift.coefficient(mono(A=1, u=4, x0=2)) == 1
     assert shift.coefficient(mono(A=1, u=5, x0=2)) == 1
@@ -481,7 +506,7 @@ def test_expansions_are_their_expressions_times_the_cleared_denominator(summary)
 
 
 def test_runs_are_byte_identical_without_timing(summary):
-    # rerun cold: the chart images and split expansions are cached
+    # rerun cold: the reports of every chart group are cached
     for value in vars(certifier).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()

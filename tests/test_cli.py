@@ -375,6 +375,24 @@ def test_bad_rational_is_argparse_error(capsys):
     assert "not a rational number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (["simulate", "--p", "1e400", "--q", "1", "--xm1", "1", "--x0", "1"], "--p", "1e400"),
+    (["simulate", "--p", "2", "--q", "2e400", "--xm1", "1", "--x0", "1"], "--q", "2e400"),
+    (["simulate", "--p", "2", "--q", "1", "--xm1", "1", "--x0", "1e999"], "--x0", "1e999"),
+    (["simulate", "--p", "2", "--q", "1", "--xm1", "3.6e308", "--x0", "1"],
+     "--xm1", "3.6e308"),
+    (["regions", "--p", "1e400", "--q", "2"], "--p", "1e400"),
+    (["regions", "--p", "2", "--q", "1e400"], "--q", "1e400"),
+], ids=["simulate-p", "simulate-q", "simulate-x0", "simulate-xm1", "regions-p", "regions-q"])
+def test_a_rational_beyond_the_float_range_names_its_option(argv, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument {option}: beyond the float range: '{value}'\n")
+
+
 def test_bad_window_shape_is_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ggrid", "--alpha-tilde", "2", "--window", "1,2,3", "--res", "5"])

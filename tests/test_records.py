@@ -1,4 +1,5 @@
-"""The immutable records of `model` and `certifier`, and the chart caches.
+"""The immutable records of `model` and `certifier`, and the chart reports
+checked against the step stages.
 
 The records are `typing.NamedTuple`s; these tests pin the behaviour they
 keep from the frozen dataclasses they replaced.
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from lyness import certifier
-from lyness.certifier import CHARTS, U_POSITIVE, _chart_steps, _split_expansion
+from lyness.certifier import CHARTS, U_POSITIVE
 from lyness.exactalg import Poly, RationalFn, substitute
 from lyness.model import EquilibriumInfo, ParamsPQ, build_symbolic_model
 
@@ -66,10 +67,10 @@ def test_report_repr_leaves_out_the_expansion():
     assert report.expansion.monomial_count() > 1
 
 
-def expand(step) -> RationalFn:
-    """Reference expansion: apply the step's stages, in order, to its expression."""
-    rf = step.expr
-    for stage in step.stages:
+def expand(expr, *stages) -> RationalFn:
+    """Reference expansion: apply ``stages``, in order, to ``expr``."""
+    rf = expr
+    for stage in stages:
         rf = substitute(rf, stage)
     return rf
 
@@ -79,12 +80,27 @@ def expand(step) -> RationalFn:
     ("q1", 1 - Poly.var("t")),
 ], ids=[*sorted(CHARTS), "q1-negative-control"])
 def test_cached_split_expansions_equal_the_step_stages(group, u_image):
-    # the cache substitutes u once per chart and applies each split to that;
-    # the step's own stages apply the split first
-    for index, chart in enumerate(CHARTS[group]):
-        steps = _chart_steps(group, index, u_image)
-        assert len(steps) == len(chart.splits)
-        for split, step in enumerate(steps):
-            cached = _split_expansion(group, index, split, u_image)
-            expanded = expand(step)
-            assert (cached.num, cached.den) == (expanded.num, expanded.den), step.name
+    # certify_charts substitutes u once per chart and then each split with
+    # u in its images; the reference applies the split, then u, to the chart
+    # image numerator, and its denominator is the split's clearing report
+    reports = {r.step: r for r in certifier.certify_charts(group, u_image)}
+    steps = certifier.chart_steps(group)
+    assert len(steps) == sum(len(chart.splits) for chart in CHARTS[group])
+    checked = set()
+    for step in steps:
+        *split, u_stage = step.stages
+        assert u_stage == {"u": U_POSITIVE}
+        expanded = expand(step.expr, *split, {"u": u_image})
+        assert reports[step.name].expansion == expanded.num, step.name
+        checked.add(step.name)
+        if not expanded.is_polynomial:
+            clearing = f"{step.name}-clearing"
+            assert reports[clearing].expansion == expanded.den, clearing
+            checked.add(clearing)
+    for chart in CHARTS[group]:
+        if chart.clearing is not None:
+            name = chart.clearing[0]
+            expr = build_symbolic_model().delta2.num if chart.expr is None else chart.expr
+            assert reports[name].expansion == expand(expr, chart.bindings).den, name
+            checked.add(name)
+    assert checked == set(reports)
