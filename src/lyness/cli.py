@@ -4,11 +4,12 @@ regions, grids.
 Exit codes are the machine contract: 0 success, 1 verification failure
 (a failed certificate step, a failed identity, or a non-converging /
 descent-violating orbit, in a sweep any one of them), 2 usage or validation
-error, an output path that cannot be opened included, 141 when the reader
-of stdout goes away early, as in ``lyness certify | head -1`` (128 +
-SIGPIPE, what a shell reports for a tool that SIGPIPE ended; no traceback
-is printed).  Data outputs are
-deterministic; JSON certificate reports carry wall-clock timings unless
+error, an output file or stdout that cannot be written included, 141 when
+the reader of stdout goes away early, as in ``lyness certify | head -1``
+(128 + SIGPIPE, what a shell reports for a tool that SIGPIPE ended).  No
+exit prints a traceback, and exit 2 leaves stdout empty: every output file
+is written and closed before the first byte goes to stdout.  Data outputs
+are deterministic; JSON certificate reports carry wall-clock timings unless
 ``--no-timing`` is given, which makes reruns byte-identical.
 
 `dynamics` is imported by the four commands that use it, and `csv` by
@@ -18,9 +19,8 @@ deterministic; JSON certificate reports carry wall-clock timings unless
 ``lyness`` console script; `main` is the in-process API, which tests and
 embedding code call.  `run` ends the process through ``sys.exit`` after
 ``gc.freeze()``, so the collection at interpreter shutdown does not walk
-the objects the run built.  Atexit handlers and the flush of the standard
-streams still run, and every file a command writes is closed before `main`
-returns.
+the objects the run built; atexit handlers and the flush of the standard
+streams still run.
 """
 from __future__ import annotations
 
@@ -29,11 +29,12 @@ import gc
 import math
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from typing import NoReturn
 
 from . import certifier
-from .model import ParamsPQ, build_symbolic_model
+from .model import ParamsPQ, build_symbolic_model, equilibrium
 
 #: Exit code when stdout is closed before the output is written.
 EXIT_CLOSED_PIPE = 141
@@ -63,13 +64,16 @@ def _window(text: str) -> tuple[float, float, float, float]:
     return vals
 
 
+@contextmanager
 def _open_output(path: str, newline: str | None = None):
-    """Open an output file for writing; a path that cannot be opened is a
-    usage error, not a traceback."""
+    """Open an output file for writing, closed on leaving the block; an
+    `OSError` opening, writing or closing it carries ``path`` for `main`."""
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+        exc.filename = path
+        raise
 
 
 def _cmd_certify(args) -> int:
@@ -108,15 +112,18 @@ def _cmd_simulate(args) -> int:
     mode = "exact" if args.exact else "float"
     trace = dynamics.simulate(params, (args.xm1, args.x0), mode=mode, tol=args.tol,
                               max_iters=args.max_iters)
-    info_xbar = dynamics.equilibrium(params).xbar
+    xbar = equilibrium(params).xbar
+    descent = dynamics.descent_along(params, trace.states) if params.q < params.p else None
+    if args.csv is not None:
+        with _open_output(args.csv) as fh:
+            dynamics.trace_to_csv(trace, fh)
     n, xp, xc = trace.states[-1]
     print(f"verdict: {trace.verdict}")
-    print(f"equilibrium: {info_xbar:.17g}")
+    print(f"equilibrium: {xbar:.17g}")
     print(f"iterations: {trace.iters_to_tol if trace.iters_to_tol is not None else n}")
     print(f"final state: x[n-1]={xp:.17g} x[n]={xc:.17g}")
     ok = trace.converged
-    if params.q < params.p:
-        descent = dynamics.descent_along(params, trace.states)
+    if descent is not None:
         if descent.violation is None:
             print(f"descent: ok ({descent.checked} steps checked)")
         else:
@@ -126,9 +133,6 @@ def _cmd_simulate(args) -> int:
             ok = False
     else:
         print("descent: not applicable (q >= p)")
-    if args.csv is not None:
-        with _open_output(args.csv) as fh:
-            dynamics.trace_to_csv(trace, fh)
     return 0 if ok else 1
 
 
@@ -147,7 +151,6 @@ def _cmd_sweep(args) -> int:
     import csv
     import random
     import time
-    from contextlib import nullcontext
 
     from . import dynamics
     # Opened before the sweep, so that a path that cannot be written is a
@@ -159,12 +162,6 @@ def _cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         records = dynamics.sweep(batch, args.tol, args.max_iters)
         elapsed = time.perf_counter() - t0
-        worst = max((args.max_iters if r.trace.iters_to_tol is None
-                     else r.trace.iters_to_tol for r in records), default=0)
-        print(f"orbits: {len(records)}"
-              f"  converged: {sum(r.trace.converged for r in records)}"
-              f"  descent ok: {sum(r.descent.ok for r in records)}"
-              f"  max iterations: {worst}  elapsed: {elapsed:.2f}s")
         if fh is not None:
             writer = csv.writer(fh)
             writer.writerow(SWEEP_FIELDS)
@@ -172,7 +169,14 @@ def _cmd_sweep(args) -> int:
                 (r.params.p, r.params.q, r.seed[0], r.seed[1], r.trace.verdict,
                  r.trace.iters_to_tol, r.trace.states[-1][2], r.descent.ok,
                  r.descent.checked, r.stability.spectral_radius) for r in records)
-            print(f"wrote {args.csv}")
+    worst = max((args.max_iters if r.trace.iters_to_tol is None
+                 else r.trace.iters_to_tol for r in records), default=0)
+    print(f"orbits: {len(records)}"
+          f"  converged: {sum(r.trace.converged for r in records)}"
+          f"  descent ok: {sum(r.descent.ok for r in records)}"
+          f"  max iterations: {worst}  elapsed: {elapsed:.2f}s")
+    if args.csv is not None:
+        print(f"wrote {args.csv}")
     return 0 if all(r.ok for r in records) else 1
 
 
@@ -264,13 +268,20 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # Point stdout at devnull so the flush at interpreter exit does not
-        # raise a second time on the closed pipe.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_CLOSED_PIPE
+    except OSError as exc:
+        # A closed pipe, or an output file (named by `_open_output`) or
+        # stdout that cannot be written, as on a full disk.
+        if exc.filename is None:
+            # Point stdout at devnull so the flush at interpreter exit does
+            # not fail a second time on what is left in its buffer.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_CLOSED_PIPE
+        print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     except (ValueError, OverflowError) as exc:
         # OverflowError: a rational argument beyond the float range
         print(f"error: {exc}", file=sys.stderr)

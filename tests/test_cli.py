@@ -480,18 +480,48 @@ def test_closed_stdout_pipe_exits_without_traceback():
     assert b"BrokenPipeError" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["certify", "--step", "identity", "--json"],
-    ["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2", "--csv"],
-    ["ggrid", "--alpha-tilde", "2", "--window", "1,2,1,2", "--res", "3", "--csv"],
-], ids=["certify-json", "simulate-csv", "ggrid-csv"])
-def test_unwritable_output_path_is_a_usage_error(argv, tmp_path):
-    target = tmp_path / "missing" / "out"
-    proc = subprocess.run([sys.executable, "-m", "lyness", *argv, str(target)],
-                          capture_output=True, text=True, timeout=120)
+#: Writes fail on it with ENOSPC, as on a full disk.
+DEV_FULL = Path("/dev/full")
+
+#: Each command's option that names an output file, last.
+_WRITERS = {
+    "certify-json": ["certify", "--step", "identity", "--json"],
+    "simulate-csv": ["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2", "--csv"],
+    "ggrid-csv": ["ggrid", "--alpha-tilde", "2", "--window", "1,2,1,2", "--res", "3", "--csv"],
+    "sweep-csv": ["sweep", "--instances", "1", "--seeds", "1", "--csv"],
+}
+
+
+@pytest.mark.parametrize("argv, target", [
+    *(pytest.param(argv, "missing", id=name) for name, argv in _WRITERS.items()),
+    *(pytest.param(argv, "full", id=f"{name}-dev-full") for name, argv in _WRITERS.items()),
+    pytest.param(["certify", "--step", "identity", "--no-timing"], "stdout",
+                 id="stdout-dev-full"),
+])
+def test_unwritable_output_path_is_a_usage_error(argv, target, tmp_path):
+    # a missing directory fails the open, /dev/full the first write; either
+    # way nothing reaches stdout and the one line on stderr names the path
+    if target == "missing":
+        path, reason = tmp_path / "missing" / "out", "No such file or directory"
+    elif DEV_FULL.exists():
+        path, reason = DEV_FULL, "No space left on device"
+    else:
+        pytest.skip("no /dev/full here")
+    cmd = [sys.executable, "-m", "lyness", *argv]
+    if target == "stdout":
+        with DEV_FULL.open("w") as full:
+            proc = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+        path = "stdout"
+    else:
+        proc = subprocess.run([*cmd, str(path)], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.stdout == ""
     assert proc.returncode == 2
-    assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
-    assert not target.parent.exists()
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: cannot write {path}: {reason}\n"
+    if target == "missing":
+        assert not path.parent.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""The lazy package namespace and what a cold ``lyness certify`` imports.
+"""The package namespace, which holds no public name of its own, and what a
+cold ``lyness certify`` imports.
 
 Import-budget checks run in a fresh interpreter, since the test process has
 long since imported every submodule.
 """
 
-import importlib
 import subprocess
 import sys
 
@@ -48,32 +48,12 @@ def test_simulate_still_runs_in_a_fresh_interpreter():
     assert "descent: ok" in proc.stdout
 
 
-@pytest.mark.parametrize("name", sorted(lyness._EXPORTS))
-def test_export_is_the_submodule_object(name):
-    module = importlib.import_module(f"lyness.{lyness._EXPORTS[name]}")
-    assert getattr(lyness, name) is getattr(module, name)
-
-
-def test_star_import_binds_exactly_all():
-    namespace = {}
-    exec("from lyness import *", namespace)
-    del namespace["__builtins__"]
-    assert sorted(namespace) == sorted(lyness.__all__) == sorted(lyness._EXPORTS)
-
-
-def test_dir_lists_every_export():
-    assert set(lyness._EXPORTS) <= set(dir(lyness))
-    assert "__version__" in dir(lyness)
-
-
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'parse_poly'"):
         getattr(lyness, "parse_poly")  # moved to the tests' own parser
-    with pytest.raises(ImportError):
-        exec("from lyness import no_such_name", {})
-
-
-def test_submodules_resolve_as_attributes():
-    out = run_python("import lyness\n"
-                     "print(lyness.dynamics.__name__, lyness.certifier.__name__)")
-    assert out == "lyness.dynamics lyness.certifier\n"
+    # names live in their modules only: lyness.exactalg.Poly, lyness.dynamics.simulate
+    with pytest.raises(AttributeError, match="no attribute 'Poly'"):
+        getattr(lyness, "Poly")
+    for name in ("no_such_name", "simulate"):
+        with pytest.raises(ImportError):
+            exec(f"from lyness import {name}", {})
