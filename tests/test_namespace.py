@@ -1,16 +1,39 @@
-"""The package namespace, which holds no public name of its own, and what a
-cold ``lyness certify`` imports.
+"""The package namespace, which holds no public name of its own, the public
+names of the submodules, and what a cold ``lyness certify`` imports.
 
 Import-budget checks run in a fresh interpreter, since the test process has
 long since imported every submodule.
 """
 
+import importlib
 import subprocess
 import sys
+import types
 
 import pytest
 
 import lyness
+
+
+#: Public name -> the submodule that defines it.  Callers import each name from
+#: its submodule (``from lyness.dynamics import simulate``); ``lyness`` binds none.
+PUBLIC = {name: module for module, names in (
+    ("exactalg", ("Monomial", "Poly", "RationalFn", "grlex_key", "mono_text",
+                  "substitute")),
+    ("model", ("EquilibriumInfo", "ParamsPQ", "SymbolicModel", "build_symbolic_model",
+               "equilibrium", "eval_delta", "invariant_value",
+               "lyness_invariance_check", "lyness_orbit", "lyness_step")),
+    ("certifier", ("CertificateReport", "CertificateSummary", "SubstitutionStep",
+                   "certify_q1", "certify_q2q4", "certify_q3", "certify_segments",
+                   "landmark_counts", "map_to_plane", "run_full_certificate",
+                   "summary_to_dict", "summary_to_json", "summary_to_text",
+                   "verify_delta1_identity")),
+    ("dynamics", ("DescentResult", "DescentViolation", "OrbitTrace", "RegionCheck",
+                  "RegionCoverage", "StabilityInfo", "SweepRecord", "classify_regions",
+                  "descent_along", "g_grid", "grid_to_csv", "lyapunov_descent_check",
+                  "local_stability", "random_instances", "simulate",
+                  "stability_from_ua", "sweep", "trace_to_csv")),
+) for name in names}
 
 
 def run_python(code: str) -> str:
@@ -46,6 +69,15 @@ def test_simulate_still_runs_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
     assert "verdict: converged" in proc.stdout
     assert "descent: ok" in proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_export_is_the_submodule_object(name):
+    module = importlib.import_module(f"lyness.{PUBLIC[name]}")
+    obj = vars(module)[name]
+    if not isinstance(obj, types.GenericAlias):  # a type alias has no module of its own
+        assert obj.__module__ == module.__name__  # defined there, not re-imported
+    assert not hasattr(lyness, name)
 
 
 def test_unknown_name_is_attribute_error():
