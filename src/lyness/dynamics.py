@@ -171,11 +171,9 @@ class DescentResult:
     decided_exactly: int
 
 
-def _drops(g_next: tuple[int, int], g_cur: tuple[int, int]) -> bool:
-    """Whether g_next < g_cur + 1e-12, for exact (num, den > 0) pairs."""
-    n, d = g_next
-    n0, d0 = g_cur
-    return n * d0 * 10**12 < (n0 * 10**12 + d0) * d
+def _drops(g_next: Fraction, g_cur: Fraction) -> bool:
+    """Whether g_next < g_cur + 1e-12, exactly."""
+    return g_next < g_cur + Fraction(1, 10**12)
 
 
 #: c eps = 12 * 2**-53 in the float screen's error bound (see ``descent_along``).
@@ -224,12 +222,10 @@ def descent_along(params: ParamsPQ,
     The screen accepts a step when min(hi[n+1], hi[n+2]) < lo[n] + 1e-12
     (1 - 1e-9): every accepted step is then a certified drop.  Any step the
     screen cannot accept, every violation among them, is re-evaluated
-    exactly: g is a rational function, so its value at the states' exact
-    binary values is a ratio of integers, held as an unreduced (num, den)
-    pair and compared by cross-multiplication.  A reported violation is
+    exactly: ``invariant_value`` on the states' exact binary values as
+    ``Fraction``s, with the same exact alpha~.  A reported violation is
     therefore a genuine property of the given states, not of rounding; its
-    g values are the floats ``invariant_value`` gives or, where that
-    overflows, the exact values rounded once.
+    g values are the floats ``invariant_value`` gives.
     """
     if not params.q < params.p:
         raise ValueError("descent check requires q < p")
@@ -237,16 +233,6 @@ def descent_along(params: ParamsPQ,
     u = info.ybar
     qf = float(params.q)
     skip_below = EQ_TOL * max(1.0, u)
-    un, ud = u.as_integer_ratio()
-    an, ad = un * (un - ud), ud * ud  # alpha~ = u(u - 1), exactly
-
-    def g_exact(ya: float, yb: float) -> tuple[int, int]:
-        """g at the exact (y[n-1], y[n]) as an unreduced (num, den > 0)."""
-        xn, xd = ya.as_integer_ratio()
-        yn, yd = yb.as_integer_ratio()
-        num = (xd + xn) * (yd + yn) * (an * xd * yd + ad * (xn * yd + yn * xd))
-        return num, ad * xd * yd * xn * yn
-
     inf = math.inf
     k = 1.0 + u
     bound, margin = _ROUNDOFF_BOUND, _SCREEN_MARGIN
@@ -286,30 +272,16 @@ def descent_along(params: ParamsPQ,
         if hi1 < bar or hi2 < bar:
             continue
         exact += 1
-        g0 = g_exact(a0, b0)
-        g1 = g_exact(a1, b1)
-        if _drops(g1, g0):
+        alpha = Fraction(u) * (Fraction(u) - 1)
+        g0 = invariant_value(alpha, Fraction(a0), Fraction(b0))
+        if _drops(invariant_value(alpha, Fraction(a1), Fraction(b1)), g0):
             continue
-        g2 = g_exact(a2, b2)
-        if _drops(g2, g0):
+        if _drops(invariant_value(alpha, Fraction(a2), Fraction(b2)), g0):
             continue
-        g = [_g_display(info.alpha_tilde, ya, yb, pair)
-             for ya, yb, pair in ((a0, b0, g0), (a1, b1, g1), (a2, b2, g2))]
+        g = [invariant_value(info.alpha_tilde, ya, yb)
+             for ya, yb in ((a0, b0), (a1, b1), (a2, b2))]
         return DescentResult(False, DescentViolation(n0, *g), checked, skipped, exact)
     return DescentResult(True, None, checked, skipped, exact)
-
-
-def _g_display(alpha_tilde: float, ya: float, yb: float, pair: tuple[int, int]) -> float:
-    """A violation's g value: ``invariant_value`` in floats, or, where that
-    overflows, the exact pair's num / den rounded once (inf beyond the float
-    range)."""
-    g = invariant_value(alpha_tilde, ya, yb)
-    if math.isfinite(g):
-        return g
-    try:
-        return pair[0] / pair[1]
-    except OverflowError:
-        return math.inf
 
 
 def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:
@@ -384,8 +356,8 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
     point (20, 4) must fall outside all five regions, and the region's
     boundary curve p = 25 / (4 (q-1)^2) reproduces the known crossover near
     p = 112 where it overtakes region (c).  Raises ValueError when the
-    equilibrium overflows the float range, or region (c)'s left-hand side
-    at large q; next to q = 1 that view is inf and the verdict stands.
+    equilibrium overflows the float range.  A view beyond the float range,
+    as next to q = 1 or at huge p or q, is inf and the verdict stands.
     """
     pe, qe = Fraction(params.p), Fraction(params.q)
     p, q = float(pe), float(qe)
@@ -397,12 +369,10 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
     ]
     if qe > 1:
         # c_lhs >= p iff a + 2 sqrt(q^4 - 1) >= 0, a = 2(q^3-q^2+q-1) - p(q-1)^2;
-        # the float view writes q^3-q^2+q-1 = d(q^2+1), q^4-1 = d(q+1)(q^2+1)
-        s = q * q + 1  # d is 0.0 only if q - 1 underflows: both views are inf
-        c_lhs = 2 * (d * s + math.sqrt(d * (q + 1) * s)) / d / d if d else math.inf
-        if not math.isfinite(c_lhs) and d > 1:  # from about q = 1.2e77
-            raise ValueError(f"region (c) at p={p:.17g}, q={q:.17g} "
-                             "is beyond the float range")
+        # the float view writes s = (q^2+1)/(q-1) = q + 1 + 2/d, so that
+        # c_lhs = 2s + 2 sqrt((q+1)s)/d overflows only with c_lhs itself
+        s = q + 1 + 2 / d if d else math.inf  # d is 0.0 only if q - 1 underflows
+        c_lhs = 2 * s + 2 * math.sqrt(q + 1) * math.sqrt(s) / d if d else math.inf
         a = 2 * (qe**3 - qe**2 + qe - 1) - pe * (qe - 1) ** 2
         checks.append(RegionCheck("c", True, a >= 0 or a * a <= 4 * (qe**4 - 1), c_lhs, p,
                                   "2(q^3-q^2+q+sqrt(q^4-1)-1)/(q-1)^2 >= p"))
@@ -411,8 +381,7 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
         # xbar <= R iff f(R) >= 0
         r = (qe * qe + 1) / (qe - 1)
         checks.append(RegionCheck("d", True, r * r - (qe - 1) * r - pe >= 0,
-                                  xbar, s / d if d else math.inf,
-                                  "equilibrium <= (q^2+1)/(q-1)"))
+                                  xbar, s, "equilibrium <= (q^2+1)/(q-1)"))
     else:
         checks.append(RegionCheck("c", False, False, math.nan, p,
                                   "not applicable at q <= 1"))

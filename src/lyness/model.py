@@ -158,12 +158,15 @@ def eval_delta(which: int,
 
 def invariant_value(alpha_tilde: Number, x: Number, y: Number) -> Number:
     """g(x, y) = (1+x)(1+y)(alpha~ + x + y)/(x*y); exact on exact input.
-    Where a float x*y underflows to 0.0, g is the numerator times inf."""
+    Where a float x*y underflows or overflows, or the numerator overflows,
+    g is (1 + 1/x)(1 + 1/y)(alpha~ + x + y), which overflows only where g does."""
     if not (x > 0 and y > 0):
         raise ZeroDivisionError("invariant requires positive coordinates")
     num = (1 + x) * (1 + y) * (alpha_tilde + x + y)
     xy = x * y
-    return num / xy if xy else num * math.inf
+    if 0 < xy < math.inf and abs(num) < math.inf:
+        return num / xy
+    return (1 + 1 / x) * (1 + 1 / y) * (alpha_tilde + x + y)
 
 
 def lyness_step(alpha_tilde: Number, z_prev: Number, z_curr: Number) -> Number:

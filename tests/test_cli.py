@@ -300,11 +300,9 @@ def test_ggrid_invalid_window_is_usage_error(capsys):
     ["ggrid", "--alpha-tilde", "inf", "--window", "0.5,1,0.5,1", "--res", "5"],
     ["regions", "--p", "1e300", "--q", "1e-300"],
     ["simulate", "--p", "1e300", "--q", "1e-300", "--xm1", "1", "--x0", "1"],
-    ["regions", "--p", "1e300", "--q", "1e300"],
     ["ggrid", "--alpha-tilde", "2", "--window", "1,1e308,1,2", "--res", "3"],
     ["ggrid", "--alpha-tilde", "1e308", "--window", "0.5,1,0.5,1", "--res", "5"],
     ["ggrid", "--alpha-tilde", "1e-300", "--window", "1e-300,1,1e-300,1", "--res", "2"],
-    ["regions", "--p", "1e300", "--q", "1e100"],
 ], ids=" ".join)
 def test_out_of_range_values_are_usage_errors(argv):
     # rationals beyond the float range, a seed, p or q that rounds to 0.0,
@@ -350,22 +348,26 @@ def test_an_equilibrium_past_an_overflowing_square_is_shown(argv, shown, capsys)
     ["regions", "--p", "1.7e308", "--q", "2"],
     ["simulate", "--p", "1.7e308", "--q", "2", "--xm1", "1", "--x0", "1"],
     ["simulate", "--p", "1e300", "--q", "1e300", "--xm1", "1", "--x0", "1"],
-], ids=["regions-1.7e308-2", "simulate-1.7e308-2", "simulate-1e300-1e300"])
+    ["regions", "--p", "1e300", "--q", "1e300"],
+    ["regions", "--p", "1e300", "--q", "1e100"],
+    ["ggrid", "--alpha-tilde", "1", "--window", "1e200,1e201,1e200,1e201", "--res", "2"],
+], ids=["regions-1.7e308-2", "simulate-1.7e308-2", "simulate-1e300-1e300",
+        "regions-1e300-1e300", "regions-1e300-1e100", "ggrid-1e200-1e201"])
 def test_an_overflowing_square_is_no_usage_error(argv):
-    # the entry point runs these to the end: exit 0 or 1, nothing on stderr
+    # the entry point runs these to the end: exit 0 or 1, nothing on stderr;
+    # a square, a power of q or g's numerator overflows, the value shown does not
     proc = subprocess.run([sys.executable, "-m", "lyness", *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode in (0, 1)
     assert proc.stderr == ""
 
 
-def test_a_region_c_bound_beyond_the_float_range_names_p_and_q(capsys):
-    # q**4 overflows while the equilibrium is still finite
-    assert main(["regions", "--p", "1e300", "--q", "1e100"]) == 2
+def test_a_region_c_bound_past_an_overflowing_power_is_shown(capsys):
+    # q**4 overflows; region (c)'s left-hand side, about 2q, does not
+    assert main(["regions", "--p", "1e300", "--q", "1e100"]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("error: region (c) at p=1.0000000000000001e+300, q=1e+100 "
-                   "is beyond the float range\n")
+    assert "(c) 2(q^3-q^2+q+sqrt(q^4-1)-1)/(q-1)^2 >= p: not satisfied [lhs=2e+100 " in out
+    assert err == ""
 
 
 def test_bad_rational_is_argparse_error(capsys):

@@ -246,6 +246,8 @@ def test_invariant_past_an_underflowing_product_is_infinite():
     # x*y underflows to 0.0; g keeps the sign of its numerator
     assert invariant_value(1.0, 1e-200, 1e-200) == math.inf
     assert invariant_value(-3.0, 1e-200, 1e-200) == -math.inf
+    # x*y and the numerator overflow, g = 2e200 does not
+    assert invariant_value(1.0, 1e200, 1e200) == 2e200
 
 
 _SEED_FRACTIONS = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=12)
