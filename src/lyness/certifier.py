@@ -24,13 +24,15 @@ its expression (by default the two-step difference numerator) through its
 bindings once and splits the image into steps.  The one-step claims on q2
 and q4 are rows holding the factors of the closed form, each split by its
 quadrant map; the two-step claims on q1, q3 and the segments are rows that
-map x and y onto one region and split it along the diagonal.
-`certify_charts` runs one group of rows under one image of u (u = 1 + t
-by default; u = 1 - t is the negative control) in one pass per chart that
-substitutes u once, and caches the group's reports: it is the module's
-one cache.  `GROUPS` names every certificate group, the exact
-``delta1-identity`` check and the groups of `CHARTS`;
-`run_full_certificate` runs any selection of them.
+map x and y onto one region and split it along the diagonal.  The table
+yields both the reports and each report's plane map: `certify_charts`
+runs one group of rows under one image of u (u = 1 + t by default;
+u = 1 - t is the negative control) in one pass per chart that substitutes
+u once, and caches the group's reports; `plane_map` reads one split
+step's row on demand and gives x, y, u and A in the report's variables.
+`GROUPS` names every certificate group, the exact ``delta1-identity``
+check and the groups of `CHARTS`; `run_full_certificate` runs any
+selection of them.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ import time
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache, partial
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .exactalg import Monomial, Poly, RationalFn, mono_text, substitute
@@ -112,24 +115,6 @@ def delta2_denominator() -> Poly:
     return _X * (_A + _X) * _Y * (_A + _Y) * shifted_pole() * pole2
 
 
-class SubstitutionStep(NamedTuple):
-    """One positivity claim: ``expr`` under ``context`` then ``stages``.
-
-    ``context`` lists substitutions already applied while building ``expr``
-    (kept for reporting and for mapping parameter points back to the plane);
-    ``stages`` are applied by the runner, in order, each stage
-    simultaneously.  ``delta_index`` records which Lyapunov difference the
-    enclosing region claim concerns (1, 2, or None for bookkeeping steps).
-    """
-
-    name: str
-    region: str
-    expr: RationalFn
-    context: tuple[Mapping[str, object], ...] = ()
-    stages: tuple[Mapping[str, object], ...] = ()
-    delta_index: int | None = None
-
-
 class CertificateReport(NamedTuple):
     """Outcome of one certificate step.
 
@@ -201,21 +186,6 @@ def _poly_report(name: str, region: str, bindings: tuple[tuple[str, str], ...],
         elapsed_ms=elapsed_ms,
         expansion=expansion,
     )
-
-
-def map_to_plane(step: SubstitutionStep,
-                 assignment: Mapping[str, object]) -> dict[str, Fraction]:
-    """Map an assignment of a step's parameters to a plane point.
-
-    Pushes the coordinate functions x, y, u, A through the step's context
-    and stages and evaluates at ``assignment`` (which must bind every
-    remaining parameter, including A).  Returns {"x": .., "y": .., "u": ..,
-    "A": ..} as exact rationals.
-    """
-    images = {n: RationalFn(Poly.var(n)) for n in ("x", "y", "u", "A")}
-    for stage in (*step.context, *step.stages):
-        images = {n: substitute(rf, stage) for n, rf in images.items()}
-    return {n: rf.evaluate(assignment) for n, rf in images.items()}
 
 
 # -- step rosters ---------------------------------------------------------------
@@ -362,22 +332,6 @@ def _chart_image(chart: Chart) -> RationalFn:
     return substitute(expr, chart.bindings)
 
 
-def chart_steps(group: str) -> tuple[SubstitutionStep, ...]:
-    """The split steps of every chart of ``group`` (a key of `CHARTS`), u -> 1 + t."""
-    u_stage = {"u": U_POSITIVE}
-    return tuple(
-        SubstitutionStep(
-            name=name,
-            region=region,
-            expr=expr,
-            context=(chart.bindings,),
-            stages=(split, u_stage) if split else (u_stage,),
-            delta_index=chart.delta_index,
-        )
-        for chart in CHARTS[group] for expr in (RationalFn(_chart_image(chart).num),)
-        for name, split, region in chart.splits)
-
-
 @lru_cache(maxsize=None)
 def certify_charts(group: str, u_image: Poly, /) -> tuple[CertificateReport, ...]:
     """Certify every chart of ``group`` (a key of `CHARTS`) under u = ``u_image``.
@@ -417,9 +371,44 @@ def certify_charts(group: str, u_image: Poly, /) -> tuple[CertificateReport, ...
     return tuple(reports)
 
 
+@lru_cache(maxsize=None)
+def plane_map(step: str) -> Mapping[str, RationalFn]:
+    """The plane coordinates x, y, u and A of split step ``step``'s variables.
+
+    Composes the three stages of the step's `CHARTS` row: the chart
+    bindings, the split, and u = 1 + t.  Evaluating the map at an
+    assignment of the report's variables gives the plane point it stands
+    for.  Raises KeyError for a name that is not a split step.  Cached per
+    name and built only on demand: `certify_charts` never calls it.
+    """
+    for chart in (chart for charts in CHARTS.values() for chart in charts):
+        for name, split, _ in chart.splits:
+            if name == step:
+                images = {n: RationalFn(Poly.var(n)) for n in ("x", "y", "u", "A")}
+                for stage in (chart.bindings, split, {"u": U_POSITIVE}):
+                    images = {n: substitute(rf, stage) for n, rf in images.items()}
+                return MappingProxyType(images)
+    raise KeyError(f"no split step named {step!r}")
+
+
+class SubstitutionStep(NamedTuple):
+    """One split step as the benchmark expands it: ``expr`` under ``stages``."""
+
+    name: str
+    expr: RationalFn
+    stages: tuple[Mapping[str, object], ...]
+
+
 def q3_steps() -> tuple[SubstitutionStep, ...]:
-    """Steps certifying the two-step difference on the interior of q3."""
-    return chart_steps("q3")
+    """The split steps of the q3 chart: its image numerator, then split and u.
+
+    Only the benchmark (``bench/child.py``) reads these; this builder and
+    `SubstitutionStep` go once it moves to the reports (ROADMAP item 4).
+    """
+    (chart,) = CHARTS["q3"]
+    expr = RationalFn(_chart_image(chart).num)
+    return tuple(SubstitutionStep(name, expr, (split, {"u": U_POSITIVE}))
+                 for name, split, _ in chart.splits)
 
 
 def certify_q2q4() -> tuple[CertificateReport, ...]:

@@ -387,7 +387,8 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
                                   "not applicable at q <= 1"))
         checks.append(RegionCheck("d", False, False, xbar, math.nan,
                                   "not applicable at q <= 1"))
-    checks.append(RegionCheck("e", True, 4 * pe * (qe - 1) ** 2 <= 25, 4 * p * d * d, 25.0,
+    # the view multiplies by 4 last, so that 4p cannot overflow before d*d
+    checks.append(RegionCheck("e", True, 4 * pe * (qe - 1) ** 2 <= 25, p * d * d * 4, 25.0,
                               "4p(q-1)^2 <= 25"))
     flags = frozenset(c.flag for c in checks if c.applicable and c.satisfied)
     return RegionCoverage(flags, tuple(checks))

@@ -19,6 +19,7 @@ quadrants around (u, u).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Union
@@ -26,6 +27,9 @@ from typing import NamedTuple, Union
 from .exactalg import Poly, RationalFn, substitute
 
 Number = Union[int, float, Fraction]
+
+#: The smallest positive normal float; `invariant_value` runs per orbit step.
+_MIN_NORMAL = sys.float_info.min
 
 
 # The records below are `typing.NamedTuple`s: immutable, and far cheaper to
@@ -158,14 +162,18 @@ def eval_delta(which: int,
 
 def invariant_value(alpha_tilde: Number, x: Number, y: Number) -> Number:
     """g(x, y) = (1+x)(1+y)(alpha~ + x + y)/(x*y); exact on exact input.
-    Where a float x*y underflows or overflows, or the numerator overflows,
-    g is (1 + 1/x)(1 + 1/y)(alpha~ + x + y), which overflows only where g does."""
+    Where a float x*y is subnormal, the numerator is divided by the larger
+    coordinate, then the smaller, so g keeps the precision x*y lacks.
+    Where x*y underflows to 0 or overflows, or the numerator overflows,
+    g is (1 + 1/x)(1 + 1/y)(alpha~ + x + y)."""
     if not (x > 0 and y > 0):
         raise ZeroDivisionError("invariant requires positive coordinates")
     num = (1 + x) * (1 + y) * (alpha_tilde + x + y)
     xy = x * y
-    if 0 < xy < math.inf and abs(num) < math.inf:
+    if _MIN_NORMAL <= xy < math.inf and abs(num) < math.inf:
         return num / xy
+    if 0 < xy < _MIN_NORMAL:
+        return num / max(x, y) / min(x, y)
     return (1 + 1 / x) * (1 + 1 / y) * (alpha_tilde + x + y)
 
 

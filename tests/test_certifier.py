@@ -9,20 +9,19 @@ import pytest
 from lyness import certifier
 from lyness.certifier import (
     STRICTNESS_ASSUMPTION,
+    U_POSITIVE,
     certify_q1,
     certify_q2q4,
     certify_q3,
     certify_segments,
-    chart_steps,
     delta1_closed_form,
     delta1_denominator,
     delta2_denominator,
     landmark_counts,
     line_factor,
-    map_to_plane,
     parabola_factor,
+    plane_map,
     proportionality_constant,
-    q3_steps,
     run_full_certificate,
     summary_to_dict,
     summary_to_json,
@@ -95,15 +94,14 @@ def test_chart_rows_name_every_substitution_report():
     # apart from the exact delta1 identity
     assert set(certifier.GROUPS) == {"identity", *certifier.CHARTS}
     names = {"delta1-identity"}
-    for group, charts in certifier.CHARTS.items():
-        splits = [name for chart in charts for name, _, _ in chart.splits]
-        for name, step in zip(splits, chart_steps(group), strict=True):
-            names.add(name)
-            rf = step.expr
-            for stage in step.stages:
-                rf = substitute(rf, stage)
-            if not rf.is_polynomial:
-                names.add(f"{name}-clearing")
+    for charts in certifier.CHARTS.values():
+        for chart in charts:
+            expr = build_symbolic_model().delta2.num if chart.expr is None else chart.expr
+            image = substitute(expr, chart.bindings).num
+            for name, split, _ in chart.splits:
+                names.add(name)
+                if not substitute(substitute(image, split), {"u": U_POSITIVE}).is_polynomial:
+                    names.add(f"{name}-clearing")
         names |= {chart.clearing[0] for chart in charts if chart.clearing is not None}
     assert names == set(EXPECTED_ROSTER)
 
@@ -170,9 +168,10 @@ def test_delta2_numerator_coefficient_anchors():
 
 
 def test_corner_shift_coefficient_anchors():
-    step = chart_steps("q1")[0]
-    shift = substitute(build_symbolic_model().delta2.num, *step.context).num
-    assert shift == step.expr.num
+    (chart,) = certifier.CHARTS["q1"]
+    image = substitute(build_symbolic_model().delta2.num, chart.bindings)
+    assert image.is_polynomial  # the corner shift clears no denominator
+    shift = image.num
     assert shift.monomial_count() == 233
     assert shift.coefficient(mono(A=1, u=4, x0=2)) == 1
     assert shift.coefficient(mono(A=1, u=5, x0=2)) == 1
@@ -272,8 +271,8 @@ def test_negative_control_fails_with_witness():
 # soundness: parameter points map into the claimed region with the claimed sign
 # ---------------------------------------------------------------------------
 
-# free parameters remaining in each step's chart (assignment keys for
-# map_to_plane); every step claiming a delta sign is listed
+# free parameters remaining in each step's chart (the variables of its
+# plane_map); every step claiming a delta sign is listed
 STEP_PARAMS = {
     "q2-line-factor-negated": ("w", "y0", "t", "A"),
     "q2-parabola-factor-negated": ("w", "y0", "t", "A"),
@@ -292,9 +291,19 @@ STEP_PARAMS = {
 }
 
 
+def _split_steps():
+    """(step name, delta index) of every split step, in `CHARTS` order."""
+    return [(name, chart.delta_index) for charts in certifier.CHARTS.values()
+            for chart in charts for name, _, _ in chart.splits]
+
+
 def _delta_steps():
-    steps = (*chart_steps("q2q4"), *chart_steps("q1"), *q3_steps(), *chart_steps("segments"))
-    return [s for s in steps if s.delta_index is not None]
+    return [(name, index) for name, index in _split_steps() if index is not None]
+
+
+def _to_plane(step, assignment):
+    """The plane point {x, y, u, A} of ``assignment`` under ``step``'s chart."""
+    return {n: rf.evaluate(assignment) for n, rf in plane_map(step).items()}
 
 
 def _region_contains(step_name, x, y, u):
@@ -328,25 +337,35 @@ def _region_contains(step_name, x, y, u):
 def test_soundness_samples_land_in_region_with_positive_delta():
     rng = random.Random(977)
     steps = _delta_steps()
-    assert {s.name for s in steps} == set(STEP_PARAMS)
-    for step in steps:
-        names = STEP_PARAMS[step.name]
+    assert {name for name, _ in steps} == set(STEP_PARAMS)
+    for step, delta_index in steps:
+        names = STEP_PARAMS[step]
         for _ in range(100):
             assignment = {n: Fraction(rng.randint(1, 60), rng.randint(1, 12))
                           for n in names}
-            pt = map_to_plane(step, assignment)
+            pt = _to_plane(step, assignment)
             x, y, u, a = pt["x"], pt["y"], pt["u"], pt["A"]
             assert u > 1 and a > 0
-            assert _region_contains(step.name, x, y, u)
-            value = eval_delta(step.delta_index, (x, y, u, a))
+            assert _region_contains(step, x, y, u)
+            value = eval_delta(delta_index, (x, y, u, a))
             assert value > 0
 
 
 def test_chart_midpoint_reference():
-    diag = next(s for s in q3_steps() if s.name == "q3-case-diagonal")
-    pt = map_to_plane(diag, {"w": Fraction(1), "t": Fraction(1), "A": Fraction(1)})
+    pt = _to_plane("q3-case-diagonal", {"w": Fraction(1), "t": Fraction(1), "A": Fraction(1)})
     assert pt == {"x": Fraction(1), "y": Fraction(1), "u": Fraction(2), "A": Fraction(1)}
     assert eval_delta(2, (Fraction(1), Fraction(1), Fraction(2), Fraction(1))) == Fraction(471, 260)
+
+
+def test_plane_map_names_only_split_steps():
+    # a clearing report or the delta1 identity stands for no plane point
+    for name in ("q3-mobius-clearing", "q2-line-factor-negated-clearing", "delta1-identity"):
+        with pytest.raises(KeyError, match=name):
+            plane_map(name)
+    # one cached, read-only map per step
+    assert plane_map("q1-case-diagonal") is plane_map("q1-case-diagonal")
+    with pytest.raises(TypeError):
+        plane_map("q1-case-diagonal")["x"] = None
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +412,6 @@ def _covering_assignments(x, y, u):
 
 def test_charts_cover_the_open_quadrant():
     rng = random.Random(355)
-    steps = {s.name: s for s in _delta_steps()}
     a = Fraction(3, 4)
     t = Fraction(1, 2)  # u = 3/2
 
@@ -435,7 +453,7 @@ def test_charts_cover_the_open_quadrant():
                 full = dict(assignment)
                 full["t"] = t
                 full["A"] = a
-                pt = map_to_plane(steps[name], full)
+                pt = _to_plane(name, full)
                 # the inverse really inverts: the chart reproduces the point
                 assert (pt["x"], pt["y"], pt["u"], pt["A"]) == (x, y, u, a)
 
@@ -474,16 +492,16 @@ def test_expansions_are_their_expressions_times_the_cleared_denominator(summary)
     # degree d passes a point with probability at most d/2^30 (Schwartz-Zippel).
     rng = random.Random(2008)
     delta2_num = build_symbolic_model().delta2.num
-    steps = [s for group in certifier.CHARTS for s in chart_steps(group)]
-    assert {s.name for s in steps} == set(IDENTITY_CASES)
+    steps = [name for name, _ in _split_steps()]
+    assert set(steps) == set(IDENTITY_CASES)
     checked = set()
     for step in steps:
-        expr, mobius, clearing = IDENTITY_CASES[step.name]
+        expr, mobius, clearing = IDENTITY_CASES[step]
         expr = delta2_num if expr is None else expr
         for _ in range(3):
             params = {n: Fraction(rng.randint(1, 2**30), rng.randint(1, 2**30))
-                      for n in STEP_PARAMS.get(step.name, ("x", "y", "t", "A"))}
-            plane = map_to_plane(step, params)
+                      for n in STEP_PARAMS.get(step, ("x", "y", "t", "A"))}
+            plane = _to_plane(step, params)
             u = plane["u"]
             cleared, chart = Fraction(1), {}
             for coord, name in (("x", "w"), ("y", "v")):
@@ -491,12 +509,12 @@ def test_expansions_are_their_expressions_times_the_cleared_denominator(summary)
                     degree = max(dict(m).get(var_id(coord), 0) for m in expr.terms)
                     cleared *= (u / (u - plane[coord])) ** degree
                     chart[name] = plane[coord] / (u - plane[coord])
-            expansion = summary.report(step.name).expansion
-            assert expansion.evaluate(params) == expr.evaluate(plane) * cleared, step.name
+            expansion = summary.report(step).expansion
+            assert expansion.evaluate(params) == expr.evaluate(plane) * cleared, step
             if clearing is not None:
                 denominator = summary.report(clearing).expansion
                 assert denominator.evaluate({**params, **chart}) == cleared, clearing
-        checked |= {step.name, clearing}
+        checked |= {step, clearing}
     assert checked - {None} == {r.step for r in summary.reports} - {"delta1-identity"}
 
 

@@ -335,9 +335,13 @@ def test_an_equilibrium_beyond_the_float_range_names_p_and_q(command, p, q, caps
      "equilibrium: 1.3038404810405297e+154"),
     (["simulate", "--p", "1e300", "--q", "1e300", "--xm1", "1", "--x0", "1"],
      "equilibrium: 1.0000000000000001e+300"),
-], ids=["1.7e308-2-regions", "1.7e308-2-simulate", "1e300-1e300-simulate"])
+    (["regions", "--p", "1e308", "--q", "1.5"],
+     "(e) 4p(q-1)^2 <= 25: not satisfied [lhs=1e+308 rhs=25]"),
+], ids=["1.7e308-2-regions", "1.7e308-2-simulate", "1e300-1e300-simulate",
+        "1e308-1.5-regions"])
 def test_an_equilibrium_past_an_overflowing_square_is_shown(argv, shown, capsys):
-    # (q-1)^2 + 4p overflows in floats; the equilibrium does not
+    # (q-1)^2 + 4p overflows in floats; the equilibrium does not, nor does
+    # region (e)'s left-hand side 4p(q-1)^2
     assert main(argv) in (0, 1)
     out, err = capsys.readouterr()
     assert shown in out

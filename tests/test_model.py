@@ -248,6 +248,9 @@ def test_invariant_past_an_underflowing_product_is_infinite():
     assert invariant_value(-3.0, 1e-200, 1e-200) == -math.inf
     # x*y and the numerator overflow, g = 2e200 does not
     assert invariant_value(1.0, 1e200, 1e200) == 2e200
+    # x*y is subnormal, g is not: g is the exact value rounded once
+    exact = invariant_value(Fraction(1e-30), Fraction(1e-161), Fraction(3e-162))
+    assert invariant_value(1e-30, 1e-161, 3e-162) == float(exact) == 3.3333333333333337e+292
 
 
 _SEED_FRACTIONS = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=12)

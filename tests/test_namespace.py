@@ -25,7 +25,7 @@ PUBLIC = {name: module for module, names in (
                "lyness_invariance_check", "lyness_orbit", "lyness_step")),
     ("certifier", ("CertificateReport", "CertificateSummary", "SubstitutionStep",
                    "certify_q1", "certify_q2q4", "certify_q3", "certify_segments",
-                   "landmark_counts", "map_to_plane", "run_full_certificate",
+                   "landmark_counts", "plane_map", "run_full_certificate",
                    "summary_to_dict", "summary_to_json", "summary_to_text",
                    "verify_delta1_identity")),
     ("dynamics", ("DescentResult", "DescentViolation", "OrbitTrace", "RegionCheck",
@@ -59,6 +59,17 @@ def test_certify_loads_neither_dynamics_nor_dataclasses():
         "print(code, *(m in sys.modules for m in"
         " ('lyness.certifier', 'lyness.dynamics', 'dataclasses', 'inspect', 'csv')))")
     assert out == "0 True False False False False\n"
+
+
+def test_certify_builds_no_plane_map():
+    # the plane maps are built on demand; the certificate run never asks
+    out = run_python(
+        "import contextlib, io\n"
+        "from lyness import certifier, cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['certify', '--no-timing'])\n"
+        "print(code, certifier.plane_map.cache_info().currsize)")
+    assert out == "0 0\n"
 
 
 def test_simulate_still_runs_in_a_fresh_interpreter():

@@ -1,5 +1,5 @@
 """The immutable records of `model` and `certifier`, and the chart reports
-checked against the step stages.
+checked against the stages of their `CHARTS` rows.
 
 The records are `typing.NamedTuple`s; these tests pin the behaviour they
 keep from the frozen dataclasses they replaced.
@@ -18,7 +18,7 @@ RECORDS = {
     "ParamsPQ": (lambda: ParamsPQ(20, 4), "p"),
     "EquilibriumInfo": (lambda: EquilibriumInfo(5.0, 1.25, 0.3125), "xbar"),
     "SymbolicModel": (build_symbolic_model, "delta2"),
-    "SubstitutionStep": (lambda: certifier.chart_steps("q2q4")[0], "stages"),
+    "SubstitutionStep": (lambda: certifier.q3_steps()[0], "stages"),
     "CertificateReport": (certifier.verify_delta1_identity, "all_positive"),
     "CertificateSummary": (lambda: certifier.run_full_certificate(("identity",)),
                            "overall_pass"),
@@ -81,26 +81,24 @@ def expand(expr, *stages) -> RationalFn:
 ], ids=[*sorted(CHARTS), "q1-negative-control"])
 def test_cached_split_expansions_equal_the_step_stages(group, u_image):
     # certify_charts substitutes u once per chart and then each split with
-    # u in its images; the reference applies the split, then u, to the chart
-    # image numerator, and its denominator is the split's clearing report
+    # u in its images; the reference pushes the row's expression through its
+    # bindings, then applies the split, then u, to that image's numerator,
+    # and its denominator is the split's clearing report
     reports = {r.step: r for r in certifier.certify_charts(group, u_image)}
-    steps = certifier.chart_steps(group)
-    assert len(steps) == sum(len(chart.splits) for chart in CHARTS[group])
     checked = set()
-    for step in steps:
-        *split, u_stage = step.stages
-        assert u_stage == {"u": U_POSITIVE}
-        expanded = expand(step.expr, *split, {"u": u_image})
-        assert reports[step.name].expansion == expanded.num, step.name
-        checked.add(step.name)
-        if not expanded.is_polynomial:
-            clearing = f"{step.name}-clearing"
-            assert reports[clearing].expansion == expanded.den, clearing
-            checked.add(clearing)
     for chart in CHARTS[group]:
+        expr = build_symbolic_model().delta2.num if chart.expr is None else chart.expr
+        image = expand(expr, chart.bindings)
+        for name, split, _ in chart.splits:
+            expanded = expand(image.num, split, {"u": u_image})
+            assert reports[name].expansion == expanded.num, name
+            checked.add(name)
+            if not expanded.is_polynomial:
+                clearing = f"{name}-clearing"
+                assert reports[clearing].expansion == expanded.den, clearing
+                checked.add(clearing)
         if chart.clearing is not None:
             name = chart.clearing[0]
-            expr = build_symbolic_model().delta2.num if chart.expr is None else chart.expr
-            assert reports[name].expansion == expand(expr, chart.bindings).den, name
+            assert reports[name].expansion == image.den, name
             checked.add(name)
     assert checked == set(reports)
