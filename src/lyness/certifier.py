@@ -155,12 +155,6 @@ class CertificateSummary(NamedTuple):
     reports: tuple[CertificateReport, ...]
     counts: Mapping[str, int]
 
-    def report(self, step: str) -> CertificateReport:
-        for r in self.reports:
-            if r.step == step:
-                return r
-        raise KeyError(f"no report named {step!r}")
-
 
 def _bindings_of(*stages: Mapping[str, object]) -> tuple[tuple[str, str], ...]:
     return tuple((name, (image if isinstance(image, RationalFn)

@@ -500,15 +500,20 @@ def sweep(batch: Iterable[tuple[ParamsPQ, tuple[float, float]]],
 
     Each orbit is simulated to ``tol`` without recording states, then the
     descent monitor checks the same orbit for as many steps as it took
-    (``UNCONVERGED_DESCENT_STEPS`` when it stopped short of ``tol``).
+    (``UNCONVERGED_DESCENT_STEPS`` when it stopped short of ``tol``).  An
+    orbit that overflowed ("diverged-nonfinite") is checked only up to its
+    last finite state.
     """
     records = []
     for params, seed in batch:
         trace = simulate(params, seed, tol=tol, max_iters=max_iters, record_states=False)
-        steps = trace.iters_to_tol
-        if steps is None:
-            steps = UNCONVERGED_DESCENT_STEPS
-        records.append(SweepRecord(params, seed, trace,
-                                   lyapunov_descent_check(params, seed, steps),
-                                   local_stability(params)))
+        if trace.verdict == "diverged-nonfinite":
+            orbit = _orbit(float(params.p), float(params.q), (float(seed[0]), float(seed[1])))
+            descent = descent_along(params, islice(orbit, trace.states[-1][0] + 1))
+        else:
+            steps = trace.iters_to_tol
+            if steps is None:
+                steps = UNCONVERGED_DESCENT_STEPS
+            descent = lyapunov_descent_check(params, seed, steps)
+        records.append(SweepRecord(params, seed, trace, descent, local_stability(params)))
     return tuple(records)

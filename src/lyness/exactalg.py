@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 #: Fixed global variable order; grlex comparisons read exponents in this order.
 VARIABLES: tuple[str, ...] = ("x", "y", "u", "A", "t", "k", "x0", "y0", "w", "v")
@@ -160,11 +160,10 @@ class Poly:
 
     __slots__ = ("_terms", "_decoded")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] | None = None):
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         acc: dict[int, int] = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for mono, coeff in items:
+            for mono, coeff in terms.items():
                 key = _pack(mono)
                 acc[key] = acc.get(key, 0) + _integer(coeff)
         self._terms = {m: c for m, c in acc.items() if c}

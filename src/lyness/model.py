@@ -162,19 +162,19 @@ def eval_delta(which: int,
 
 def invariant_value(alpha_tilde: Number, x: Number, y: Number) -> Number:
     """g(x, y) = (1+x)(1+y)(alpha~ + x + y)/(x*y); exact on exact input.
-    Where a float x*y is subnormal, the numerator is divided by the larger
-    coordinate, then the smaller, so g keeps the precision x*y lacks.
-    Where x*y underflows to 0 or overflows, or the numerator overflows,
-    g is (1 + 1/x)(1 + 1/y)(alpha~ + x + y)."""
+    Where a float x*y is below the normal range, 0.0 included, the numerator
+    is divided by the larger coordinate, then the smaller, so g keeps the
+    precision x*y lacks.  Where the numerator overflows (as it does wherever
+    x*y does), g is (1 + 1/x)(1 + 1/y)(alpha~ + x + y)."""
     if not (x > 0 and y > 0):
         raise ZeroDivisionError("invariant requires positive coordinates")
     num = (1 + x) * (1 + y) * (alpha_tilde + x + y)
+    if not abs(num) < math.inf:
+        return (1 + 1 / x) * (1 + 1 / y) * (alpha_tilde + x + y)
     xy = x * y
-    if _MIN_NORMAL <= xy < math.inf and abs(num) < math.inf:
-        return num / xy
-    if 0 < xy < _MIN_NORMAL:
+    if xy < _MIN_NORMAL:
         return num / max(x, y) / min(x, y)
-    return (1 + 1 / x) * (1 + 1 / y) * (alpha_tilde + x + y)
+    return num / xy
 
 
 def lyness_step(alpha_tilde: Number, z_prev: Number, z_curr: Number) -> Number:

@@ -145,9 +145,10 @@ def test_sector_expansions_are_integer(summary):
 
 
 def test_report_lookup(summary):
-    assert summary.report("q1-case-diagonal").output_count == 94
-    with pytest.raises(KeyError):
-        summary.report("no-such-step")
+    # step names are unique, so a report is looked up by its name
+    reports = {r.step: r for r in summary.reports}
+    assert len(reports) == len(summary.reports)
+    assert reports["q1-case-diagonal"].output_count == 94
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def test_corner_shift_coefficient_anchors():
 
 
 def test_sector_expansion_coefficient_anchors(summary):
-    sector = summary.report("q1-case-above-diagonal").expansion
+    (sector,) = (r.expansion for r in summary.reports if r.step == "q1-case-above-diagonal")
     assert sector.monomial_count() == 371
     assert sector.coefficient(mono(A=1, k=2)) == 2
     assert sector.coefficient(mono(A=2, k=2)) == 8
@@ -494,6 +495,7 @@ def test_expansions_are_their_expressions_times_the_cleared_denominator(summary)
     delta2_num = build_symbolic_model().delta2.num
     steps = [name for name, _ in _split_steps()]
     assert set(steps) == set(IDENTITY_CASES)
+    reports = {r.step: r for r in summary.reports}
     checked = set()
     for step in steps:
         expr, mobius, clearing = IDENTITY_CASES[step]
@@ -509,13 +511,13 @@ def test_expansions_are_their_expressions_times_the_cleared_denominator(summary)
                     degree = max(dict(m).get(var_id(coord), 0) for m in expr.terms)
                     cleared *= (u / (u - plane[coord])) ** degree
                     chart[name] = plane[coord] / (u - plane[coord])
-            expansion = summary.report(step).expansion
+            expansion = reports[step].expansion
             assert expansion.evaluate(params) == expr.evaluate(plane) * cleared, step
             if clearing is not None:
-                denominator = summary.report(clearing).expansion
+                denominator = reports[clearing].expansion
                 assert denominator.evaluate({**params, **chart}) == cleared, clearing
         checked |= {step, clearing}
-    assert checked - {None} == {r.step for r in summary.reports} - {"delta1-identity"}
+    assert checked - {None} == set(reports) - {"delta1-identity"}
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,15 @@ def test_ggrid_csv_file(tmp_path, capsys):
     assert len(lines) == 442
 
 
+def test_ggrid_past_an_underflowing_product(capsys):
+    # x*y underflows to 0.0 at (1e-300, 1e-300), g = 3e300 does not overflow
+    assert main(["ggrid", "--alpha-tilde", "1e-300", "--window", "1e-300,1,1e-300,1",
+                 "--res", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == "1e-300,1e-300,3.0000000000000002e+300"
+    assert err == ""
+
+
 def test_ggrid_invalid_window_is_usage_error(capsys):
     code = main(["ggrid", "--alpha-tilde", "2", "--window", "0,1,0.5,1",
                  "--res", "5"])
@@ -302,7 +311,7 @@ def test_ggrid_invalid_window_is_usage_error(capsys):
     ["simulate", "--p", "1e300", "--q", "1e-300", "--xm1", "1", "--x0", "1"],
     ["ggrid", "--alpha-tilde", "2", "--window", "1,1e308,1,2", "--res", "3"],
     ["ggrid", "--alpha-tilde", "1e308", "--window", "0.5,1,0.5,1", "--res", "5"],
-    ["ggrid", "--alpha-tilde", "1e-300", "--window", "1e-300,1,1e-300,1", "--res", "2"],
+    ["ggrid", "--alpha-tilde", "1", "--window", "1e-300,1,1e-300,1", "--res", "2"],
 ], ids=" ".join)
 def test_out_of_range_values_are_usage_errors(argv):
     # rationals beyond the float range, a seed, p or q that rounds to 0.0,

@@ -117,3 +117,16 @@ def test_sweep_records_the_three_calls_it_pairs():
     assert short.trace.iters_to_tol is None
     assert (short.descent.checked + short.descent.skipped_near_equilibrium
             == dynamics.UNCONVERGED_DESCENT_STEPS + 1)
+
+
+@pytest.mark.parametrize("params, seed, last", [
+    (ParamsPQ(1e308, 1e307), (1.0, 1.0), 1),
+    (ParamsPQ(1e300, 1e10), (1.0, 1e300), 0),
+], ids=["overflows-at-2", "overflows-at-1"])
+def test_an_orbit_that_overflows_fails_the_sweep(params, seed, last):
+    # the descent monitor reads the orbit only up to its last finite state
+    (record,) = dynamics.sweep([(params, seed)], tol=1e-8, max_iters=100)
+    assert record.trace.verdict == "diverged-nonfinite"
+    assert record.trace.states[-1][0] == last
+    assert record.descent.checked + record.descent.skipped_near_equilibrium == 0
+    assert record.ok is False

@@ -6,21 +6,28 @@ The checks read each file with the standard-library ``ast`` module: a name
 bound by an import must appear as a name somewhere else in the same file,
 a module-level ``_name`` that a file of the package defines must be read,
 as a name or an attribute, somewhere in the package, and a public member of
-`Poly` or `RationalFn` must be read as an attribute by the package or the
-benchmark harness, not by the tests alone.
+a class the package defines, other than a record field, must be read as an
+attribute by the package or the benchmark harness, not by the tests alone.
+Every ``lyness`` name the benchmark harness reads must exist.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-from lyness.exactalg import Poly, RationalFn
-
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "lyness").glob("*.py"))
 FILES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py")))
-READERS = PACKAGE + sorted((ROOT / "bench").rglob("*.py"))
+BENCH = sorted((ROOT / "bench").rglob("*.py"))
+READERS = PACKAGE + BENCH
+MODULES = [importlib.import_module(f"lyness.{path.stem}") for path in PACKAGE
+           if path.stem not in ("__init__", "__main__")]
+CLASSES = [cls for module in MODULES for cls in vars(module).values()
+           if inspect.isclass(cls) and cls.__module__ == module.__name__]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -91,11 +98,15 @@ def test_no_dead_private_names_in_the_package():
 
 
 def unread_members(cls: type, sources) -> list[str]:
-    """Public non-dunder members of ``cls`` that no source reads as an attribute."""
+    """Public non-dunder members of ``cls``, record fields excluded, that no
+    source reads as an attribute."""
     read = {node.attr for source in sources for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = set(getattr(cls, "_fields", ()))
+    if dataclasses.is_dataclass(cls):
+        fields |= {field.name for field in dataclasses.fields(cls)}
     return [f"{cls.__name__}.{name}" for name in vars(cls)
-            if not name.startswith("_") and name not in read]
+            if not name.startswith("_") and name not in fields | read]
 
 
 def test_checker_flags_an_unread_member():
@@ -110,7 +121,50 @@ def test_checker_flags_an_unread_member():
 
     assert unread_members(Sample, ["print(Sample().kept)\n"]) == ["Sample.dropped"]
 
+    @dataclasses.dataclass
+    class Record:
+        field: int = 0
 
-@pytest.mark.parametrize("cls", [Poly, RationalFn], ids=lambda cls: cls.__name__)
+        @property
+        def derived(self):
+            return self.field
+
+    assert unread_members(Record, []) == ["Record.derived"]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 def test_every_public_member_of_the_algebra_is_read_outside_the_tests(cls):
     assert unread_members(cls, (path.read_text(encoding="utf-8") for path in READERS)) == []
+
+
+def lyness_reads(source: str) -> set[tuple[str, str]]:
+    """(module, name) pairs of the package names ``source`` reads: each name
+    it imports ``from lyness.<module>``, and each attribute it reads on a
+    module it binds by ``from lyness import <module>``."""
+    tree = ast.parse(source)
+    bound, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "lyness":
+            bound.update({alias.asname or alias.name: f"lyness.{alias.name}"
+                          for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lyness."):
+            reads |= {(node.module, alias.name) for alias in node.names}
+    reads |= {(bound[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in bound}
+    return reads
+
+
+def test_checker_lists_the_package_names_a_file_reads():
+    source = ("from lyness import cli as c, model\nfrom lyness.dynamics import sweep\n"
+              "c.main(model.f.cache_clear(), other.g)\n")
+    assert lyness_reads(source) == {("lyness.cli", "main"), ("lyness.model", "f"),
+                                    ("lyness.dynamics", "sweep")}
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    # the benchmark's set-up probe and traced roster call these by name
+    reads = {pair for path in BENCH for pair in lyness_reads(path.read_text(encoding="utf-8"))}
+    assert ("lyness.certifier", "certify_q3") in reads
+    assert sorted(f"{module}.{name}" for module, name in reads
+                  if not hasattr(importlib.import_module(module), name)) == []

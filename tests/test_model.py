@@ -237,13 +237,25 @@ def test_lyness_invariance_rejects_bad_seed():
         lyness_invariance_check(Fraction(1), (Fraction(0), Fraction(1)), 5)
 
 
+def test_lyness_invariance_fails_on_a_nonpositive_iterate():
+    # z[1] = (-1/5 + 1/10) / (1/10) = -1
+    assert not lyness_invariance_check(Fraction(-1, 5), (Fraction(1, 10), Fraction(1, 10)), 5)
+
+
+def test_lyness_invariance_fails_on_a_wrong_recurrence(monkeypatch):
+    # the checker's negative control: a step off by one does not conserve g
+    monkeypatch.setattr("lyness.model.lyness_step",
+                        lambda a, z_prev, z_curr: lyness_step(a, z_prev, z_curr) + 1)
+    assert not lyness_invariance_check(Fraction(1), (Fraction(1), Fraction(2)), 5)
+
+
 def test_invariant_rejects_nonpositive_coordinates():
     with pytest.raises(ZeroDivisionError):
         invariant_value(Fraction(1), Fraction(0), Fraction(1))
 
 
 def test_invariant_past_an_underflowing_product_is_infinite():
-    # x*y underflows to 0.0; g keeps the sign of its numerator
+    # x*y underflows to 0.0 and g = 1e400 or -3e400 overflows, with its sign
     assert invariant_value(1.0, 1e-200, 1e-200) == math.inf
     assert invariant_value(-3.0, 1e-200, 1e-200) == -math.inf
     # x*y and the numerator overflow, g = 2e200 does not
@@ -251,6 +263,15 @@ def test_invariant_past_an_underflowing_product_is_infinite():
     # x*y is subnormal, g is not: g is the exact value rounded once
     exact = invariant_value(Fraction(1e-30), Fraction(1e-161), Fraction(3e-162))
     assert invariant_value(1e-30, 1e-161, 3e-162) == float(exact) == 3.3333333333333337e+292
+
+
+def test_invariant_past_a_product_underflowing_to_zero_is_the_exact_value_rounded():
+    # x*y underflows to 0.0, g does not: g is the exact value rounded once
+    exact = invariant_value(Fraction(1e-300), Fraction(1e-300), Fraction(1e-300))
+    assert invariant_value(1e-300, 1e-300, 1e-300) == float(exact) == 3e300
+    # g is 0 where alpha~ + x + y is: the g column of an exact simulate at p = 5e-324
+    assert invariant_value(-2e-323, 1e-323, 1e-323) == 0.0
+    assert invariant_value(Fraction(-2e-323), Fraction(1e-323), Fraction(1e-323)) == 0
 
 
 _SEED_FRACTIONS = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=12)
