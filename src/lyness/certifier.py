@@ -120,10 +120,10 @@ class CertificateReport(NamedTuple):
 
     ``witness`` is the graded-lex-smallest monomial attaining
     ``min_coefficient``; on a failing step it is the concrete counterexample
-    to all-positivity.  ``all_integer`` is True by construction: every
-    expansion is a `Poly` over the integers.  ``expansion`` keeps the
-    expanded polynomial for auditing (witness lookup); it is neither
-    serialized nor shown by ``repr``.
+    to all-positivity.  ``passed`` holds when every coefficient is positive
+    (for ``delta1-identity``, when the cross-difference is zero).
+    ``expansion`` keeps the expanded polynomial for auditing (witness
+    lookup); it is neither serialized nor shown by ``repr``.
     """
 
     step: str
@@ -133,14 +133,9 @@ class CertificateReport(NamedTuple):
     output_count: int
     min_coefficient: Fraction | None
     witness: Monomial | None
-    all_positive: bool
-    all_integer: bool
+    passed: bool
     elapsed_ms: float
     expansion: Poly | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.all_positive
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value
@@ -151,7 +146,7 @@ class CertificateReport(NamedTuple):
 class CertificateSummary(NamedTuple):
     """Aggregate of a full certificate run."""
 
-    overall_pass: bool
+    overall_pass: bool  # all reports passed; a field while bench/ passes it by keyword
     reports: tuple[CertificateReport, ...]
     counts: Mapping[str, int]
 
@@ -175,8 +170,7 @@ def _poly_report(name: str, region: str, bindings: tuple[tuple[str, str], ...],
         output_count=expansion.monomial_count(),
         min_coefficient=coeff,
         witness=mono,
-        all_positive=coeff > 0,
-        all_integer=True,
+        passed=coeff > 0,
         elapsed_ms=elapsed_ms,
         expansion=expansion,
     )
@@ -208,8 +202,7 @@ def verify_delta1_identity() -> CertificateReport:
         output_count=cross.monomial_count(),
         min_coefficient=coeff,
         witness=mono,
-        all_positive=holds,
-        all_integer=True,
+        passed=holds,
         elapsed_ms=elapsed,
         expansion=cross,
     )
@@ -497,8 +490,8 @@ def report_to_dict(report: CertificateReport, include_timing: bool = True) -> di
         "minCoefficient": None if report.min_coefficient is None else
             f"{report.min_coefficient.numerator}/{report.min_coefficient.denominator}",
         "witness": None if report.witness is None else mono_text(report.witness),
-        "allPositive": report.all_positive,
-        "allInteger": report.all_integer,
+        "allPositive": report.passed,
+        "allInteger": True,  # by construction: every expansion is a `Poly` over the integers
     }
     if include_timing:
         out["elapsedMs"] = round(report.elapsed_ms, 3)

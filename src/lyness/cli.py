@@ -112,28 +112,24 @@ def _cmd_simulate(args) -> int:
     mode = "exact" if args.exact else "float"
     trace = dynamics.simulate(params, (args.xm1, args.x0), mode=mode, tol=args.tol,
                               max_iters=args.max_iters)
-    xbar = equilibrium(params).xbar
     descent = dynamics.descent_along(params, trace.states) if params.q < params.p else None
     if args.csv is not None:
         with _open_output(args.csv) as fh:
             dynamics.trace_to_csv(trace, fh)
     n, xp, xc = trace.states[-1]
     print(f"verdict: {trace.verdict}")
-    print(f"equilibrium: {xbar:.17g}")
-    print(f"iterations: {trace.iters_to_tol if trace.iters_to_tol is not None else n}")
+    print(f"equilibrium: {equilibrium(params).xbar:.17g}")
+    print(f"iterations: {n}")
     print(f"final state: x[n-1]={xp:.17g} x[n]={xc:.17g}")
-    ok = trace.converged
-    if descent is not None:
-        if descent.violation is None:
-            print(f"descent: ok ({descent.checked} steps checked)")
-        else:
-            v = descent.violation
-            print(f"descent: VIOLATION at n={v.index}: "
-                  f"g={v.g_n:.17g} then {v.g_next:.17g}, {v.g_next2:.17g}")
-            ok = False
-    else:
+    if descent is None:
         print("descent: not applicable (q >= p)")
-    return 0 if ok else 1
+    elif descent.violation is None:
+        print(f"descent: ok ({descent.checked} steps checked)")
+    else:
+        v = descent.violation
+        print(f"descent: VIOLATION at n={v.index}: "
+              f"g={v.g_n:.17g} then {v.g_next:.17g}, {v.g_next2:.17g}")
+    return 0 if trace.converged and (descent is None or descent.violation is None) else 1
 
 
 #: The columns of ``lyness sweep --csv``, one row per orbit.
@@ -169,8 +165,7 @@ def _cmd_sweep(args) -> int:
                 (r.params.p, r.params.q, r.seed[0], r.seed[1], r.trace.verdict,
                  r.trace.iters_to_tol, r.trace.states[-1][2], r.descent.ok,
                  r.descent.checked, r.stability.spectral_radius) for r in records)
-    worst = max((args.max_iters if r.trace.iters_to_tol is None
-                 else r.trace.iters_to_tol for r in records), default=0)
+    worst = max((r.trace.states[-1][0] for r in records), default=0)
     print(f"orbits: {len(records)}"
           f"  converged: {sum(r.trace.converged for r in records)}"
           f"  descent ok: {sum(r.descent.ok for r in records)}"

@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, takewhile
 
 from .model import ParamsPQ, equilibrium, invariant_value
 
@@ -33,18 +33,20 @@ class OrbitTrace:
     ``states`` holds (n, x[n-1], x[n]) triples (only the final one when
     recording is off); ``g_values`` holds the invariant function evaluated
     at the transformed pair (x[n-1]/q, x[n]/q), aligned with ``states``.
-    ``iters_to_tol`` is the first n at which both components were within
-    tolerance of the equilibrium, or None.
     """
 
     states: tuple[tuple[int, float, float], ...]
     g_values: tuple[float, ...]
     verdict: str
-    iters_to_tol: int | None
 
     @property
     def converged(self) -> bool:
         return self.verdict == "converged"
+
+    @property
+    def iters_to_tol(self) -> int | None:
+        """The first n within tolerance (the last state's), or None."""
+        return self.states[-1][0] if self.verdict == "converged" else None
 
 
 def _orbit(p, q, seed: tuple):
@@ -78,7 +80,7 @@ def simulate(params: ParamsPQ,
     view the trace records, so a rational seed that rounds to 0.0 is
     rejected with ValueError, and one beyond the float range raises
     OverflowError.  An exact state beyond the float range, and a recorded
-    state whose float view, divided by q, underflows to 0.0 or overflows,
+    state (or unrecorded seed) whose float view over q is 0.0 or infinite,
     have no float view of g: ValueError names its n.
     """
     if mode not in ("float", "exact"):
@@ -93,12 +95,14 @@ def simulate(params: ParamsPQ,
     if not all(0 < float(x) < math.inf for x in seed):
         raise ValueError("seed components must be positive and finite")
     info = equilibrium(params)
-    xbar = info.xbar
+    xbar, alpha_tilde = info.xbar, info.alpha_tilde
+    inf = math.inf
+    qf = float(params.q)
+    if not record_states and not all(0 < float(x) / qf < inf for x in seed):
+        raise _view_error(0, *map(float, seed))
 
     states: list[tuple[int, float, float]] = []
     verdict = "max-iters-exceeded"
-    iters_to_tol = None
-    inf = math.inf
     exact = number is Fraction
     for n, x_prev, x_cur in _orbit(p, q, seed):
         if not 0 < x_cur < inf:
@@ -116,22 +120,24 @@ def simulate(params: ParamsPQ,
             states.append((n, a, b))
         if abs(a - xbar) < tol and abs(b - xbar) < tol:
             verdict = "converged"
-            iters_to_tol = n
             break
         if n >= max_iters:
             break
     if not record_states:
         states.append((n, a, b))
-    qf = float(params.q)
     g_values = []
     for n, a, b in states:
         ya, yb = a / qf, b / qf
         # an exact state's view can underflow, a finite one over q < 1 overflow
         if not (0 < ya < inf and 0 < yb < inf):
-            raise ValueError(f"state n={n} must be positive and finite, also "
-                             f"divided by q in floats: got ({a!r}, {b!r})")
-        g_values.append(invariant_value(info.alpha_tilde, ya, yb))
-    return OrbitTrace(tuple(states), tuple(g_values), verdict, iters_to_tol)
+            raise _view_error(n, a, b)
+        g_values.append(invariant_value(alpha_tilde, ya, yb))
+    return OrbitTrace(tuple(states), tuple(g_values), verdict)
+
+
+def _view_error(n: int, a: float, b: float) -> ValueError:
+    return ValueError(f"state n={n} must be positive and finite, also "
+                      f"divided by q in floats: got ({a!r}, {b!r})")
 
 
 def trace_to_csv(trace: OrbitTrace, stream) -> None:
@@ -164,7 +170,7 @@ class DescentResult:
     ``skipped_near_equilibrium`` those skipped next to the fixed point, and
     ``decided_exactly`` the checked steps the float screen could not decide."""
 
-    ok: bool
+    ok: bool  # violation is None; a field while bench/ calls replace(.., ok=False)
     violation: DescentViolation | None
     checked: int
     skipped_near_equilibrium: int
@@ -251,8 +257,7 @@ def descent_along(params: ParamsPQ,
         a2 = ya = x0 / qf
         b2 = yb = x1 / qf
         if not (0 < ya < inf and 0 < yb < inf):
-            raise ValueError(f"descent state n={n} must be positive and finite, "
-                             f"also divided by q: got ({x0!r}, {x1!r})")
+            raise _view_error(n, x0, x1)
         s = ya - u
         t = yb - u
         st = s * t
@@ -300,7 +305,6 @@ def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> Descent
 @dataclass(frozen=True)
 class StabilityInfo:
     spectral_radius: float
-    stable: bool
 
 
 def stability_from_ua(u: float, cap_a: float) -> StabilityInfo:
@@ -317,12 +321,11 @@ def stability_from_ua(u: float, cap_a: float) -> StabilityInfo:
         radius = math.sqrt(c)
     else:
         radius = (b + math.sqrt(disc)) / 2.0
-    return StabilityInfo(radius, radius < 1.0)
+    return StabilityInfo(radius)
 
 
 def local_stability(params: ParamsPQ) -> StabilityInfo:
-    info = equilibrium(params)
-    return stability_from_ua(info.ybar, 1.0 / float(params.q))
+    return stability_from_ua(equilibrium(params).ybar, 1.0 / float(params.q))
 
 
 # -- parameter-region classification -------------------------------------------------
@@ -342,8 +345,11 @@ class RegionCheck:
 
 @dataclass(frozen=True)
 class RegionCoverage:
-    flags: frozenset[str]
     checks: tuple[RegionCheck, ...]
+
+    @property
+    def flags(self) -> frozenset[str]:
+        return frozenset(c.flag for c in self.checks if c.applicable and c.satisfied)
 
 
 def classify_regions(params: ParamsPQ) -> RegionCoverage:
@@ -390,8 +396,7 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
     # the view multiplies by 4 last, so that 4p cannot overflow before d*d
     checks.append(RegionCheck("e", True, 4 * pe * (qe - 1) ** 2 <= 25, p * d * d * 4, 25.0,
                               "4p(q-1)^2 <= 25"))
-    flags = frozenset(c.flag for c in checks if c.applicable and c.satisfied)
-    return RegionCoverage(flags, tuple(checks))
+    return RegionCoverage(tuple(checks))
 
 
 # -- invariant-surface grid ----------------------------------------------------------
@@ -500,20 +505,21 @@ def sweep(batch: Iterable[tuple[ParamsPQ, tuple[float, float]]],
 
     Each orbit is simulated to ``tol`` without recording states, then the
     descent monitor checks the same orbit for as many steps as it took
-    (``UNCONVERGED_DESCENT_STEPS`` when it stopped short of ``tol``).  An
-    orbit that overflowed ("diverged-nonfinite") is checked only up to its
-    last finite state.
+    (``UNCONVERGED_DESCENT_STEPS`` when it stopped short of ``tol``), up to
+    the first state whose view y = x/q is not positive and finite, as when
+    the orbit overflows in floats ("diverged-nonfinite") or its view does.
     """
     records = []
     for params, seed in batch:
         trace = simulate(params, seed, tol=tol, max_iters=max_iters, record_states=False)
-        if trace.verdict == "diverged-nonfinite":
-            orbit = _orbit(float(params.p), float(params.q), (float(seed[0]), float(seed[1])))
-            descent = descent_along(params, islice(orbit, trace.states[-1][0] + 1))
-        else:
-            steps = trace.iters_to_tol
-            if steps is None:
-                steps = UNCONVERGED_DESCENT_STEPS
+        steps = trace.iters_to_tol if trace.converged else UNCONVERGED_DESCENT_STEPS
+        try:
             descent = lyapunov_descent_check(params, seed, steps)
+        except ValueError:  # rare: a state, or its view x/q, left the float range
+            qf = float(params.q)
+            orbit = _orbit(float(params.p), qf, (float(seed[0]), float(seed[1])))
+            descent = descent_along(params, takewhile(
+                lambda s: 0 < s[1] / qf < math.inf and 0 < s[2] / qf < math.inf,
+                islice(orbit, steps + 3)))
         records.append(SweepRecord(params, seed, trace, descent, local_stability(params)))
     return tuple(records)

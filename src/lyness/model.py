@@ -36,7 +36,10 @@ _MIN_NORMAL = sys.float_info.min
 # define at import time than frozen dataclasses.  A record that validates its
 # fields does so in ``__new__`` on a NamedTuple base, which NamedTuple itself
 # does not allow to override.  The parameter record also compares its type,
-# as the dataclass did, so that (p, q) never equals a plain tuple.
+# as the dataclass did, so that (p, q) never equals a plain tuple.  A value
+# the fields determine is a property (``alpha_tilde`` here, ``iters_to_tol``
+# and ``flags`` in `dynamics`), not a field.  `dynamics` keeps dataclasses:
+# the benchmark calls ``dataclasses.replace`` on a `DescentResult`.
 
 
 class _ParamsPQ(NamedTuple):
@@ -67,7 +70,10 @@ class EquilibriumInfo(NamedTuple):
 
     xbar: float
     ybar: float
-    alpha_tilde: float
+
+    @property
+    def alpha_tilde(self) -> float:
+        return self.ybar * self.ybar - self.ybar
 
 
 def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
@@ -94,7 +100,7 @@ def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
     if not math.isfinite(ybar):
         raise ValueError(f"the equilibrium at p={p:.17g}, q={q:.17g} "
                          "is beyond the float range")
-    return EquilibriumInfo(xbar, ybar, ybar * ybar - ybar)
+    return EquilibriumInfo(xbar, ybar)
 
 
 # -- symbolic model -----------------------------------------------------------

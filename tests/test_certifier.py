@@ -140,7 +140,6 @@ def test_cached_groups_and_landmarks_substitute_nothing(monkeypatch):
 
 def test_sector_expansions_are_integer(summary):
     for r in summary.reports:
-        assert r.all_integer
         assert all(c.denominator == 1 for c in r.expansion.terms.values())
 
 
@@ -261,7 +260,6 @@ def test_negative_control_fails_with_witness():
     for r in reports:
         expected_coeff, expected_witness = NEGATIVE_CONTROL[r.step]
         assert not r.passed
-        assert not r.all_positive
         assert r.min_coefficient == expected_coeff
         assert mono_text(r.witness) == expected_witness
         assert r.expansion.coefficient(r.witness) == r.min_coefficient

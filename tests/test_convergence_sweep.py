@@ -130,3 +130,12 @@ def test_an_orbit_that_overflows_fails_the_sweep(params, seed, last):
     assert record.trace.states[-1][0] == last
     assert record.descent.checked + record.descent.skipped_near_equilibrium == 0
     assert record.ok is False
+
+
+def test_an_orbit_whose_view_over_q_overflows_fails_the_sweep():
+    # state n = 1 is (1, 5e307): finite, but divided by q = 1e-3 it overflows,
+    # so the descent monitor reads only state n = 0
+    (record,) = dynamics.sweep([(ParamsPQ(1e308, 1e-3), (1.0, 1.0))], tol=1e-8, max_iters=100)
+    assert record.trace.verdict == "max-iters-exceeded"
+    assert record.descent.checked + record.descent.skipped_near_equilibrium == 0
+    assert record.ok is False

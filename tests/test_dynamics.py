@@ -102,6 +102,30 @@ def test_simulate_validation():
         simulate(ParamsPQ(2, 1), (Fraction(1, 10**400), 1.0))
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("record_states", [True, False])
+def test_simulate_checks_the_seed_over_q_whether_or_not_it_records(mode, record_states):
+    # the seed is finite, its view divided by q = 1/2 overflows; a recorded
+    # seed is checked with the other states after the walk, an unrecorded
+    # one before it
+    with pytest.raises(ValueError, match=r"^state n=0 must be positive and finite, also "
+                                         r"divided by q in floats: got \(1\.0, 1e\+308\)$"):
+        simulate(ParamsPQ(1, Fraction(1, 2)), (1.0, 1e308), mode=mode, max_iters=20,
+                 record_states=record_states)
+
+
+@pytest.mark.parametrize("record_states", [True, False])
+def test_iters_to_tol_is_the_converged_state_n(record_states):
+    for params, seed, kwargs, verdict, iters in (
+            (ParamsPQ(20, 4), (1.0, 2.0), {}, "converged", 306),
+            (ParamsPQ(1.0, 1e4), (1e-30, 1e305), {"max_iters": 50}, "diverged-nonfinite", None),
+            (ParamsPQ(20, 4), (1.0, 2.0), {"max_iters": 10, "tol": 1e-300},
+             "max-iters-exceeded", None)):
+        trace = simulate(params, seed, record_states=record_states, **kwargs)
+        assert trace.verdict == verdict
+        assert trace.iters_to_tol == iters
+
+
 def test_simulate_without_recording_keeps_final_state():
     # converged, diverged (the thin trace keeps the last finite state) and
     # stopped at max_iters
@@ -567,7 +591,7 @@ def test_descent_requires_q_below_p():
 def test_spectral_radius_reference_point():
     info = stability_from_ua(2.0, 1.0)
     assert abs(info.spectral_radius - math.sqrt(2.0 / 3.0)) < 1e-15
-    assert info.stable
+    assert info.spectral_radius < 1
 
 
 def test_spectral_radius_real_root_branch():
@@ -575,12 +599,12 @@ def test_spectral_radius_real_root_branch():
     # radius is then the larger positive real root
     info = stability_from_ua(0.1, 0.1)
     assert abs(info.spectral_radius - (5.0 + math.sqrt(23.0)) / 2.0) < 1e-12
-    assert not info.stable
+    assert not info.spectral_radius < 1
 
 
 def test_local_stability_reference_instance():
     info = local_stability(ParamsPQ(20, 4))
-    assert info.stable
+    assert info.spectral_radius < 1
     u = equilibrium(ParamsPQ(20, 4)).ybar
     assert abs(info.spectral_radius - math.sqrt(u / (0.25 + u))) < 1e-14
 
@@ -589,7 +613,6 @@ def test_fixed_point_always_linearly_stable_in_regime():
     rng = random.Random(88)
     for params, _ in random_instances(rng, 200, 1):
         info = local_stability(params)
-        assert info.stable
         assert 0.0 < info.spectral_radius < 1.0
 
 

@@ -1,8 +1,8 @@
-"""The immutable records of `model` and `certifier`, and the chart reports
-checked against the stages of their `CHARTS` rows.
+"""The immutable records of `model`, `certifier` and `dynamics`, and the
+chart reports checked against the stages of their `CHARTS` rows.
 
-The records are `typing.NamedTuple`s; these tests pin the behaviour they
-keep from the frozen dataclasses they replaced.
+The `model` and `certifier` records are `typing.NamedTuple`s; these tests
+pin the behaviour they keep from the frozen dataclasses they replaced.
 """
 
 from fractions import Fraction
@@ -11,18 +11,22 @@ import pytest
 
 from lyness import certifier
 from lyness.certifier import CHARTS, U_POSITIVE
+from lyness.dynamics import classify_regions, local_stability, simulate
 from lyness.exactalg import Poly, RationalFn, substitute
 from lyness.model import EquilibriumInfo, ParamsPQ, build_symbolic_model
 
 RECORDS = {
     "ParamsPQ": (lambda: ParamsPQ(20, 4), "p"),
-    "EquilibriumInfo": (lambda: EquilibriumInfo(5.0, 1.25, 0.3125), "xbar"),
+    "EquilibriumInfo": (lambda: EquilibriumInfo(5.0, 1.25), "xbar"),
     "SymbolicModel": (build_symbolic_model, "delta2"),
     "SubstitutionStep": (lambda: certifier.q3_steps()[0], "stages"),
-    "CertificateReport": (certifier.verify_delta1_identity, "all_positive"),
+    "CertificateReport": (certifier.verify_delta1_identity, "passed"),
     "CertificateSummary": (lambda: certifier.run_full_certificate(("identity",)),
                            "overall_pass"),
     "Chart": (lambda: CHARTS["q1"][0], "splits"),
+    "OrbitTrace": (lambda: simulate(ParamsPQ(20, 4), (1.0, 2.0)), "verdict"),
+    "RegionCoverage": (lambda: classify_regions(ParamsPQ(20, 4)), "checks"),
+    "StabilityInfo": (lambda: local_stability(ParamsPQ(20, 4)), "spectral_radius"),
 }
 
 
