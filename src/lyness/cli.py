@@ -165,7 +165,8 @@ def _cmd_sweep(args) -> int:
                 (r.params.p, r.params.q, r.seed[0], r.seed[1], r.trace.verdict,
                  r.trace.iters_to_tol, r.trace.states[-1][2], r.descent.ok,
                  r.descent.checked, r.stability.spectral_radius) for r in records)
-    worst = max((r.trace.states[-1][0] for r in records), default=0)
+    worst = max((args.max_iters if r.trace.iters_to_tol is None
+                 else r.trace.iters_to_tol for r in records), default=0)
     print(f"orbits: {len(records)}"
           f"  converged: {sum(r.trace.converged for r in records)}"
           f"  descent ok: {sum(r.descent.ok for r in records)}"

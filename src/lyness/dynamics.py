@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, takewhile
+from itertools import count, islice
 
 from .model import ParamsPQ, equilibrium, invariant_value
 
@@ -99,7 +99,7 @@ def simulate(params: ParamsPQ,
     inf = math.inf
     qf = float(params.q)
     if not record_states and not all(0 < float(x) / qf < inf for x in seed):
-        raise _view_error(0, *map(float, seed))
+        raise _ViewError(0, *map(float, seed))
 
     states: list[tuple[int, float, float]] = []
     verdict = "max-iters-exceeded"
@@ -130,14 +130,16 @@ def simulate(params: ParamsPQ,
         ya, yb = a / qf, b / qf
         # an exact state's view can underflow, a finite one over q < 1 overflow
         if not (0 < ya < inf and 0 < yb < inf):
-            raise _view_error(n, a, b)
+            raise _ViewError(n, a, b)
         g_values.append(invariant_value(alpha_tilde, ya, yb))
     return OrbitTrace(tuple(states), tuple(g_values), verdict)
 
 
-def _view_error(n: int, a: float, b: float) -> ValueError:
-    return ValueError(f"state n={n} must be positive and finite, also "
-                      f"divided by q in floats: got ({a!r}, {b!r})")
+class _ViewError(ValueError):
+    def __init__(self, n: int, a: float, b: float):
+        super().__init__(f"state n={n} must be positive and finite, also "
+                         f"divided by q in floats: got ({a!r}, {b!r})")
+        self.n = n  # where ``sweep`` cuts the orbit its descent check reads
 
 
 def trace_to_csv(trace: OrbitTrace, stream) -> None:
@@ -257,7 +259,7 @@ def descent_along(params: ParamsPQ,
         a2 = ya = x0 / qf
         b2 = yb = x1 / qf
         if not (0 < ya < inf and 0 < yb < inf):
-            raise _view_error(n, x0, x1)
+            raise _ViewError(n, x0, x1)
         s = ya - u
         t = yb - u
         st = s * t
@@ -515,11 +517,8 @@ def sweep(batch: Iterable[tuple[ParamsPQ, tuple[float, float]]],
         steps = trace.iters_to_tol if trace.converged else UNCONVERGED_DESCENT_STEPS
         try:
             descent = lyapunov_descent_check(params, seed, steps)
-        except ValueError:  # rare: a state, or its view x/q, left the float range
-            qf = float(params.q)
-            orbit = _orbit(float(params.p), qf, (float(seed[0]), float(seed[1])))
-            descent = descent_along(params, takewhile(
-                lambda s: 0 < s[1] / qf < math.inf and 0 < s[2] / qf < math.inf,
-                islice(orbit, steps + 3)))
+        except _ViewError as bad:  # rare: a state, or its view x/q, left the float range
+            orbit = _orbit(float(params.p), float(params.q), (float(seed[0]), float(seed[1])))
+            descent = descent_along(params, islice(orbit, bad.n))
         records.append(SweepRecord(params, seed, trace, descent, local_stability(params)))
     return tuple(records)

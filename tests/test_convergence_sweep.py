@@ -138,4 +138,6 @@ def test_an_orbit_whose_view_over_q_overflows_fails_the_sweep():
     (record,) = dynamics.sweep([(ParamsPQ(1e308, 1e-3), (1.0, 1.0))], tol=1e-8, max_iters=100)
     assert record.trace.verdict == "max-iters-exceeded"
     assert record.descent.checked + record.descent.skipped_near_equilibrium == 0
+    # no step was checked, so none violated descent; the orbit still fails
+    assert record.descent.ok is True
     assert record.ok is False
