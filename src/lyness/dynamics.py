@@ -4,12 +4,15 @@ The recurrence is applied in one place, the generator ``_orbit``, in the
 original x-coordinates (float or exact rational); it yields the
 (n, x[n-1], x[n]) states that ``OrbitTrace.states`` holds.  ``simulate``
 walks it, and ``descent_along`` checks the one-or-two-step descent of the
-Lyapunov function g along such states, computing g at y = x/q where it is
-defined.  Both walks are the convergence sweep's inner loops, so they are
-written tight: ``simulate`` builds a state tuple only when it records one,
-and ``descent_along`` keeps its three-state window in locals and evaluates
-its float screen inline, the one place that formula is written.
-``lyapunov_descent_check`` feeds ``descent_along`` straight from ``_orbit``.
+Lyapunov function g along such states, computing g at the view y = x/q.
+An orbit is the run of states whose float view is positive and finite: it
+ends at the first state that fails this test, which each walk applies to
+the state it reads.  Both walks are the convergence sweep's inner loops,
+so they are written tight: ``simulate`` builds a state tuple only when it
+records one, and ``descent_along`` keeps its three-state window in locals
+and evaluates its float screen inline, the one place that formula is
+written.  ``lyapunov_descent_check`` feeds ``descent_along`` straight from
+``_orbit``.
 The module also evaluates local stability of the fixed point, classifies
 parameter points against the five previously-settled parameter regions,
 emits grids of g for inspection, and samples parameter batches for
@@ -72,16 +75,14 @@ def simulate(params: ParamsPQ,
     """Iterate the recurrence from ``seed`` = (x[-1], x[0]).
 
     Stops with verdict "converged" once both of the two current components
-    are within ``tol`` of the equilibrium, with "max-iters-exceeded" after
-    ``max_iters`` steps, or with "diverged-nonfinite" if a state stops being
-    finite and positive (a float overflow signal; the exact recurrence
-    preserves positivity, so exact mode never reports it).  The seed must be
-    positive and finite once converted to the working type and to the float
-    view the trace records, so a rational seed that rounds to 0.0 is
-    rejected with ValueError, and one beyond the float range raises
-    OverflowError.  An exact state beyond the float range, and a recorded
-    state (or unrecorded seed) whose float view over q is 0.0 or infinite,
-    have no float view of g: ValueError names its n.
+    are within ``tol`` of the equilibrium, or with "max-iters-exceeded"
+    after ``max_iters`` steps.  The orbit ends at its first state whose
+    float view y = x/q is not positive and finite: a float orbit with
+    "diverged-nonfinite", its last state the one before; an exact one with
+    ValueError naming that n, as for an exact state beyond the float range.
+    The seed must be positive and finite once converted to the working
+    type and to floats (ValueError; OverflowError beyond the float range),
+    and its view is tested before the first step (ValueError naming n=0).
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"mode must be 'float' or 'exact', got {mode!r}")
@@ -89,33 +90,34 @@ def simulate(params: ParamsPQ,
         raise ValueError("tolerance must be positive and finite")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    number = Fraction if mode == "exact" else float
-    p, q = number(params.p), number(params.q)
-    seed = number(seed[0]), number(seed[1])
+    exact = mode == "exact"
+    p, q, *seed = map(Fraction if exact else float, (params.p, params.q, seed[0], seed[1]))
     if not all(0 < float(x) < math.inf for x in seed):
         raise ValueError("seed components must be positive and finite")
     info = equilibrium(params)
     xbar, alpha_tilde = info.xbar, info.alpha_tilde
     inf = math.inf
     qf = float(params.q)
-    if not record_states and not all(0 < float(x) / qf < inf for x in seed):
-        raise _ViewError(0, *map(float, seed))
+    if not all(0 < float(x) / qf < inf for x in seed):
+        raise _view_error(0, *map(float, seed))
 
     states: list[tuple[int, float, float]] = []
     verdict = "max-iters-exceeded"
-    exact = number is Fraction
     for n, x_prev, x_cur in _orbit(p, q, seed):
-        if not 0 < x_cur < inf:
-            verdict = "diverged-nonfinite"
-            n -= 1  # the last state is the one before, still in a and b
-            break
+        # x_prev is the state before's x_cur (or the seed's), already tested
         if exact:
             try:
                 a, b = float(x_prev), float(x_cur)
             except OverflowError:
                 raise ValueError(f"state n={n} is beyond the float range") from None
-        else:
+            if not 0 < b / qf < inf:  # an exact state's view can under- or overflow
+                raise _view_error(n, a, b)
+        elif 0 < x_cur / qf < inf:
             a, b = x_prev, x_cur
+        else:
+            verdict = "diverged-nonfinite"
+            n -= 1  # the last state is the one before, still in a and b
+            break
         if record_states:
             states.append((n, a, b))
         if abs(a - xbar) < tol and abs(b - xbar) < tol:
@@ -125,21 +127,13 @@ def simulate(params: ParamsPQ,
             break
     if not record_states:
         states.append((n, a, b))
-    g_values = []
-    for n, a, b in states:
-        ya, yb = a / qf, b / qf
-        # an exact state's view can underflow, a finite one over q < 1 overflow
-        if not (0 < ya < inf and 0 < yb < inf):
-            raise _ViewError(n, a, b)
-        g_values.append(invariant_value(alpha_tilde, ya, yb))
-    return OrbitTrace(tuple(states), tuple(g_values), verdict)
+    g_values = tuple(invariant_value(alpha_tilde, a / qf, b / qf) for _, a, b in states)
+    return OrbitTrace(tuple(states), g_values, verdict)
 
 
-class _ViewError(ValueError):
-    def __init__(self, n: int, a: float, b: float):
-        super().__init__(f"state n={n} must be positive and finite, also "
-                         f"divided by q in floats: got ({a!r}, {b!r})")
-        self.n = n  # where ``sweep`` cuts the orbit its descent check reads
+def _view_error(n: int, a: float, b: float) -> ValueError:
+    return ValueError(f"state n={n} must be positive and finite, also "
+                      f"divided by q in floats: got ({a!r}, {b!r})")
 
 
 def trace_to_csv(trace: OrbitTrace, stream) -> None:
@@ -197,14 +191,15 @@ def descent_along(params: ParamsPQ,
     """Check min(g[n+1], g[n+2]) < g[n] + 1e-12 along an orbit's states.
 
     ``states`` are (n, x[n-1], x[n]) triples, as in ``OrbitTrace.states``;
-    they are read once, in order, and every state but the last two is
-    checked or skipped.  Each state must be positive and finite, also as
-    y = x/q in floats; otherwise ValueError names its n.  Requires q < p,
-    the regime in which the transformed fixed point u exceeds 1 and g
-    descends in at most two steps everywhere off the fixed point.  States
-    whose distance to the fixed point is within ``EQ_TOL`` relative to
-    max(1, u) are skipped: at that distance a float orbit's position is
-    dominated by rounding, so differences of g carry no information.
+    they are read once, in order, up to the first state whose view
+    y = x/q is not positive and finite in floats, where the orbit ends and
+    reading stops.  Every state of the orbit but the last two is checked
+    or skipped.  Requires q < p, the regime in which the transformed fixed
+    point u exceeds 1 and g descends in at most two steps everywhere off
+    the fixed point.  States whose distance to the fixed point is within
+    ``EQ_TOL`` relative to max(1, u) are skipped: at that distance a float
+    orbit's position is dominated by rounding, so differences of g carry
+    no information.
 
     Every value is compared as G = g - g(u, u), with u the float fixed point
     and alpha~ = u(u - 1) taken exactly, which moves no comparison.  With
@@ -259,7 +254,7 @@ def descent_along(params: ParamsPQ,
         a2 = ya = x0 / qf
         b2 = yb = x1 / qf
         if not (0 < ya < inf and 0 < yb < inf):
-            raise _ViewError(n, x0, x1)
+            break  # the orbit ends at its first state without a view
         s = ya - u
         t = yb - u
         st = s * t
@@ -294,7 +289,8 @@ def descent_along(params: ParamsPQ,
 def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:
     """``descent_along`` the first ``steps + 3`` states of the float orbit from
     ``seed``: the states ``simulate`` walks, so ``steps + 1`` steps are
-    checked or skipped.  ``steps`` must be a nonnegative int."""
+    checked or skipped, fewer where the orbit ends at a state without a
+    view.  ``steps`` must be a nonnegative int."""
     if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 0):
         raise ValueError("steps must be a nonnegative int")
     orbit = _orbit(float(params.p), float(params.q), (float(seed[0]), float(seed[1])))
@@ -507,18 +503,14 @@ def sweep(batch: Iterable[tuple[ParamsPQ, tuple[float, float]]],
 
     Each orbit is simulated to ``tol`` without recording states, then the
     descent monitor checks the same orbit for as many steps as it took
-    (``UNCONVERGED_DESCENT_STEPS`` when it stopped short of ``tol``), up to
-    the first state whose view y = x/q is not positive and finite, as when
-    the orbit overflows in floats ("diverged-nonfinite") or its view does.
+    (``UNCONVERGED_DESCENT_STEPS`` when it stopped short of ``tol``).  Both
+    walks end the orbit at its first state whose view y = x/q is not
+    positive and finite ("diverged-nonfinite").
     """
     records = []
     for params, seed in batch:
         trace = simulate(params, seed, tol=tol, max_iters=max_iters, record_states=False)
         steps = trace.iters_to_tol if trace.converged else UNCONVERGED_DESCENT_STEPS
-        try:
-            descent = lyapunov_descent_check(params, seed, steps)
-        except _ViewError as bad:  # rare: a state, or its view x/q, left the float range
-            orbit = _orbit(float(params.p), float(params.q), (float(seed[0]), float(seed[1])))
-            descent = descent_along(params, islice(orbit, bad.n))
+        descent = lyapunov_descent_check(params, seed, steps)
         records.append(SweepRecord(params, seed, trace, descent, local_stability(params)))
     return tuple(records)

@@ -194,7 +194,11 @@ def test_simulate_at_extreme_values_ends_without_a_traceback(argv, capsys):
     # a float seed divided by q = 0.5 overflows
     (["--p", "1", "--q", "0.5", "--x0", "1.5e308", "--xm1", "1"],
      "n=0 must be positive and finite, also divided by q in floats: got (1.0, 1.5e+308)"),
-], ids=["exact-underflow", "exact-overflow", "float-overflow"])
+    # the seed's x[-1] / q underflows; it is tested before the first exact
+    # step, which would leave the float range
+    (["--p", "1", "--q", "1e100", "--x0", "1e300", "--xm1", "1e-300", "--exact"],
+     "n=0 must be positive and finite, also divided by q in floats: got (1e-300, 1e+300)"),
+], ids=["exact-underflow", "exact-overflow", "float-overflow", "exact-seed-before-the-walk"])
 def test_simulate_names_the_state_whose_float_view_over_q_leaves_the_range(
         argv, state, capsys):
     assert main(["simulate", *argv, "--max-iters", "8", "--tol", "1e-300"]) == 2
@@ -204,12 +208,20 @@ def test_simulate_names_the_state_whose_float_view_over_q_leaves_the_range(
 
 
 def test_simulate_names_an_exact_state_beyond_the_float_range(capsys):
-    argv = ["simulate", "--p", "1", "--q", "1e100", "--x0", "1e300", "--xm1", "1e-300",
+    argv = ["simulate", "--p", "1", "--q", "1e100", "--x0", "1e300", "--xm1", "1",
             "--exact", "--max-iters", "3"]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: state n=1 is beyond the float range\n"
+
+
+def test_simulate_ends_a_float_orbit_whose_view_overflows(capsys):
+    # state n = 1 is (1, 5e307), finite; divided by q = 1e-3 it overflows
+    assert main(["simulate", "--p", "1e308", "--q", "1e-3", "--xm1", "1", "--x0", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "verdict: diverged-nonfinite\n" in out
+    assert "iterations: 0\n" in out
 
 
 def test_simulate_rejects_nonpositive_seed(capsys):

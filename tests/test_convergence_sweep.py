@@ -1,6 +1,7 @@
 """Tests for ``lyness sweep`` and ``dynamics.sweep``, the one convergence sweep."""
 
 import csv
+import math
 import random
 import subprocess
 import sys
@@ -96,8 +97,18 @@ def test_an_orbit_short_of_the_tolerance_fails_the_sweep(capsys):
         "orbits: 2  converged: 0  descent ok: 2  max iterations: 3 ")
 
 
+#: Orbits that end at a state without a view x/q: the float state overflows
+#: (the first two) or, at q < 1, only its view does.
+OVERFLOWING = [
+    (ParamsPQ(1e308, 1e307), (1.0, 1.0)),
+    (ParamsPQ(1e300, 1e10), (1.0, 1e300)),
+    (ParamsPQ(1e308, 1e-3), (1.0, 1.0)),
+    (ParamsPQ(1e300, 1e-10), (1.0, 1.0)),
+]
+
+
 def test_sweep_records_the_three_calls_it_pairs():
-    batch = dynamics.random_instances(random.Random(11), 4, 2)
+    batch = dynamics.random_instances(random.Random(11), 4, 2) + OVERFLOWING
     for max_iters in (10**6, 5):
         records = dynamics.sweep(batch, tol=1e-8, max_iters=max_iters)
         assert [(r.params, r.seed) for r in records] == batch
@@ -119,13 +130,17 @@ def test_sweep_records_the_three_calls_it_pairs():
             == dynamics.UNCONVERGED_DESCENT_STEPS + 1)
 
 
-@pytest.mark.parametrize("params, seed, last", [
-    (ParamsPQ(1e308, 1e307), (1.0, 1.0), 1),
-    (ParamsPQ(1e300, 1e10), (1.0, 1e300), 0),
-], ids=["overflows-at-2", "overflows-at-1"])
-def test_an_orbit_that_overflows_fails_the_sweep(params, seed, last):
-    # the descent monitor reads the orbit only up to its last finite state
-    (record,) = dynamics.sweep([(params, seed)], tol=1e-8, max_iters=100)
+@pytest.mark.parametrize("params, seed, max_iters, last", [
+    (ParamsPQ(1e308, 1e307), (1.0, 1.0), 100, 1),
+    (ParamsPQ(1e300, 1e10), (1.0, 1e300), 100, 0),
+    (ParamsPQ(1e300, 1e-10), (1.0, 1.0), 10, 0),
+    (ParamsPQ(1e308, 1e-3), (1.0, 1.0), 1, 0),
+], ids=["overflows-at-2", "overflows-at-1", "view-overflows-at-1",
+        "view-overflows-within-max-iters-1"])
+def test_an_orbit_that_overflows_fails_the_sweep(params, seed, max_iters, last):
+    # the descent monitor reads the orbit only up to its last state with a
+    # view x/q, whether the state itself overflows or, at q < 1, its view
+    (record,) = dynamics.sweep([(params, seed)], tol=1e-8, max_iters=max_iters)
     assert record.trace.verdict == "diverged-nonfinite"
     assert record.trace.states[-1][0] == last
     assert record.descent.checked + record.descent.skipped_near_equilibrium == 0
@@ -134,10 +149,47 @@ def test_an_orbit_that_overflows_fails_the_sweep(params, seed, last):
 
 def test_an_orbit_whose_view_over_q_overflows_fails_the_sweep():
     # state n = 1 is (1, 5e307): finite, but divided by q = 1e-3 it overflows,
-    # so the descent monitor reads only state n = 0
+    # so the orbit ends at n = 0 in simulate and in the descent monitor alike
     (record,) = dynamics.sweep([(ParamsPQ(1e308, 1e-3), (1.0, 1.0))], tol=1e-8, max_iters=100)
-    assert record.trace.verdict == "max-iters-exceeded"
+    assert record.trace.verdict == "diverged-nonfinite"
+    assert record.trace.states[-1][0] == 0
     assert record.descent.checked + record.descent.skipped_near_equilibrium == 0
     # no step was checked, so none violated descent; the orbit still fails
     assert record.descent.ok is True
     assert record.ok is False
+
+
+#: Floats at and between the edges of the float range, 5e-324 to 1.7e308.
+_EDGE_FLOATS = (5e-324, 2.2250738585072014e-308, 1e-300, 1e-150, 1e-10, 0.5, 1.0, 2.0,
+                1e10, 1e150, 1e300, 1.7e308)
+
+
+def _edge_float(rng):
+    if rng.random() < 0.5:
+        return rng.choice(_EDGE_FLOATS)
+    return min(max(math.exp(rng.uniform(math.log(5e-324), math.log(1.7e308))), 5e-324),
+               1.7e308)
+
+
+def test_sweep_of_extreme_inputs_returns_records_whose_states_have_views():
+    rng = random.Random(25)
+    swept = 0
+    for _ in range(120):
+        q, p = sorted((_edge_float(rng), _edge_float(rng)))
+        seed = (_edge_float(rng), _edge_float(rng))
+        if not q < p or not all(0 < x / q < math.inf for x in seed):
+            continue
+        params = ParamsPQ(p, q)
+        try:
+            equilibrium(params)
+        except ValueError:  # the fixed point's view is beyond the float range
+            continue
+        (record,) = dynamics.sweep([(params, seed)], 1e-8, 10)
+        swept += 1
+        for _, a, b in record.trace.states:
+            assert 0 < a / q < math.inf and 0 < b / q < math.inf
+        steps = record.trace.iters_to_tol
+        if steps is None:
+            steps = dynamics.UNCONVERGED_DESCENT_STEPS
+        assert record.descent == dynamics.lyapunov_descent_check(params, seed, steps)
+    assert swept > 40
