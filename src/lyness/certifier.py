@@ -32,7 +32,10 @@ u once, and caches the group's reports; `plane_map` reads one split
 step's row on demand and gives x, y, u and A in the report's variables.
 `GROUPS` names every certificate group, the exact ``delta1-identity``
 check and the groups of `CHARTS`; `run_full_certificate` runs any
-selection of them.
+selection of them.  Every report, the identity's included, comes from one
+builder, which reads the count, the minimum coefficient and its witness
+off the expansion; the identity keeps its own verdict, since it holds
+only when its cross-difference is the zero polynomial.
 """
 from __future__ import annotations
 
@@ -120,8 +123,10 @@ class CertificateReport(NamedTuple):
 
     ``witness`` is the graded-lex-smallest monomial attaining
     ``min_coefficient``; on a failing step it is the concrete counterexample
-    to all-positivity.  ``passed`` holds when every coefficient is positive
-    (for ``delta1-identity``, when the cross-difference is zero).
+    to all-positivity.  Both are None when the expansion is zero.
+    ``passed`` holds when every coefficient is positive, so a zero
+    expansion passes; ``delta1-identity`` overrides it and passes only when
+    its cross-difference is zero.
     ``expansion`` keeps the expanded polynomial for auditing (witness
     lookup); it is neither serialized nor shown by ``repr``.
     """
@@ -159,9 +164,7 @@ def _bindings_of(*stages: Mapping[str, object]) -> tuple[tuple[str, str], ...]:
 
 def _poly_report(name: str, region: str, bindings: tuple[tuple[str, str], ...],
                  input_count: int, expansion: Poly, elapsed_ms: float) -> CertificateReport:
-    if expansion.is_zero:
-        raise ValueError(f"step {name!r} expanded to the zero polynomial")
-    coeff, mono = expansion.min_coefficient()
+    coeff, mono = (None, None) if expansion.is_zero else expansion.min_coefficient()
     return CertificateReport(
         step=name,
         region=region,
@@ -170,7 +173,7 @@ def _poly_report(name: str, region: str, bindings: tuple[tuple[str, str], ...],
         output_count=expansion.monomial_count(),
         min_coefficient=coeff,
         witness=mono,
-        passed=coeff > 0,
+        passed=coeff is None or coeff > 0,
         elapsed_ms=elapsed_ms,
         expansion=expansion,
     )
@@ -184,37 +187,26 @@ def verify_delta1_identity() -> CertificateReport:
 
     The check is exact: the cross-difference num_l*den_r - num_r*den_l must
     expand to the zero polynomial.  A nonzero cross-difference fails the
-    report and its graded-lex-smallest monomial is recorded as the witness.
+    report whatever the signs of its coefficients, and the report records
+    its minimum coefficient and witness as any other report does.
     """
     start = time.perf_counter()
     lhs = build_symbolic_model().delta1
     rhs = delta1_closed_form()
     cross = lhs.num * rhs.den - rhs.num * lhs.den
     elapsed = (time.perf_counter() - start) * 1000.0
-    holds = cross.is_zero
-    coeff, mono = (None, None) if holds else cross.min_coefficient()
-    return CertificateReport(
-        step="delta1-identity",
-        region="all admissible points; exact equality of two closed forms "
-               "of the one-step difference",
-        bindings=(),
-        input_count=lhs.num.monomial_count(),
-        output_count=cross.monomial_count(),
-        min_coefficient=coeff,
-        witness=mono,
-        passed=holds,
-        elapsed_ms=elapsed,
-        expansion=cross,
-    )
+    return _poly_report(
+        "delta1-identity",
+        "all admissible points; exact equality of two closed forms "
+        "of the one-step difference",
+        (), lhs.num.monomial_count(), cross, elapsed)._replace(passed=cross.is_zero)
 
 
 class Chart(NamedTuple):
     """One row of the step table: an expression, a chart, and its splits.
 
     ``expr`` is the polynomial the row certifies; None stands for the
-    two-step difference numerator of the symbolic model.
-    ``delta_index`` records which Lyapunov difference the row's region
-    claim concerns (1, 2, or None for bookkeeping rows).  ``bindings`` maps
+    two-step difference numerator of the symbolic model.  ``bindings`` maps
     x and y onto chart coordinates (none for the one-step rows); ``expr`` is
     pushed through them once, and the denominator cleared on the way is
     certified by the report ``clearing`` names (``(step name, region)``;
@@ -229,7 +221,6 @@ class Chart(NamedTuple):
     splits: tuple[tuple[str, Mapping[str, object], str], ...]
     clearing: tuple[str, str] | None = None
     expr: Poly | None = None
-    delta_index: int | None = 2
 
 
 _Q2_MAP = {"x": _MOBIUS_W, "y": _U + _Y0}
@@ -254,25 +245,25 @@ CHARTS: Mapping[str, tuple[Chart, ...]] = {
         Chart({}, (("delta1-numerator-cofactor", {},
                     "all x, y > 0: cofactor A(1+y) multiplying the two "
                     "sign-carrying factors"),),
-              expr=_A * (1 + _Y), delta_index=None),
+              expr=_A * (1 + _Y)),
         Chart({}, (("delta1-denominator", {},
                     "all x, y > 0 and u > 1: denominator of the factored "
                     "one-step difference"),),
-              expr=delta1_denominator(), delta_index=None),
+              expr=delta1_denominator()),
         Chart({}, (("q2-line-factor-negated", _Q2_MAP,
                     "q2 with x < u (0 < x < u via w > 0, y = u + y0 with "
                     "y0 >= 0): the line factor is negative there"),),
-              expr=-line_factor(), delta_index=1),
+              expr=-line_factor()),
         Chart({}, (("q2-parabola-factor-negated", _Q2_MAP,
                     "q2 with x < u: the parabola factor is negative there"),),
-              expr=-parabola_factor(), delta_index=1),
+              expr=-parabola_factor()),
         Chart({}, (("q4-line-factor", _Q4_MAP,
                     "q4 with y < u (x = u + x0 with x0 >= 0, 0 < y < u via "
                     "v > 0): the line factor is positive there"),),
-              expr=line_factor(), delta_index=1),
+              expr=line_factor()),
         Chart({}, (("q4-parabola-factor", _Q4_MAP,
                     "q4 with y < u: the parabola factor is positive there"),),
-              expr=parabola_factor(), delta_index=1),
+              expr=parabola_factor()),
     ),
     "q1": (Chart(
         bindings={"x": _X0 + _U, "y": _Y0 + _U},
@@ -346,6 +337,8 @@ def certify_charts(group: str, u_image: Poly, /) -> tuple[CertificateReport, ...
         for name, split, region in chart.splits:
             rf = substitute(image_u, {n: substitute(v, u_stage) for n, v in split.items()})
             elapsed = (time.perf_counter() - start) * 1000.0
+            if rf.num.is_zero:
+                raise ValueError(f"step {name!r} expanded to the zero polynomial")
             bindings = _bindings_of(chart.bindings, split, u_stage)
             reports.append(_poly_report(name, region, bindings,
                                         image.num.monomial_count(), rf.num, elapsed))

@@ -219,6 +219,28 @@ def test_delta1_identity_detects_mutation(monkeypatch):
     assert report.expansion.coefficient(report.witness) == report.min_coefficient
 
 
+def test_delta1_identity_fails_on_an_all_positive_cross_difference(monkeypatch):
+    # the identity holds only when the cross-difference vanishes: here it is
+    # x, nonzero with every coefficient positive, so the positivity rule of
+    # the other reports would pass it
+    x = Poly.var("x")
+    model = build_symbolic_model()._replace(delta1=RationalFn(x + 1))
+    monkeypatch.setattr(certifier, "build_symbolic_model", lambda: model)
+    monkeypatch.setattr(certifier, "delta1_closed_form", lambda: RationalFn(1))
+    report = verify_delta1_identity()
+    assert not report.passed
+    assert report.output_count == 1
+    assert report.min_coefficient == 1
+    assert mono_text(report.witness) == "x"
+
+
+def test_a_split_that_expands_to_zero_is_refused(monkeypatch):
+    monkeypatch.setitem(certifier.CHARTS, "zero-test",
+                        (certifier.Chart({}, (("zero-step", {}, "r"),), expr=Poly()),))
+    with pytest.raises(ValueError, match="'zero-step'"):
+        certifier.certify_charts("zero-test", U_POSITIVE)
+
+
 def test_factored_delta1_parts():
     # structural sanity of the factored form's pieces
     assert line_factor().monomial_count() == 4
@@ -290,14 +312,22 @@ STEP_PARAMS = {
 }
 
 
+# the Lyapunov difference whose sign each step claims: delta1 on the q2/q4
+# factor steps, delta2 on the rest
+STEP_DELTA = {step: 1 if step.startswith(("q2", "q4")) else 2 for step in STEP_PARAMS}
+
+
 def _split_steps():
-    """(step name, delta index) of every split step, in `CHARTS` order."""
-    return [(name, chart.delta_index) for charts in certifier.CHARTS.values()
+    """The name of every split step, in `CHARTS` order."""
+    return [name for charts in certifier.CHARTS.values()
             for chart in charts for name, _, _ in chart.splits]
 
 
 def _delta_steps():
-    return [(name, index) for name, index in _split_steps() if index is not None]
+    """(step name, delta index) of every split step but the two delta1 rows,
+    which claim no region."""
+    return [(name, STEP_DELTA.get(name)) for name in _split_steps()
+            if not name.startswith("delta1-")]
 
 
 def _to_plane(step, assignment):
@@ -491,7 +521,7 @@ def test_expansions_are_their_expressions_times_the_cleared_denominator(summary)
     # degree d passes a point with probability at most d/2^30 (Schwartz-Zippel).
     rng = random.Random(2008)
     delta2_num = build_symbolic_model().delta2.num
-    steps = [name for name, _ in _split_steps()]
+    steps = _split_steps()
     assert set(steps) == set(IDENTITY_CASES)
     reports = {r.step: r for r in summary.reports}
     checked = set()

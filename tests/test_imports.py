@@ -6,7 +6,7 @@ The checks read each file with the standard-library ``ast`` module: a name
 bound by an import must appear as a name somewhere else in the same file,
 a module-level ``_name`` that a file of the package defines must be read,
 as a name or an attribute, somewhere in the package, and a public member of
-a class the package defines, other than a record field, must be read as an
+a class the package defines, record fields included, must be read as an
 attribute by the package or the benchmark harness, not by the tests alone.
 Every ``lyness`` name the benchmark harness reads must exist.
 """
@@ -16,6 +16,7 @@ import dataclasses
 import importlib
 import inspect
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -97,16 +98,31 @@ def test_no_dead_private_names_in_the_package():
                                for path in PACKAGE}) == []
 
 
+def attributes_read(sources) -> set[str]:
+    """Every attribute name that ``sources`` read."""
+    return {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def record_fields(cls: type) -> list[str]:
+    """The fields of ``cls`` if it is a NamedTuple or a dataclass, else none."""
+    if dataclasses.is_dataclass(cls):
+        return [field.name for field in dataclasses.fields(cls)]
+    return list(getattr(cls, "_fields", ()))
+
+
 def unread_members(cls: type, sources) -> list[str]:
     """Public non-dunder members of ``cls``, record fields excluded, that no
     source reads as an attribute."""
-    read = {node.attr for source in sources for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    fields = set(getattr(cls, "_fields", ()))
-    if dataclasses.is_dataclass(cls):
-        fields |= {field.name for field in dataclasses.fields(cls)}
+    skipped = attributes_read(sources) | set(record_fields(cls))
     return [f"{cls.__name__}.{name}" for name in vars(cls)
-            if not name.startswith("_") and name not in fields | read]
+            if not name.startswith("_") and name not in skipped]
+
+
+def unread_fields(cls: type, sources) -> list[str]:
+    """Record fields of ``cls`` that no source reads as an attribute."""
+    read = attributes_read(sources)
+    return [f"{cls.__name__}.{name}" for name in record_fields(cls) if name not in read]
 
 
 def test_checker_flags_an_unread_member():
@@ -130,11 +146,39 @@ def test_checker_flags_an_unread_member():
             return self.field
 
     assert unread_members(Record, []) == ["Record.derived"]
+    assert unread_fields(Record, []) == ["Record.field"]
+    assert unread_fields(Sample, []) == []
+
+    class Pair(NamedTuple):
+        kept: int
+        dropped: int
+
+    assert unread_fields(Pair, ["print(p.kept)\n"]) == ["Pair.dropped"]
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 def test_every_public_member_of_the_algebra_is_read_outside_the_tests(cls):
     assert unread_members(cls, (path.read_text(encoding="utf-8") for path in READERS)) == []
+
+
+#: Record fields that only the tests read, each kept for a reason:
+FIELDS_READ_BY_TESTS = {
+    # the expanded polynomial: the tests audit each witness in it, and the
+    # face list and replay data planned for each report are read off it
+    "CertificateReport.expansion",
+    # the count of steps the exact tie-break decided, printed on the
+    # criterion 08 detail line
+    "DescentResult.decided_exactly",
+    # the model's g and T, which the tests check against the closed forms
+    "SymbolicModel.invariant",
+    "SymbolicModel.step_map",
+}
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_every_record_field_is_read_outside_the_tests(cls):
+    unread = unread_fields(cls, (path.read_text(encoding="utf-8") for path in READERS))
+    assert sorted(set(unread) - FIELDS_READ_BY_TESTS) == []
 
 
 def lyness_reads(source: str) -> set[tuple[str, str]]:
