@@ -140,7 +140,7 @@ class CertificateReport(NamedTuple):
     witness: Monomial | None
     passed: bool
     elapsed_ms: float
-    expansion: Poly | None = None
+    expansion: Poly
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value

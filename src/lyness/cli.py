@@ -3,10 +3,11 @@ regions, grids.
 
 Exit codes are the machine contract: 0 success, 1 verification failure
 (a failed certificate step, a failed identity, or a non-converging /
-descent-violating orbit, in a sweep any one of them), 2 usage or validation
-error, an output file or stdout that cannot be written included, 141 when
-the reader of stdout goes away early, as in ``lyness certify | head -1``
-(128 + SIGPIPE, what a shell reports for a tool that SIGPIPE ended).  No
+descent-violating orbit, in a sweep any one of them), 2 when the
+arguments, the seed or an output path cannot be used (an output file or
+stdout that cannot be written included), 141 when the reader of stdout
+goes away early, as in ``lyness certify | head -1`` (128 + SIGPIPE, what
+a shell reports for a tool that SIGPIPE ended).  No
 exit prints a traceback, and exit 2 leaves stdout empty: every output file
 is written and closed before the first byte goes to stdout.  Data outputs
 are deterministic; JSON certificate reports carry wall-clock timings unless

@@ -76,13 +76,13 @@ def simulate(params: ParamsPQ,
 
     Stops with verdict "converged" once both of the two current components
     are within ``tol`` of the equilibrium, or with "max-iters-exceeded"
-    after ``max_iters`` steps.  The orbit ends at its first state whose
-    float view y = x/q is not positive and finite: a float orbit with
-    "diverged-nonfinite", its last state the one before; an exact one with
-    ValueError naming that n, as for an exact state beyond the float range.
-    The seed must be positive and finite once converted to the working
-    type and to floats (ValueError; OverflowError beyond the float range),
-    and its view is tested before the first step (ValueError naming n=0).
+    after ``max_iters`` steps.  In either arithmetic the orbit ends with
+    "diverged-nonfinite" at its first state whose float view y = x/q is not
+    positive and finite (a state beyond the float range has none), and its
+    last state is the one before.  The seed must be positive and finite
+    once converted to the working type and to floats (ValueError;
+    OverflowError beyond the float range), and its view is tested before
+    the first step (ValueError naming n=0); past that check nothing raises.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"mode must be 'float' or 'exact', got {mode!r}")
@@ -99,7 +99,9 @@ def simulate(params: ParamsPQ,
     inf = math.inf
     qf = float(params.q)
     if not all(0 < float(x) / qf < inf for x in seed):
-        raise _view_error(0, *map(float, seed))
+        a, b = map(float, seed)
+        raise ValueError(f"state n=0 must be positive and finite, also "
+                         f"divided by q in floats: got ({a!r}, {b!r})")
 
     states: list[tuple[int, float, float]] = []
     verdict = "max-iters-exceeded"
@@ -107,12 +109,10 @@ def simulate(params: ParamsPQ,
         # x_prev is the state before's x_cur (or the seed's), already tested
         if exact:
             try:
-                a, b = float(x_prev), float(x_cur)
-            except OverflowError:
-                raise ValueError(f"state n={n} is beyond the float range") from None
-            if not 0 < b / qf < inf:  # an exact state's view can under- or overflow
-                raise _view_error(n, a, b)
-        elif 0 < x_cur / qf < inf:
+                x_prev, x_cur = float(x_prev), float(x_cur)
+            except OverflowError:  # a state beyond the float range has no view
+                x_cur = inf
+        if 0 < x_cur / qf < inf:
             a, b = x_prev, x_cur
         else:
             verdict = "diverged-nonfinite"
@@ -129,11 +129,6 @@ def simulate(params: ParamsPQ,
         states.append((n, a, b))
     g_values = tuple(invariant_value(alpha_tilde, a / qf, b / qf) for _, a, b in states)
     return OrbitTrace(tuple(states), g_values, verdict)
-
-
-def _view_error(n: int, a: float, b: float) -> ValueError:
-    return ValueError(f"state n={n} must be positive and finite, also "
-                      f"divided by q in floats: got ({a!r}, {b!r})")
 
 
 def trace_to_csv(trace: OrbitTrace, stream) -> None:

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import re
 import runpy
 import subprocess
 import sys
@@ -185,9 +186,6 @@ def test_simulate_at_extreme_values_ends_without_a_traceback(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, state", [
-    # the exact orbit stays positive, its float view underflows at n = 1
-    (["--p", "1e-300", "--q", "1", "--x0", "1e-300", "--xm1", "1e300", "--exact"],
-     "n=1 must be positive and finite, also divided by q in floats: got (1e-300, 0.0)"),
     # the seed divided by q = 1e-300 overflows
     (["--p", "1e-300", "--q", "1e-300", "--x0", "1e300", "--xm1", "1e300", "--exact"],
      "n=0 must be positive and finite, also divided by q in floats: got (1e+300, 1e+300)"),
@@ -198,7 +196,7 @@ def test_simulate_at_extreme_values_ends_without_a_traceback(argv, capsys):
     # step, which would leave the float range
     (["--p", "1", "--q", "1e100", "--x0", "1e300", "--xm1", "1e-300", "--exact"],
      "n=0 must be positive and finite, also divided by q in floats: got (1e-300, 1e+300)"),
-], ids=["exact-underflow", "exact-overflow", "float-overflow", "exact-seed-before-the-walk"])
+], ids=["exact-overflow", "float-overflow", "exact-seed-before-the-walk"])
 def test_simulate_names_the_state_whose_float_view_over_q_leaves_the_range(
         argv, state, capsys):
     assert main(["simulate", *argv, "--max-iters", "8", "--tol", "1e-300"]) == 2
@@ -207,13 +205,25 @@ def test_simulate_names_the_state_whose_float_view_over_q_leaves_the_range(
     assert err == f"error: state {state}\n"
 
 
-def test_simulate_names_an_exact_state_beyond_the_float_range(capsys):
-    argv = ["simulate", "--p", "1", "--q", "1e100", "--x0", "1e300", "--xm1", "1",
-            "--exact", "--max-iters", "3"]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: state n=1 is beyond the float range\n"
+@pytest.mark.parametrize("argv", [
+    # the exact orbit stays positive, its float view underflows at n = 1
+    ["--p", "1e-300", "--q", "1", "--x0", "1e-300", "--xm1", "1e300",
+     "--max-iters", "8", "--tol", "1e-300"],
+    # the exact state n = 1 is beyond the float range
+    ["--p", "1", "--q", "1e100", "--x0", "1e300", "--xm1", "1", "--max-iters", "3"],
+    # state n = 1 is (1, 5e307); divided by q = 1e-3 it overflows
+    ["--p", "1e308", "--q", "1e-3", "--xm1", "1", "--x0", "1"],
+], ids=["exact-view-underflows", "exact-state-overflows", "view-overflows"])
+def test_float_and_exact_orbits_end_alike(argv, capsys):
+    runs = []
+    for mode in ([], ["--exact"]):
+        assert main(["simulate", *argv, *mode]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        runs.append(out)
+    assert runs[0] == runs[1]
+    assert "verdict: diverged-nonfinite\n" in runs[0]
+    assert "iterations: 0\n" in runs[0]
 
 
 def test_simulate_ends_a_float_orbit_whose_view_overflows(capsys):
@@ -595,3 +605,5 @@ def test_any_numeric_command_line_ends_with_an_exit_code(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+        if argv[0] == "simulate":  # a usage error names no state past the seed
+            assert re.search(r"state n=[1-9]", err.getvalue()) is None

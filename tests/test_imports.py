@@ -1,12 +1,13 @@
-"""Every import in the package and the tests is used, every private
-module-level name of the package is read, and so is every public member of
-the algebra classes.
+"""Every import in the package and the tests is used, every module-level
+name of the package is read outside the tests, and so is every public
+member of the algebra classes.
 
 The checks read each file with the standard-library ``ast`` module: a name
-bound by an import must appear as a name somewhere else in the same file,
-a module-level ``_name`` that a file of the package defines must be read,
-as a name or an attribute, somewhere in the package, and a public member of
-a class the package defines, record fields included, must be read as an
+bound by an import must appear as a name somewhere else in the same file;
+a module-level ``_name`` that a file of the package defines must be read
+somewhere in the package, and a public one by the package or the benchmark
+harness, as a name, an attribute or an import; and a public member of a
+class the package defines, record fields included, must be read as an
 attribute by the package or the benchmark harness, not by the tests alone.
 Every ``lyness`` name the benchmark harness reads must exist.
 """
@@ -58,32 +59,45 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def defined_names(source: str) -> dict[str, int]:
+    """Module-level names that ``source`` binds by def, class or assignment,
+    each with the line of its first binding."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            defined.setdefault(name, node.lineno)
+    return defined
+
+
+def names_read(source: str) -> set[str]:
+    """Every name that ``source`` reads as a name or an attribute, or imports
+    from a module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def dead_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_names`` defined in ``sources`` (file name -> source)
     that no source reads; dunder names are not private."""
-    defined = {}
-    read = set()
-    for where, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for target in targets for n in ast.walk(target)
-                         if isinstance(n, ast.Name)]
-            else:
-                continue
-            for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    defined.setdefault(name, f"{where} line {node.lineno}")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return sorted(f"{where}: {name}" for name, where in defined.items()
-                  if name not in read)
+    read = set().union(*map(names_read, sources.values()))
+    return sorted(f"{where} line {line}: {name}" for where, source in sources.items()
+                  for name, line in defined_names(source).items()
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
 
 
 def test_checker_flags_a_dead_private_name():
@@ -96,6 +110,44 @@ def test_checker_flags_a_dead_private_name():
 def test_no_dead_private_names_in_the_package():
     assert dead_private_names({path.name: path.read_text(encoding="utf-8")
                                for path in PACKAGE}) == []
+
+
+def unread_public_names(package: dict[str, str], readers) -> list[str]:
+    """``module.name`` for each public module-level name defined in
+    ``package`` (file name -> source) that no source of ``readers`` reads."""
+    read = set().union(*map(names_read, readers))
+    return sorted(f"{Path(where).stem}.{name}" for where, source in package.items()
+                  for name in defined_names(source)
+                  if not name.startswith("_") and name not in read)
+
+
+def test_checker_flags_a_public_name_only_the_tests_read():
+    package = {"a.py": "LIMIT = 1\nSPARE = 2\ndef helper():\n    return LIMIT\n",
+               "b.py": "from .a import helper\nclass Shown:\n    pass\n"
+                       "def benched():\n    pass\ndef tested():\n    return helper()\n"}
+    bench = "from lyness.b import benched\nimport lyness.b as b\nprint(benched, b.Shown)\n"
+    assert unread_public_names(package, [*package.values(), bench]) == ["a.SPARE", "b.tested"]
+
+
+#: Public module-level names that only the tests read, each kept for a reason:
+NAMES_READ_BY_TESTS = {
+    # the certificate's substitution chain as a map of the plane: the
+    # soundness and coverage tests evaluate it, and the planned region,
+    # face-list and replay work builds on it
+    "certifier.plane_map",
+    # the reference graded-lex order the tests compare packed keys against
+    "exactalg.grlex_key",
+    # the benchmark recurrence and its exact invariance, called by
+    # acceptance criterion 05
+    "model.lyness_orbit",
+    "model.lyness_invariance_check",
+}
+
+
+def test_every_public_name_of_the_package_is_read_outside_the_tests():
+    package = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    readers = [*package.values(), *(path.read_text(encoding="utf-8") for path in BENCH)]
+    assert sorted(set(unread_public_names(package, readers)) - NAMES_READ_BY_TESTS) == []
 
 
 def attributes_read(sources) -> set[str]:
