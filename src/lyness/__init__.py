@@ -6,6 +6,6 @@ The package builds the recurrence's invariant-function model symbolically
 Lyapunov descent (`certifier`), and provides numeric/exact orbit machinery,
 stability checks, and parameter-region classification (`dynamics`), all on a
 small sparse polynomial engine over the integers (`exactalg`), whose
-rational functions are quotients of integer polynomials and whose public
-coefficient accessors return `fractions.Fraction`; `cli` is the command.
+rational functions are quotients of integer polynomials and whose
+coefficients go in and come out as ints; `cli` is the command.
 """

@@ -136,7 +136,7 @@ class CertificateReport(NamedTuple):
     bindings: tuple[tuple[str, str], ...]
     input_count: int
     output_count: int
-    min_coefficient: Fraction | None
+    min_coefficient: int | None
     witness: Monomial | None
     passed: bool
     elapsed_ms: float
@@ -423,7 +423,7 @@ def proportionality_constant(a: Poly, b: Poly) -> Fraction | None:
     if b.is_zero:
         return Fraction(0) if a.is_zero else None
     _, mono = b.min_coefficient()
-    c = a.coefficient(mono) / b.coefficient(mono)
+    c = Fraction(a.coefficient(mono), b.coefficient(mono))
     return c if a * c.denominator == b * c.numerator else None
 
 
@@ -481,7 +481,7 @@ def report_to_dict(report: CertificateReport, include_timing: bool = True) -> di
         "inputCount": report.input_count,
         "outputCount": report.output_count,
         "minCoefficient": None if report.min_coefficient is None else
-            f"{report.min_coefficient.numerator}/{report.min_coefficient.denominator}",
+            f"{report.min_coefficient}/1",
         "witness": None if report.witness is None else mono_text(report.witness),
         "allPositive": report.passed,
         "allInteger": True,  # by construction: every expansion is a `Poly` over the integers

@@ -110,13 +110,12 @@ def _cmd_identity(args) -> int:
 def _cmd_simulate(args) -> int:
     from . import dynamics
     params = ParamsPQ(args.p, args.q)
-    mode = "exact" if args.exact else "float"
-    trace = dynamics.simulate(params, (args.xm1, args.x0), mode=mode, tol=args.tol,
+    trace = dynamics.simulate(params, (args.xm1, args.x0), exact=args.exact, tol=args.tol,
                               max_iters=args.max_iters)
     descent = dynamics.descent_along(params, trace.states) if params.q < params.p else None
     if args.csv is not None:
         with _open_output(args.csv) as fh:
-            dynamics.trace_to_csv(trace, fh)
+            dynamics.trace_to_csv(params, trace, fh)
     n, xp, xc = trace.states[-1]
     print(f"verdict: {trace.verdict}")
     print(f"equilibrium: {equilibrium(params).xbar:.17g}")

@@ -33,13 +33,11 @@ from .model import ParamsPQ, equilibrium, invariant_value
 class OrbitTrace:
     """One simulated orbit.
 
-    ``states`` holds (n, x[n-1], x[n]) triples (only the final one when
-    recording is off); ``g_values`` holds the invariant function evaluated
-    at the transformed pair (x[n-1]/q, x[n]/q), aligned with ``states``.
+    ``states`` holds (n, x[n-1], x[n]) triples as floats (only the final one
+    when recording is off); `trace_to_csv` evaluates g along them.
     """
 
     states: tuple[tuple[int, float, float], ...]
-    g_values: tuple[float, ...]
     verdict: str
 
     @property
@@ -68,11 +66,12 @@ def _orbit(p, q, seed: tuple):
 
 def simulate(params: ParamsPQ,
              seed: tuple,
-             mode: str = "float",
+             exact: bool = False,
              tol: float = 1e-9,
              max_iters: int = 10**6,
              record_states: bool = True) -> OrbitTrace:
-    """Iterate the recurrence from ``seed`` = (x[-1], x[0]).
+    """Iterate the recurrence from ``seed`` = (x[-1], x[0]), in exact rational
+    arithmetic when ``exact`` is true and in floats otherwise.
 
     Stops with verdict "converged" once both of the two current components
     are within ``tol`` of the equilibrium, or with "max-iters-exceeded"
@@ -84,18 +83,14 @@ def simulate(params: ParamsPQ,
     OverflowError beyond the float range), and its view is tested before
     the first step (ValueError naming n=0); past that check nothing raises.
     """
-    if mode not in ("float", "exact"):
-        raise ValueError(f"mode must be 'float' or 'exact', got {mode!r}")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be positive and finite")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    exact = mode == "exact"
     p, q, *seed = map(Fraction if exact else float, (params.p, params.q, seed[0], seed[1]))
     if not all(0 < float(x) < math.inf for x in seed):
         raise ValueError("seed components must be positive and finite")
-    info = equilibrium(params)
-    xbar, alpha_tilde = info.xbar, info.alpha_tilde
+    xbar = equilibrium(params).xbar
     inf = math.inf
     qf = float(params.q)
     if not all(0 < float(x) / qf < inf for x in seed):
@@ -127,14 +122,17 @@ def simulate(params: ParamsPQ,
             break
     if not record_states:
         states.append((n, a, b))
-    g_values = tuple(invariant_value(alpha_tilde, a / qf, b / qf) for _, a, b in states)
-    return OrbitTrace(tuple(states), g_values, verdict)
+    return OrbitTrace(tuple(states), verdict)
 
 
-def trace_to_csv(trace: OrbitTrace, stream) -> None:
-    """Write a trace as CSV with header n,x_prev,x_curr,g (17 significant digits)."""
+def trace_to_csv(params: ParamsPQ, trace: OrbitTrace, stream) -> None:
+    """Write a trace of ``params`` as CSV with header n,x_prev,x_curr,g (17
+    significant digits), g evaluated at the view (x[n-1]/q, x[n]/q)."""
+    alpha_tilde = equilibrium(params).alpha_tilde
+    qf = float(params.q)
     stream.write("n,x_prev,x_curr,g\n")
-    for (n, xp, xc), g in zip(trace.states, trace.g_values):
+    for n, xp, xc in trace.states:
+        g = invariant_value(alpha_tilde, xp / qf, xc / qf)
         stream.write(f"{n},{xp:.17g},{xc:.17g},{g:.17g}\n")
 
 

@@ -5,13 +5,12 @@ A polynomial is a finite map from monomials to nonzero `int` coefficients,
 so equality is a plain comparison and products, sums, powers and
 substitutions run on ints alone.  Rational functions lose no generality,
 since Q(x) is the field of fractions of Z[x], and every polynomial of the
-certificate roster is integral anyway.  A coefficient may be given as an
-int or an integral `Fraction`; a non-integral one raises ValueError,
-whether it enters through `Poly(...)`, `Poly.const`, a scalar operand of
-``+``, ``-`` or ``*``, a scalar `RationalFn` or a scalar `substitute`
-binding.  Comparing with a non-integral scalar gives False.  The public
-accessors (`Poly.terms`, `Poly.coefficient`, `Poly.min_coefficient`)
-return `Fraction` values.
+certificate roster is integral anyway.  A coefficient goes in and comes
+out as a plain `int`: `Poly(...)`, `Poly.const`, a scalar `RationalFn`
+and a scalar `substitute` binding raise TypeError on anything else (a
+`Fraction`, integral or not, a float, a str), and ``+``, ``-``, ``*`` and
+``==`` return NotImplemented for it.  `Poly.terms`, `Poly.coefficient`
+and `Poly.min_coefficient` return ints.
 
 Each monomial is stored as one packed Python `int`.  Every variable of the
 fixed global table (see `VARIABLES`) owns one `FIELD_BITS`-bit exponent
@@ -36,7 +35,7 @@ them.
 
 Rational functions are unreduced pairs numerator/denominator with sum,
 difference and product only, each by another rational function, a `Poly` or
-an exact scalar on the right: no quotient, negation or reflected operator.
+an int on the right: no quotient, negation or reflected operator.
 No gcd or factorization is ever computed: equality is decided by
 cross-multiplication, and substitution clears binding denominators in a
 single common-denominator pass so that composed maps stay in the expected
@@ -56,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping
 
 #: Fixed global variable order; grlex comparisons read exponents in this order.
 VARIABLES: tuple[str, ...] = ("x", "y", "u", "A", "t", "k", "x0", "y0", "w", "v")
@@ -65,9 +64,9 @@ _VAR_ID: dict[str, int] = {name: i for i, name in enumerate(VARIABLES)}
 
 Monomial = tuple[tuple[int, int], ...]
 
+#: `Poly.evaluate`'s start value: at an int point the value is then a
+#: `Fraction`, which `RationalFn.evaluate` divides exactly.
 _ZERO = Fraction(0)
-
-Scalar = Union[int, Fraction]
 
 #: Width of each packed exponent field; every exponent and every total
 #: degree stays below ``2**FIELD_BITS``.
@@ -147,12 +146,11 @@ def _unpack(key: int) -> Monomial:
                  if (e := (key >> shift) & _FIELD_MASK))
 
 
-def _integer(value: Scalar) -> int:
-    """An integral coefficient as an int; a non-integral one raises ValueError."""
-    c = Fraction(value)
-    if c.denominator != 1:
-        raise ValueError(f"polynomial coefficients must be integers, got {c}")
-    return c.numerator
+def _integer(value: int) -> int:
+    """``value`` itself when it is an int; anything else raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"polynomial coefficients must be ints, got {value!r}")
+    return value
 
 
 class Poly:
@@ -160,7 +158,7 @@ class Poly:
 
     __slots__ = ("_terms", "_decoded")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+    def __init__(self, terms: Mapping[Monomial, int] | None = None):
         acc: dict[int, int] = {}
         if terms:
             for mono, coeff in terms.items():
@@ -172,7 +170,7 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, value: Scalar) -> "Poly":
+    def const(cls, value: int) -> "Poly":
         c = _integer(value)
         return _make({0: c}) if c else cls()
 
@@ -189,9 +187,9 @@ class Poly:
         return self._decoded
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
-        """Read-only map from each monomial to its `Fraction` coefficient."""
-        return MappingProxyType({m: Fraction(c) for m, c in self._tuple_items()})
+    def terms(self) -> Mapping[Monomial, int]:
+        """Read-only map from each monomial to its int coefficient."""
+        return MappingProxyType(dict(self._tuple_items()))
 
     @property
     def is_zero(self) -> bool:
@@ -200,20 +198,20 @@ class Poly:
     def monomial_count(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self._terms.get(_pack(mono), 0))
+    def coefficient(self, mono: Monomial) -> int:
+        return self._terms.get(_pack(mono), 0)
 
-    def min_coefficient(self) -> tuple[Fraction, Monomial]:
+    def min_coefficient(self) -> tuple[int, Monomial]:
         """Smallest coefficient and its grlex-smallest attaining monomial."""
         if not self._terms:
             raise ValueError("empty polynomial")
         best = min(self._terms.values())
         key = min(m for m, c in self._terms.items() if c == best)
-        return Fraction(best), _unpack(key)
+        return best, _unpack(key)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Poly | Scalar") -> "Poly":
+    def __add__(self, other: "Poly | int") -> "Poly":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
@@ -228,19 +226,19 @@ class Poly:
     def __neg__(self) -> "Poly":
         return _make({m: -c for m, c in self._terms.items()})
 
-    def __sub__(self, other: "Poly | Scalar") -> "Poly":
+    def __sub__(self, other: "Poly | int") -> "Poly":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: "Poly | Scalar") -> "Poly":
+    def __rsub__(self, other: "Poly | int") -> "Poly":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
         return other + (-self)
 
-    def __mul__(self, other: "Poly | Scalar") -> "Poly":
+    def __mul__(self, other: "Poly | int") -> "Poly":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
@@ -264,9 +262,8 @@ class Poly:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self._terms == ({0: other} if other else {})
-        if not isinstance(other, Poly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._terms == other._terms
 
@@ -354,7 +351,7 @@ def _term_product(a, b):
 def _as_poly(value) -> "Poly":
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if type(value) is int:
         return Poly.const(value)
     return NotImplemented
 
@@ -367,11 +364,11 @@ class RationalFn:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly | Scalar, den: Poly | Scalar | None = None):
+    def __init__(self, num: Poly | int, den: Poly | int | None = None):
         n = _as_poly(num)
         d = Poly.const(1) if den is None else _as_poly(den)
         if n is NotImplemented or d is NotImplemented:
-            raise TypeError("numerator and denominator must be Poly or exact scalars")
+            raise TypeError("numerator and denominator must be Poly or int")
         if d.is_zero:
             raise ZeroDivisionError("denominator vanishes identically")
         self.num = n
@@ -381,21 +378,21 @@ class RationalFn:
     def is_polynomial(self) -> bool:
         return self.den == 1
 
-    def __add__(self, other: "RationalFn | Poly | Scalar") -> "RationalFn":
+    def __add__(self, other: "RationalFn | Poly | int") -> "RationalFn":
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
         return RationalFn(self.num * other.den + other.num * self.den,
                           self.den * other.den)
 
-    def __sub__(self, other: "RationalFn | Poly | Scalar") -> "RationalFn":
+    def __sub__(self, other: "RationalFn | Poly | int") -> "RationalFn":
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
         return RationalFn(self.num * other.den - other.num * self.den,
                           self.den * other.den)
 
-    def __mul__(self, other: "RationalFn | Poly | Scalar") -> "RationalFn":
+    def __mul__(self, other: "RationalFn | Poly | int") -> "RationalFn":
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
@@ -430,9 +427,8 @@ class RationalFn:
 def _as_rf(value) -> "RationalFn":
     if isinstance(value, RationalFn):
         return value
-    if isinstance(value, (Poly, int, Fraction)):
-        return RationalFn(value)
-    return NotImplemented
+    poly = _as_poly(value)
+    return poly if poly is NotImplemented else RationalFn(poly)
 
 
 # -- operations over the engine ---------------------------------------------
@@ -454,7 +450,7 @@ def _power_rows(image, emax):
 
 
 def substitute(target: RationalFn | Poly,
-               bindings: Mapping[str, RationalFn | Poly | Scalar]) -> RationalFn:
+               bindings: Mapping[str, RationalFn | Poly | int]) -> RationalFn:
     """Simultaneously substitute rational functions for variables.
 
     Binding denominators are cleared once, with a per-variable power equal to
@@ -480,7 +476,7 @@ def substitute(target: RationalFn | Poly,
     for name, image in bindings.items():
         coerced = _as_rf(image)
         if coerced is NotImplemented:
-            raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or exact scalar")
+            raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or int")
         images[var_id(name)] = coerced
     rows = {}
     mask = 0

@@ -7,12 +7,11 @@ is canonical and loses nothing.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from lyness.exactalg import Poly
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
 
 
@@ -26,8 +25,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             if not rest:
                 break
             raise ValueError(f"cannot tokenize polynomial text near {rest[:20]!r}")
-        if m.lastgroup == "rat":
-            tokens.append(("rat", m.group("rat")))
+        if m.lastgroup == "int":
+            tokens.append(("int", m.group("int")))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name")))
         else:
@@ -38,7 +37,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 def parse_poly(text: str) -> Poly:
     """Parse polynomial text: identifiers, ``^`` powers, optional ``*``
-    (juxtaposition), parentheses, integer and ``a/b`` rational literals."""
+    (juxtaposition), parentheses and integer literals."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -56,8 +55,8 @@ def parse_poly(text: str) -> Poly:
         if tok is None:
             raise ValueError("unexpected end of polynomial text")
         kind, value = take()
-        if kind == "rat":
-            return Poly.const(Fraction(value))
+        if kind == "int":
+            return Poly.const(int(value))
         if kind == "name":
             return Poly.var(value)
         if value == "(":
@@ -75,7 +74,7 @@ def parse_poly(text: str) -> Poly:
         if tok is not None and tok == ("op", "^"):
             take()
             exp_tok = peek()
-            if exp_tok is None or exp_tok[0] != "rat" or "/" in exp_tok[1]:
+            if exp_tok is None or exp_tok[0] != "int":
                 raise ValueError("exponent must be a nonnegative integer")
             take()
             base = base ** int(exp_tok[1])
@@ -91,7 +90,7 @@ def parse_poly(text: str) -> Poly:
             if tok == ("op", "*"):
                 take()
                 result = result * parse_factor()
-            elif kind in ("rat", "name") or value == "(":
+            elif kind in ("int", "name") or value == "(":
                 result = result * parse_factor()
             else:
                 break

@@ -86,9 +86,6 @@ def test_simulate_detects_float_overflow():
 
 
 def test_simulate_validation():
-    for mode in ("symbolic", "exact-rational"):
-        with pytest.raises(ValueError, match="mode must be 'float' or 'exact'"):
-            simulate(ParamsPQ(2, 1), (1.0, 1.0), mode=mode)
     with pytest.raises(ValueError, match="tolerance"):
         simulate(ParamsPQ(2, 1), (1.0, 1.0), tol=0.0)
     with pytest.raises(ValueError, match="tolerance"):
@@ -102,14 +99,14 @@ def test_simulate_validation():
         simulate(ParamsPQ(2, 1), (Fraction(1, 10**400), 1.0))
 
 
-@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize("record_states", [True, False])
-def test_simulate_checks_the_seed_over_q_whether_or_not_it_records(mode, record_states):
+def test_simulate_checks_the_seed_over_q_whether_or_not_it_records(exact, record_states):
     # the seed is finite, its view divided by q = 1/2 overflows; it is
     # checked before the first step, whether or not the states are recorded
     with pytest.raises(ValueError, match=r"^state n=0 must be positive and finite, also "
                                          r"divided by q in floats: got \(1\.0, 1e\+308\)$"):
-        simulate(ParamsPQ(1, Fraction(1, 2)), (1.0, 1e308), mode=mode, max_iters=20,
+        simulate(ParamsPQ(1, Fraction(1, 2)), (1.0, 1e308), exact=exact, max_iters=20,
                  record_states=record_states)
 
 
@@ -140,7 +137,6 @@ def test_simulate_without_recording_keeps_final_state():
         assert thin.states[0] == full.states[-1]
         assert thin.verdict == full.verdict
         assert thin.iters_to_tol == full.iters_to_tol
-        assert thin.g_values == full.g_values[-1:]
 
 
 def test_float_and_exact_orbits_agree():
@@ -148,8 +144,8 @@ def test_float_and_exact_orbits_agree():
     # count, so the cross-check runs at a depth where it is still fast
     rng = random.Random(909)
     for params, seed in small_height_instances(rng, 50):
-        tf = simulate(params, seed, mode="float", tol=1e-300, max_iters=30)
-        te = simulate(params, seed, mode="exact", tol=1e-300, max_iters=30)
+        tf = simulate(params, seed, tol=1e-300, max_iters=30)
+        te = simulate(params, seed, exact=True, tol=1e-300, max_iters=30)
         assert len(tf.states) == len(te.states) == 31
         for (_, _, xf), (_, _, xe) in zip(tf.states, te.states):
             assert abs(xf - xe) <= 1e-9 * max(1.0, abs(xe))
@@ -157,8 +153,8 @@ def test_float_and_exact_orbits_agree():
 
 def test_float_and_exact_orbits_agree_deeper_single_instance():
     params, seed = small_height_instances(random.Random(77), 1)[0]
-    tf = simulate(params, seed, mode="float", tol=1e-300, max_iters=40)
-    te = simulate(params, seed, mode="exact", tol=1e-300, max_iters=40)
+    tf = simulate(params, seed, tol=1e-300, max_iters=40)
+    te = simulate(params, seed, exact=True, tol=1e-300, max_iters=40)
     assert len(tf.states) == len(te.states) == 41
     for (_, _, xf), (_, _, xe) in zip(tf.states, te.states):
         assert abs(xf - xe) <= 1e-9 * max(1.0, abs(xe))
@@ -166,14 +162,15 @@ def test_float_and_exact_orbits_agree_deeper_single_instance():
 
 def test_exact_orbit_stays_positive():
     params, seed = small_height_instances(random.Random(5), 1)[0]
-    trace = simulate(params, seed, mode="exact", tol=1e-300, max_iters=25)
+    trace = simulate(params, seed, exact=True, tol=1e-300, max_iters=25)
     assert all(xp > 0 and xc > 0 for _, xp, xc in trace.states)
 
 
 def test_g_values_descend_along_float_trace():
-    trace = simulate(ParamsPQ(20, 4), (1.0, 2.0))
-    g = trace.g_values
-    assert len(g) == len(trace.states)
+    params = ParamsPQ(20, 4)
+    trace = simulate(params, (1.0, 2.0))
+    alpha_tilde = equilibrium(params).alpha_tilde
+    g = [invariant_value(alpha_tilde, xp / 4, xc / 4) for _, xp, xc in trace.states]
     # two-step descent: every value is beaten within two steps, away from
     # the equilibrium tail of the orbit
     for n in range(0, min(len(g) - 2, 50)):
@@ -181,9 +178,10 @@ def test_g_values_descend_along_float_trace():
 
 
 def test_trace_csv_format():
-    trace = simulate(ParamsPQ(20, 4), (1.0, 2.0), max_iters=10, tol=1e-300)
+    params = ParamsPQ(20, 4)
+    trace = simulate(params, (1.0, 2.0), max_iters=10, tol=1e-300)
     buf = io.StringIO()
-    trace_to_csv(trace, buf)
+    trace_to_csv(params, trace, buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "n,x_prev,x_curr,g"
     assert len(lines) == len(trace.states) + 1

@@ -66,33 +66,32 @@ def test_square_of_sum():
     assert lhs.monomial_count() == 3
 
 
-def test_scalar_fraction_coefficients():
-    f = Fraction(6, 3) * x - Fraction(2, 2) * x
-    assert f == x
-
-
 @pytest.mark.parametrize("build", [
-    lambda half: Poly.const(half),
-    lambda half: Poly({(): half}),
-    lambda half: half * x,
-    lambda half: x * half,
-    lambda half: x + half,
-    lambda half: half - x,
-    lambda half: RationalFn(half),
-    lambda half: RationalFn(x, half),
-    lambda half: RationalFn(x) * half,
-    lambda half: substitute(x * y, {"x": half}),
+    lambda c: Poly.const(c),
+    lambda c: Poly({(): c}),
+    lambda c: c * x,
+    lambda c: x * c,
+    lambda c: x + c,
+    lambda c: c - x,
+    lambda c: RationalFn(c),
+    lambda c: RationalFn(x, c),
+    lambda c: RationalFn(x) * c,
+    lambda c: substitute(x * y, {"x": c}),
 ], ids=["const", "mapping", "rmul", "mul", "add", "rsub", "rf-num",
         "rf-den", "rf-mul", "binding"])
 def test_non_integral_coefficients_are_rejected(build):
-    with pytest.raises(ValueError, match="coefficients must be integers"):
-        build(Fraction(1, 2))
+    # only an int is a coefficient: an integral Fraction, a float and a
+    # numeric string are refused as well
+    for value in (Fraction(1, 2), Fraction(2), 2.0, "3"):
+        with pytest.raises(TypeError):
+            build(value)
 
 
 def test_equality_with_a_non_integral_scalar_is_false():
     assert (x == Fraction(1, 2)) is False
     assert (Poly.const(1) == Fraction(1, 2)) is False
-    assert (Poly.const(2) == Fraction(4, 2)) is True
+    assert (Poly.const(2) == Fraction(4, 2)) is False
+    assert (Poly.const(2) == 2) is True
     assert (Poly() == 0) is True
 
 
@@ -127,7 +126,7 @@ def test_parse_round_trip():
 def test_parse_examples():
     assert parse_poly("0") == Poly()
     assert parse_poly("x^2 - 2*x + 1") == (x - 1) ** 2
-    assert parse_poly("-6/3*u*A") == -2 * u * A
+    assert parse_poly("-2*u*A") == -2 * u * A
 
 
 def test_serialization_independent_of_construction_order():
@@ -251,7 +250,7 @@ def test_evaluate_rational():
 # hypothesis: ring axioms
 # ---------------------------------------------------------------------------
 
-_COEFFS = st.integers(-5, 5).map(Fraction)
+_COEFFS = st.integers(-5, 5)
 _NAMES = ("x", "y", "u", "A")
 
 
@@ -347,10 +346,10 @@ def test_substitution_evaluation_compatible_rational_image():
 
 
 # ---------------------------------------------------------------------------
-# hypothesis: the integer kernel against a plain dict-of-Fraction reference
+# hypothesis: the integer kernel against a plain dict-of-int reference
 # ---------------------------------------------------------------------------
 #
-# The reference keeps every coefficient as a Fraction in a plain dict and
+# The reference keeps every coefficient as an int in a plain dict and
 # multiplies monomials through exponent dicts, sharing no code with Poly.
 
 
@@ -368,7 +367,7 @@ def _ref_mono_mul(a, b):
 def _ref_add(a, b):
     out = dict(a)
     for m, c in b.items():
-        out[m] = out.get(m, Fraction(0)) + c
+        out[m] = out.get(m, 0) + c
     return {m: c for m, c in out.items() if c}
 
 
@@ -377,12 +376,12 @@ def _ref_mul(a, b):
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = _ref_mono_mul(ma, mb)
-            out[m] = out.get(m, Fraction(0)) + ca * cb
+            out[m] = out.get(m, 0) + ca * cb
     return {m: c for m, c in out.items() if c}
 
 
 def _ref_pow(a, n):
-    out = {(): Fraction(1)}
+    out = {(): 1}
     for _ in range(n):
         out = _ref_mul(out, a)
     return out
@@ -436,7 +435,7 @@ _EXACT = st.fractions(min_value=Fraction(-7, 2), max_value=4, max_denominator=9)
 
 def _assert_matches(p, ref):
     assert dict(p.terms) == ref
-    assert all(type(c) is Fraction for c in p.terms.values())
+    assert all(type(c) is int for c in p.terms.values())
     # the stored form is canonical: equal to the same terms built afresh
     assert p == Poly(ref)
 
@@ -521,13 +520,13 @@ def test_kernel_exact_evaluate_matches_reference(a, b, px, py, pu, pa):
 
 @settings(max_examples=100)
 @given(_REF.filter(bool))
-def test_kernel_accessors_return_fractions(ref):
+def test_kernel_accessors_return_ints(ref):
     p = Poly(ref)
     least, mono = p.min_coefficient()
-    assert type(least) is Fraction
+    assert type(least) is int
     assert least == min(ref.values())
     for m in (mono, ((var_id("v"), 9),)):
-        assert type(p.coefficient(m)) is Fraction
+        assert type(p.coefficient(m)) is int
         assert p.coefficient(m) == ref.get(m, 0)
     const = proportionality_constant(2 * p, p)
     assert type(const) is Fraction
@@ -537,7 +536,7 @@ def test_kernel_accessors_return_fractions(ref):
 def test_integral_polynomials_keep_int_coefficients():
     p = (1 + t) ** 4 * (u - 2 * x)
     assert all(type(c) is int for c in p._terms.values())
-    assert all(type(c) is int for c in (Fraction(3) * p)._terms.values())
+    assert all(type(c) is int for c in (3 * p)._terms.values())
 
 
 # ---------------------------------------------------------------------------
