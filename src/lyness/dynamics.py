@@ -1,18 +1,19 @@
 """Orbit machinery for the recurrence x[n+1] = (p + q*x[n]) / (1 + x[n-1]).
 
-The recurrence is applied in one place, the generator ``_orbit``, in the
-original x-coordinates (float or exact rational); it yields the
-(n, x[n-1], x[n]) states that ``OrbitTrace.states`` holds.  ``simulate``
-walks it, and ``descent_along`` checks the one-or-two-step descent of the
-Lyapunov function g along such states, computing g at the view y = x/q.
-An orbit is the run of states whose float view is positive and finite: it
-ends at the first state that fails this test, which each walk applies to
-the state it reads.  Both walks are the convergence sweep's inner loops,
-so they are written tight: ``simulate`` builds a state tuple only when it
-records one, and ``descent_along`` keeps its three-state window in locals
-and evaluates its float screen inline, the one place that formula is
-written.  ``lyapunov_descent_check`` feeds ``descent_along`` straight from
-``_orbit``.
+The recurrence is applied in the original x-coordinates (float or exact
+rational) in two places, pinned to the same states by a test: ``simulate``
+steps it in its own loop, and the generator ``_orbit`` yields the
+(n, x[n-1], x[n]) states that ``OrbitTrace.states`` holds, which feed
+``lyapunov_descent_check``.  ``descent_along`` checks the one-or-two-step
+descent of the Lyapunov function g along such states, computing g at the
+view y = x/q.  An orbit is the run of states whose float view is positive
+and finite: it ends at the first state that fails this test, which each
+walk applies to the state it reads.  Both walks are the convergence
+sweep's inner loops, so they are written tight: ``simulate`` resumes no
+generator frame per state and builds a state tuple only when it records
+one, and ``descent_along`` keeps its three-state window in locals, works
+out each orbit value's view once for the two states that hold it, and
+evaluates its float screen inline, the one place that formula is written.
 The module also evaluates local stability of the fixed point, classifies
 parameter points against the five previously-settled parameter regions,
 emits grids of g for inspection, and samples parameter batches for
@@ -24,7 +25,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
 
 from .model import ParamsPQ, equilibrium, invariant_value
 
@@ -50,16 +50,16 @@ class OrbitTrace:
         return self.states[-1][0] if self.verdict == "converged" else None
 
 
-def _orbit(p, q, seed: tuple):
-    """Yield the states (n, x[n-1], x[n]) for n = 0, 1, ..., starting with
-    ``seed``, in the shape ``OrbitTrace.states`` holds.
+def _orbit(p, q, seed: tuple, length: int):
+    """Yield the first ``length`` states (n, x[n-1], x[n]) for n = 0, 1, ...,
+    starting with ``seed``, in the shape ``OrbitTrace.states`` holds.
 
-    This is the one place the recurrence is applied.  Arithmetic follows the
-    types of ``p``, ``q`` and ``seed``: floats give the float orbit, Fractions
-    the exact one.  The generator never stops; callers decide when to.
+    Arithmetic follows the types of ``p``, ``q`` and ``seed``: floats give
+    the float orbit, Fractions the exact one.  ``simulate`` applies the same
+    recurrence in its own loop; a test pins the two to the same states.
     """
     x_prev, x_cur = seed
-    for n in count():
+    for n in range(length):
         yield n, x_prev, x_cur
         x_prev, x_cur = x_cur, (p + q * x_cur) / (1 + x_prev)
 
@@ -82,6 +82,8 @@ def simulate(params: ParamsPQ,
     once converted to the working type and to floats (ValueError;
     OverflowError beyond the float range), and its view is tested before
     the first step (ValueError naming n=0); past that check nothing raises.
+    The loop applies the recurrence itself, as ``_orbit`` does, and tests
+    each new state's view as it computes it.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be positive and finite")
@@ -93,26 +95,16 @@ def simulate(params: ParamsPQ,
     xbar = equilibrium(params).xbar
     inf = math.inf
     qf = float(params.q)
-    if not all(0 < float(x) / qf < inf for x in seed):
-        a, b = map(float, seed)
+    a, b = map(float, seed)  # state 0 as floats; the loop carries them
+    if not (0 < a / qf < inf and 0 < b / qf < inf):
         raise ValueError(f"state n=0 must be positive and finite, also "
                          f"divided by q in floats: got ({a!r}, {b!r})")
 
     states: list[tuple[int, float, float]] = []
     verdict = "max-iters-exceeded"
-    for n, x_prev, x_cur in _orbit(p, q, seed):
-        # x_prev is the state before's x_cur (or the seed's), already tested
-        if exact:
-            try:
-                x_prev, x_cur = float(x_prev), float(x_cur)
-            except OverflowError:  # a state beyond the float range has no view
-                x_cur = inf
-        if 0 < x_cur / qf < inf:
-            a, b = x_prev, x_cur
-        else:
-            verdict = "diverged-nonfinite"
-            n -= 1  # the last state is the one before, still in a and b
-            break
+    x_prev, x_cur = seed
+    n = 0
+    while True:
         if record_states:
             states.append((n, a, b))
         if abs(a - xbar) < tol and abs(b - xbar) < tol:
@@ -120,6 +112,19 @@ def simulate(params: ParamsPQ,
             break
         if n >= max_iters:
             break
+        x_prev, x_cur = x_cur, (p + q * x_cur) / (1 + x_prev)
+        if exact:
+            try:
+                c = float(x_cur)
+            except OverflowError:  # a state beyond the float range has no view
+                c = inf
+        else:
+            c = x_cur
+        if not 0 < c / qf < inf:
+            verdict = "diverged-nonfinite"  # the last state is the one before
+            break
+        n += 1
+        a, b = b, c
     if not record_states:
         states.append((n, a, b))
     return OrbitTrace(tuple(states), verdict)
@@ -186,8 +191,10 @@ def descent_along(params: ParamsPQ,
     ``states`` are (n, x[n-1], x[n]) triples, as in ``OrbitTrace.states``;
     they are read once, in order, up to the first state whose view
     y = x/q is not positive and finite in floats, where the orbit ends and
-    reading stops.  Every state of the orbit but the last two is checked
-    or skipped.  Requires q < p, the regime in which the transformed fixed
+    reading stops.  An x[n-1] equal to the state before's x[n], as along an
+    orbit, reuses that value's view and offset: the same floats, computed
+    once.  Every state of the orbit but the last two is checked or
+    skipped.  Requires q < p, the regime in which the transformed fixed
     point u exceeds 1 and g descends in at most two steps everywhere off
     the fixed point.  States whose distance to the fixed point is within
     ``EQ_TOL`` relative to max(1, u) are skipped: at that distance a float
@@ -232,34 +239,46 @@ def descent_along(params: ParamsPQ,
     inf = math.inf
     k = 1.0 + u
     bound, margin = _ROUNDOFF_BOUND, _SCREEN_MARGIN
-    # The three-state window lives in plain locals, oldest first: (n0, a0, b0)
-    # is the state a step is checked at, and lo/hi are the screen's bounds on
-    # each state's G.
-    n1 = n2 = None
-    a1 = b1 = lo1 = hi1 = a2 = b2 = lo2 = hi2 = 0.0
+    # The three-state window holds the raw states, oldest first: w0 is the
+    # state a step is checked at.  lo/hi are the screen's bounds on each
+    # state's G, and near whether the state lies within the skip distance.
+    # A value's view y, offset from u, square and magnitude are computed
+    # where it is x[n] (yb, t, tt, ta) and carried to the next state, where
+    # it is x[n-1] (ya, s, ss, sa), when that state's x[n-1] equals it.
+    w1 = w2 = None
+    lo1 = hi1 = lo2 = hi2 = 0.0
+    near1 = near2 = False
+    x_last = yb = t = tt = ta = math.nan
     checked = skipped = exact = 0
-    for n, x0, x1 in states:
-        n0, a0, b0 = n1, a1, b1
-        lo0 = lo1
-        n1, a1, b1 = n2, a2, b2
-        lo1, hi1 = lo2, hi2
-        n2 = n
-        a2 = ya = x0 / qf
-        b2 = yb = x1 / qf
-        if not (0 < ya < inf and 0 < yb < inf):
-            break  # the orbit ends at its first state without a view
-        s = ya - u
+    for state in states:
+        _, x0, x1 = state
+        if x0 == x_last:
+            ya, s, ss, sa = yb, t, tt, ta
+        else:
+            ya = x0 / qf
+            if not 0 < ya < inf:
+                break  # the orbit ends at its first state without a view
+            s = ya - u
+            ss = s * s
+            sa = abs(s)
+        x_last = x1
+        yb = x1 / qf
+        if not 0 < yb < inf:
+            break
         t = yb - u
-        st = s * t
-        ss = s * s
         tt = t * t
+        ta = abs(t)
+        st = s * t
+        sq = ss + tt
         stu = st / u
-        g = (k * (ss + tt - stu) + st * (s + t)) / ya / yb
-        e = bound * ((k * (ss + tt + abs(stu)) + abs(st) * (abs(s) + abs(t))) / ya / yb)
-        lo2, hi2 = g - e, g + e
-        if n0 is None:
+        g = (k * (sq - stu) + st * (s + t)) / ya / yb
+        e = bound * ((k * (sq + abs(stu)) + sa * ta * (sa + ta)) / ya / yb)
+        w0, w1, w2 = w1, w2, state
+        lo0, lo1, hi1, lo2, hi2 = lo1, lo2, hi2, g - e, g + e
+        near0, near1, near2 = near1, near2, sa <= skip_below and ta <= skip_below
+        if w0 is None:
             continue
-        if abs(a0 - u) <= skip_below and abs(b0 - u) <= skip_below:
+        if near0:
             skipped += 1
             continue
         checked += 1
@@ -268,26 +287,26 @@ def descent_along(params: ParamsPQ,
             continue
         exact += 1
         alpha = Fraction(u) * (Fraction(u) - 1)
-        g0 = invariant_value(alpha, Fraction(a0), Fraction(b0))
-        if _drops(invariant_value(alpha, Fraction(a1), Fraction(b1)), g0):
+        views = [(a / qf, b / qf) for _, a, b in (w0, w1, w2)]
+        g0 = invariant_value(alpha, *map(Fraction, views[0]))
+        if _drops(invariant_value(alpha, *map(Fraction, views[1])), g0):
             continue
-        if _drops(invariant_value(alpha, Fraction(a2), Fraction(b2)), g0):
+        if _drops(invariant_value(alpha, *map(Fraction, views[2])), g0):
             continue
-        g = [invariant_value(info.alpha_tilde, ya, yb)
-             for ya, yb in ((a0, b0), (a1, b1), (a2, b2))]
-        return DescentResult(False, DescentViolation(n0, *g), checked, skipped, exact)
+        g = [invariant_value(info.alpha_tilde, ya, yb) for ya, yb in views]
+        return DescentResult(False, DescentViolation(w0[0], *g), checked, skipped, exact)
     return DescentResult(True, None, checked, skipped, exact)
 
 
 def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:
     """``descent_along`` the first ``steps + 3`` states of the float orbit from
-    ``seed``: the states ``simulate`` walks, so ``steps + 1`` steps are
-    checked or skipped, fewer where the orbit ends at a state without a
-    view.  ``steps`` must be a nonnegative int."""
+    ``seed``, as ``_orbit`` yields them: the states ``simulate`` walks, so
+    ``steps + 1`` steps are checked or skipped, fewer where the orbit ends
+    at a state without a view.  ``steps`` must be a nonnegative int."""
     if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 0):
         raise ValueError("steps must be a nonnegative int")
-    orbit = _orbit(float(params.p), float(params.q), (float(seed[0]), float(seed[1])))
-    return descent_along(params, islice(orbit, steps + 3))
+    return descent_along(params, _orbit(float(params.p), float(params.q),
+                                        (float(seed[0]), float(seed[1])), steps + 3))
 
 
 # -- local stability ---------------------------------------------------------------

@@ -268,15 +268,22 @@ class Poly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        """A constant hashes as its int, since ``==`` equates the two."""
+        terms = self._terms
+        if len(terms) <= 1 and terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     # -- evaluation / serialization -----------------------------------------
 
     def evaluate(self, point: Mapping[str, object]):
         """Evaluate at a point mapping variable names to numbers.
 
-        Exact when the point is exact (Fraction/int); float points give float
-        results.  Missing variables raise KeyError.
+        The sum starts at ``Fraction(0)``, so an exact point (Fraction/int)
+        gives an exact result, and so does any polynomial without a variable
+        term: ``Poly.const(3).evaluate({"x": 1.5})`` is ``Fraction(3, 1)``.
+        Otherwise a float point gives a float result.  Missing variables raise
+        KeyError.
         """
         powers: dict[int, list] = {}
         total = _ZERO

@@ -18,6 +18,7 @@ from lyness.dynamics import (
     DescentViolation,
     _SCREEN_MARGIN,
     _drops,
+    _orbit,
     g_grid,
     grid_to_csv,
     classify_regions,
@@ -137,6 +138,36 @@ def test_simulate_without_recording_keeps_final_state():
         assert thin.states[0] == full.states[-1]
         assert thin.verdict == full.verdict
         assert thin.iters_to_tol == full.iters_to_tol
+
+
+def has_view(x, q) -> bool:
+    """Whether the state value x has a positive, finite float view x/q."""
+    try:
+        return 0 < float(x) / float(q) < math.inf
+    except OverflowError:
+        return False
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("params, seed, kwargs, verdict", [
+    (ParamsPQ(6, 2), (Fraction(29, 10), Fraction(31, 10)), {"tol": 1e-2}, "converged"),
+    (ParamsPQ(20, 4), (1, 2), {"max_iters": 12, "tol": 1e-300}, "max-iters-exceeded"),
+    # x[1] = 1e170 and x[2] = 1e370, beyond the float range in either arithmetic
+    (ParamsPQ(1, 10**200), (Fraction(1, 10**30), Fraction(1, 10**30)), {"max_iters": 8},
+     "diverged-nonfinite"),
+], ids=["converged", "max-iters", "diverged"])
+def test_simulate_and_orbit_give_the_same_states(params, seed, kwargs, verdict, exact):
+    # simulate applies the recurrence in its own loop and _orbit feeds the
+    # descent check: both give the same states, the exact ones as floats
+    trace = simulate(params, seed, exact=exact, record_states=True, **kwargs)
+    assert trace.verdict == verdict
+    assert len(trace.states) > 1
+    kind = Fraction if exact else float
+    p, q, *start = map(kind, (params.p, params.q, *seed))
+    *walked, (_, _, beyond) = _orbit(p, q, tuple(start), len(trace.states) + 1)
+    assert trace.states == tuple((n, float(a), float(b)) for n, a, b in walked)
+    assert all(has_view(b, params.q) for _, _, b in walked)
+    assert has_view(beyond, params.q) == (verdict != "diverged-nonfinite")
 
 
 def test_float_and_exact_orbits_agree():

@@ -95,6 +95,17 @@ def test_equality_with_a_non_integral_scalar_is_false():
     assert (Poly() == 0) is True
 
 
+def test_hash_agrees_with_equality_on_constants():
+    # a constant equals its int, so it hashes as that int; zero hashes as 0
+    for c in (1, -1, 2, 10**30):
+        assert hash(Poly.const(c)) == hash(c)
+    assert hash(Poly()) == hash(Poly.const(0)) == hash(0)
+    assert len({2, Poly.const(2)}) == 1
+    assert len({0, Poly()}) == 1
+    assert {Poly.const(2): "two"}[2] == "two"
+    assert hash(x * y + 1) == hash(1 + y * x)
+
+
 def test_negation_and_subtraction():
     f = x * y - x * y
     assert f == Poly()
@@ -239,6 +250,16 @@ def test_rf_zero_denominator_rejected():
 def test_evaluate_poly():
     f = x ** 2 + 3 * y
     assert f.evaluate({"x": Fraction(2), "y": Fraction(1, 3)}) == 5
+
+
+def test_evaluate_at_a_float_point():
+    # the sum starts at Fraction(0): a polynomial without a variable term
+    # stays exact at a float point
+    f = x ** 2 + 3 * y
+    assert f.evaluate({"x": 0.5, "y": 2.0}) == 6.25
+    assert type(f.evaluate({"x": 0.5, "y": 2.0})) is float
+    assert type(Poly.const(3).evaluate({"x": 1.5})) is Fraction
+    assert Poly.const(3).evaluate({"x": 1.5}) == 3
 
 
 def test_evaluate_rational():
