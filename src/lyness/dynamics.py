@@ -12,8 +12,9 @@ walk applies to the state it reads.  Both walks are the convergence
 sweep's inner loops, so they are written tight: ``simulate`` resumes no
 generator frame per state and builds a state tuple only when it records
 one, and ``descent_along`` keeps its three-state window in locals, works
-out each orbit value's view once for the two states that hold it, and
-evaluates its float screen inline, the one place that formula is written.
+out each orbit value's view once for the two states that hold it,
+evaluates its float screen inline, the one place that formula is written,
+and counts steps only at the end.
 The module also evaluates local stability of the fixed point, classifies
 parameter points against the five previously-settled parameter regions,
 emits grids of g for inspection, and samples parameter batches for
@@ -176,12 +177,31 @@ def _drops(g_next: Fraction, g_cur: Fraction) -> bool:
     return g_next < g_cur + Fraction(1, 10**12)
 
 
-#: c eps = 12 * 2**-53 in the float screen's error bound (see ``descent_along``).
+#: c eps = 12 * 2**-53 in the float screen's error bound away from the fixed
+#: point, and c = 72 next to it (see ``descent_along``).
 _ROUNDOFF_BOUND = 12 * 2.0**-53
+_NEAR_ROUNDOFF_BOUND = 72 * 2.0**-53
 
 #: The float screen's margin: a float strictly below 1e-12, however the
 #: literal 1e-12 rounds, so that a screened drop is a certified one.
 _SCREEN_MARGIN = 1e-12 * (1 - 1e-9)
+
+
+def _near(state, qf: float, u: float, skip_below: float) -> bool:
+    """Whether a state's view lies within ``skip_below`` of (u, u), computed
+    as ``descent_along``'s loop computes it."""
+    _, a, b = state
+    return abs(a / qf - u) <= skip_below and abs(b / qf - u) <= skip_below
+
+
+def _exact_g(carried: dict, j: int, state, alpha: Fraction, qf: float) -> Fraction:
+    """The exact g of state ``j``, read from ``carried`` or evaluated and
+    stored there."""
+    g = carried.get(j)
+    if g is None:
+        _, a, b = state
+        g = carried[j] = invariant_value(alpha, Fraction(a / qf), Fraction(b / qf))
+    return g
 
 
 def descent_along(params: ParamsPQ,
@@ -193,7 +213,7 @@ def descent_along(params: ParamsPQ,
     y = x/q is not positive and finite in floats, where the orbit ends and
     reading stops.  An x[n-1] equal to the state before's x[n], as along an
     orbit, reuses that value's view and offset: the same floats, computed
-    once.  Every state of the orbit but the last two is checked or
+    once.  Every state of the orbit but the last two is a step, checked or
     skipped.  Requires q < p, the regime in which the transformed fixed
     point u exceeds 1 and g descends in at most two steps everywhere off
     the fixed point.  States whose distance to the fixed point is within
@@ -203,32 +223,51 @@ def descent_along(params: ParamsPQ,
 
     Every value is compared as G = g - g(u, u), with u the float fixed point
     and alpha~ = u(u - 1) taken exactly, which moves no comparison.  With
-    s = y[n-1] - u and t = y[n] - u the identity
+    s = y[n-1] - u, t = y[n] - u and k = 1 + u the identity
 
-        G = ((1+u)(s^2 + t^2 - st/u) + st(s+t)) / (y[n-1] y[n])
+        G = N / (y[n-1] y[n]),  N = k(s^2 + t^2 - st/u) + st(s+t),
 
     holds exactly, and its quadratic part is positive definite for u >= 1,
     so G has a small relative error in floats even next to the fixed point,
     where g - g(u, u) formed from two values of g cancels.  The float screen
-    encloses each state's G in [G - E, G + E], with
+    encloses each state's G in [G - E, G + E].  Evaluated as written, each
+    term of G carries at most 10 roundings, so the float G is within
+    gamma_10 T / (y[n-1] y[n]) of the true one, where
 
-        E = c eps T / (y[n-1] y[n]),  T = (1+u)(s^2 + t^2 + |st|/u) + |st|(|s| + |t|),
+        T = k(s^2 + t^2 + |st|/u) + |st|(|s| + |t|),
 
-    eps = 2**-53 and c = 12.  Evaluated as written, each term of G carries
-    at most 10 roundings, so the float G is within gamma_10 T / (y[n-1] y[n])
-    of the true one; E covers that error, the 11
-    roundings of E itself and the one of G -/+ E once c >= 11 + O(eps), so
-    c = 12.  An intermediate overflow gives an infinite or nan bound, and so
-    a screen that decides nothing.  The count assumes no underflow: a
-    nonzero s or t is at least 2**-53 in magnitude.
+    eps = 2**-53 and gamma_10 = 10 eps / (1 - 10 eps).  Away from the fixed
+    point E = c eps T / (y[n-1] y[n]) with c = 12: E covers that error, the
+    11 roundings of E itself and the one of G -/+ E once c >= 11 + O(eps).
+
+    Next to it, where |s| + |t| <= k/2 in floats, E = c eps G with c = 72.
+    There, since |st| <= (s^2 + t^2)/2 and u >= 1,
+
+        N >= (s^2 + t^2)(k - |s| - |t|)/2,  T <= (s^2 + t^2)(3k/2 + (|s| + |t|)/2),
+
+    so T <= 7N, or T <= r N with r = (7 + eta)/(1 - eta) when the rounding
+    of the branch test lets |s| + |t| reach (1 + eta) k/2, eta =
+    (1 + eps)/(1 - eps)^2 - 1.  The float G is then within a G of the true
+    one, a = gamma_10 r / (1 - gamma_10 r), and the roundings of c eps G and
+    of G -/+ E are covered once c eps >= (a + eps)/(1 - eps)^2, a floor of
+    71.0...eps; c = 72 also covers an underflow of st/u (at most 2**-967
+    relative to N) and a float u a few ulps below 1.  An intermediate
+    overflow gives an infinite or nan bound, and so a screen that decides
+    nothing.  The count assumes no other underflow: a nonzero s or t is at
+    least 2**-53 in magnitude.
 
     The screen accepts a step when min(hi[n+1], hi[n+2]) < lo[n] + 1e-12
-    (1 - 1e-9): every accepted step is then a certified drop.  Any step the
-    screen cannot accept, every violation among them, is re-evaluated
-    exactly: ``invariant_value`` on the states' exact binary values as
-    ``Fraction``s, with the same exact alpha~.  A reported violation is
-    therefore a genuine property of the given states, not of rounding; its
-    g values are the floats ``invariant_value`` gives.
+    (1 - 1e-9): every accepted step is then a certified drop.  Only where
+    the screen cannot accept does the loop ask whether the window holds a
+    whole step and whether that step is skipped; any other such step, every
+    violation among them, is re-evaluated exactly: ``invariant_value`` on
+    the states' exact binary values as ``Fraction``s, with the same exact
+    alpha~, formed once, and each state's exact g evaluated once.  A
+    reported violation is therefore a genuine property of the given states,
+    not of rounding; its g values are the floats ``invariant_value`` gives.
+    The loop counts the states it reads and the skipped ones among them,
+    and the counts of checked and skipped steps follow from those at the
+    end.
     """
     if not params.q < params.p:
         raise ValueError("descent check requires q < p")
@@ -238,64 +277,71 @@ def descent_along(params: ParamsPQ,
     skip_below = EQ_TOL * max(1.0, u)
     inf = math.inf
     k = 1.0 + u
-    bound, margin = _ROUNDOFF_BOUND, _SCREEN_MARGIN
+    half_k = 0.5 * k
+    far_bound, near_bound, margin = _ROUNDOFF_BOUND, _NEAR_ROUNDOFF_BOUND, _SCREEN_MARGIN
     # The three-state window holds the raw states, oldest first: w0 is the
     # state a step is checked at.  lo/hi are the screen's bounds on each
-    # state's G, and near whether the state lies within the skip distance.
-    # A value's view y, offset from u, square and magnitude are computed
-    # where it is x[n] (yb, t, tt, ta) and carried to the next state, where
-    # it is x[n-1] (ya, s, ss, sa), when that state's x[n-1] equals it.
-    w1 = w2 = None
+    # state's G.  A value's view y, offset from u and magnitude are computed
+    # where it is x[n] (yb, t, ta) and carried to the next state, where it
+    # is x[n-1] (ya, s, sa), when that state's x[n-1] equals it.
+    w1 = w2 = violation = alpha = None
     lo1 = hi1 = lo2 = hi2 = 0.0
-    near1 = near2 = False
-    x_last = yb = t = tt = ta = math.nan
-    checked = skipped = exact = 0
-    for state in states:
+    x_last = yb = t = ta = math.nan
+    m = -1  # the index of the state read last; after the loop, the count
+    near = exact = 0  # states next to the fixed point; steps decided exactly
+    carried: dict[int, Fraction] = {}  # exact g by state index
+    for m, state in enumerate(states):
         _, x0, x1 = state
         if x0 == x_last:
-            ya, s, ss, sa = yb, t, tt, ta
+            ya, s, sa = yb, t, ta
         else:
             ya = x0 / qf
             if not 0 < ya < inf:
                 break  # the orbit ends at its first state without a view
             s = ya - u
-            ss = s * s
             sa = abs(s)
         x_last = x1
         yb = x1 / qf
         if not 0 < yb < inf:
             break
         t = yb - u
-        tt = t * t
         ta = abs(t)
         st = s * t
-        sq = ss + tt
+        sq = s * s + t * t
         stu = st / u
         g = (k * (sq - stu) + st * (s + t)) / ya / yb
-        e = bound * ((k * (sq + abs(stu)) + sa * ta * (sa + ta)) / ya / yb)
+        if sa + ta <= half_k:
+            e = near_bound * g
+        else:
+            e = far_bound * ((k * (sq + abs(stu)) + sa * ta * (sa + ta)) / ya / yb)
+        if sa <= skip_below and ta <= skip_below:
+            near += 1
         w0, w1, w2 = w1, w2, state
-        lo0, lo1, hi1, lo2, hi2 = lo1, lo2, hi2, g - e, g + e
-        near0, near1, near2 = near1, near2, sa <= skip_below and ta <= skip_below
-        if w0 is None:
-            continue
-        if near0:
-            skipped += 1
-            continue
-        checked += 1
+        lo0, lo1, lo2 = lo1, lo2, g - e
+        hi1, hi2 = hi2, g + e
         bar = lo0 + margin
-        if hi1 < bar or hi2 < bar:
+        if hi1 < bar or hi2 < bar or w0 is None or _near(w0, qf, u, skip_below):
             continue
         exact += 1
-        alpha = Fraction(u) * (Fraction(u) - 1)
+        if alpha is None:
+            alpha = Fraction(u) * (Fraction(u) - 1)
+        i = m - 2
+        carried = {j: v for j, v in carried.items() if j >= i}
+        g0 = _exact_g(carried, i, w0, alpha, qf)
+        if (_drops(_exact_g(carried, i + 1, w1, alpha, qf), g0)
+                or _drops(_exact_g(carried, i + 2, w2, alpha, qf), g0)):
+            continue
         views = [(a / qf, b / qf) for _, a, b in (w0, w1, w2)]
-        g0 = invariant_value(alpha, *map(Fraction, views[0]))
-        if _drops(invariant_value(alpha, *map(Fraction, views[1])), g0):
-            continue
-        if _drops(invariant_value(alpha, *map(Fraction, views[2])), g0):
-            continue
-        g = [invariant_value(info.alpha_tilde, ya, yb) for ya, yb in views]
-        return DescentResult(False, DescentViolation(w0[0], *g), checked, skipped, exact)
-    return DescentResult(True, None, checked, skipped, exact)
+        violation = DescentViolation(w0[0], *(invariant_value(info.alpha_tilde, ya, yb)
+                                              for ya, yb in views))
+        m += 1
+        break
+    else:
+        m += 1
+    # m counts the orbit's states read (a state without a view is not one),
+    # and each but the last two is a step
+    skipped = near - sum(_near(w, qf, u, skip_below) for w in (w1, w2) if w is not None)
+    return DescentResult(violation is None, violation, max(m - 2, 0) - skipped, skipped, exact)
 
 
 def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:

@@ -16,6 +16,7 @@ from lyness.dynamics import (
     UNCONVERGED_DESCENT_STEPS,
     DescentResult,
     DescentViolation,
+    _NEAR_ROUNDOFF_BOUND,
     _SCREEN_MARGIN,
     _drops,
     _orbit,
@@ -27,6 +28,7 @@ from lyness.dynamics import (
     lyapunov_descent_check,
     random_instances,
     simulate,
+    sweep,
     stability_from_ua,
     trace_to_csv,
 )
@@ -298,6 +300,50 @@ def test_descent_along_reports_a_rise():
                                                    near / 4, near / 4)
 
 
+def test_a_skipped_step_never_reaches_the_tie_break():
+    # g rises from the fixed point to (x, 100), so the screen fails, but the
+    # step sits at the fixed point: it is skipped, not decided exactly
+    params = ParamsPQ(20, 4)
+    xbar = equilibrium(params).xbar
+    result = descent_along(params, [(0, xbar, xbar), (1, xbar, 100.0), (2, 100.0, 100.0)])
+    assert result == DescentResult(True, None, 0, 1, 0)
+
+
+def test_descent_counts_follow_the_states_read():
+    # (checked, skipped) for every prefix, and with the state at each
+    # position replaced by one without a view, where reading stops
+    params = ParamsPQ(20, 4)
+    xbar = equilibrium(params).xbar
+    states = [(0, xbar, xbar), (1, xbar, 1.0), (2, 1.0, 2.0), (3, xbar, xbar),
+              (4, xbar, xbar), (5, 2.0, xbar)]
+    counts = [(0, 0), (0, 0), (0, 0), (0, 1), (1, 1), (2, 1), (2, 2)]
+    for size, (checked, skipped) in enumerate(counts):
+        assert descent_along(params, states[:size]) == DescentResult(True, None, checked,
+                                                                     skipped, 0), size
+    for j in range(len(states)):
+        for bad in ((j, states[j][1], -1.0), (j, 0.0, states[j][2])):
+            result = descent_along(params, states[:j] + [bad] + states[j + 1:])
+            assert result == DescentResult(True, None, *counts[j], 0), bad
+
+
+def test_the_exact_path_evaluates_each_state_once(monkeypatch):
+    # every step is decided exactly here (the screen's s*s overflows); the
+    # exact g of a state is carried to the next step that reads it
+    calls = []
+
+    def counted(alpha_tilde, x, y):
+        calls.append(type(x))
+        return invariant_value(alpha_tilde, x, y)
+
+    monkeypatch.setattr("lyness.dynamics.invariant_value", counted)
+    (record,) = sweep([(ParamsPQ(1e300, 1.0), (1.610880713453163e-219, 3.947781747543519e-71))],
+                      1e-8, 10)
+    assert record.descent == DescentResult(True, None, 501, 0, 501)
+    assert record.trace.states == ((10, 1.2000000000000003e+299, 5.090909090909091e+299),)
+    assert record.trace.verdict == "max-iters-exceeded"
+    assert calls == [Fraction] * len(calls) and len(calls) <= 503
+
+
 def test_a_violation_reports_finite_g_where_the_float_formula_overflows():
     # g ~ 1e200 here, but (1+x)(1+y)(alpha~+x+y) overflows
     params = ParamsPQ(1e200, 2)
@@ -319,8 +365,8 @@ def test_a_violation_reports_finite_g_where_the_float_formula_overflows():
 def _g_shifted(u, y0, y1):
     """Reference for the monitor's inline screen: floats (lo, hi) with
     lo <= G <= hi for G = g(y0, y1) - g(u, u), alpha~ = u(u - 1) and
-    y0, y1 > 0, written out as ``descent_along``'s docstring states it
-    (c = 12)."""
+    y0, y1 > 0, written out as ``descent_along``'s docstring states it:
+    E = 72 eps G where |s| + |t| <= (1 + u)/2, else E = 12 eps T / (y0 y1)."""
     s = y0 - u
     t = y1 - u
     st = s * t
@@ -329,8 +375,11 @@ def _g_shifted(u, y0, y1):
     stu = st / u
     k = 1.0 + u
     g = (k * (ss + tt - stu) + st * (s + t)) / y0 / y1
-    e = 12 * 2.0**-53 * ((k * (ss + tt + abs(stu)) + abs(st) * (abs(s) + abs(t)))
-                         / y0 / y1)
+    if abs(s) + abs(t) <= k / 2:
+        e = 72 * 2.0**-53 * g
+    else:
+        e = 12 * 2.0**-53 * ((k * (ss + tt + abs(stu)) + abs(st) * (abs(s) + abs(t)))
+                             / y0 / y1)
     return g - e, g + e
 
 
@@ -409,21 +458,24 @@ def test_descent_along_matches_fraction_tie_break(case):
     assert_same_descent(descent_along(params, states), descent_reference(params, states))
 
 
+@pytest.fixture(scope="module")
 def sweep_orbit_states():
     """(params, states) of criterion 08's 300 orbits, each walked as far as
-    criterion 08 checks it."""
+    criterion 08 checks it; simulated once for the module."""
+    orbits = []
     for params, seed in random_instances(random.Random(74), 100, 3):
         trace = simulate(params, seed, tol=1e-8, max_iters=10**6, record_states=False)
         steps = trace.iters_to_tol
         if steps is None:
             steps = UNCONVERGED_DESCENT_STEPS
-        yield params, simulate(params, seed, tol=1e-300, max_iters=steps + 2).states
+        orbits.append((params, simulate(params, seed, tol=1e-300, max_iters=steps + 2).states))
+    return orbits
 
 
-def test_descent_along_matches_the_g_screen_on_the_sweep_orbits():
+def test_descent_along_matches_the_g_screen_on_the_sweep_orbits(sweep_orbit_states):
     # criterion 08's 300 orbits, state for state: the shifted screen changes
     # which steps take the exact path, never a verdict or a count
-    for params, states in sweep_orbit_states():
+    for params, states in sweep_orbit_states:
         assert_same_descent(descent_along(params, states), descent_reference(params, states))
 
 
@@ -467,8 +519,8 @@ def test_descent_along_matches_the_reference_screen(case):
     assert descent_along(params, states) == descent_screened(params, states)
 
 
-def test_descent_along_matches_the_reference_screen_on_the_sweep_orbits():
-    for params, states in sweep_orbit_states():
+def test_descent_along_matches_the_reference_screen_on_the_sweep_orbits(sweep_orbit_states):
+    for params, states in sweep_orbit_states:
         assert descent_along(params, states) == descent_screened(params, states)
 
 
@@ -505,11 +557,16 @@ def screen_edge(params, cur):
 
 def test_descent_along_matches_the_reference_screen_at_its_edge():
     # steps whose screen verdict flips within a few ulps: any change to the
-    # enclosure (its constant, an absolute value) moves decided_exactly here
+    # enclosure (its constants, an absolute value, the branch) moves
+    # decided_exactly here.  The last five points lie where
+    # |s| + |t| <= k/2 = 3, the first three well inside, the last two just
+    # inside and just outside that line.
     params = ParamsPQ(20, 4)  # q = 4: x = 4y and y = x/4 are exact
     u = equilibrium(params).ybar
     far = (1e6 * u, 1e6 * u)
-    for cur in ((3 * u, u / 2), (u / 2, 3 * u), (2 * u, 2.5 * u), (1e5, 1e5), (1e5, u / 3)):
+    for cur in ((3 * u, u / 2), (u / 2, 3 * u), (2 * u, 2.5 * u), (1e5, 1e5), (1e5, u / 3),
+                (u + 0.5, u - 0.25), (u - 1.0, u + 1.5), (u + 2.0, u + 0.75),
+                (u + 1.5, u - 1.5 + 1e-6), (u + 1.5, u - 1.5 - 1e-6)):
         verdicts = set()
         for z in screen_edge(params, cur):
             states = [(n, 4 * a, 4 * b) for n, (a, b) in enumerate((cur, (cur[0], z), far))]
@@ -521,12 +578,13 @@ def test_descent_along_matches_the_reference_screen_at_its_edge():
 
 @st.composite
 def screened_steps(draw, u=None):
-    """u in [1, 1e6] unless given, a state at relative offsets from 0 to 1
-    off (u, u), and a second state a few ulps to 1e-6 relative from the
-    first, so that the two values of g are often within rounding of the
-    1e-12 margin."""
+    """u in [1, 1e6] or [1, 1 + 1e-6] unless given, a state at relative
+    offsets from 0 to 1 off (u, u), and a second state a few ulps to 1e-6
+    relative from the first, so that the two values of g are often within
+    rounding of the 1e-12 margin.  Next to u = 1 a view close to 0 still
+    has |s| + |t| <= (1 + u)/2."""
     if u is None:
-        u = draw(st.floats(1.0, 1e6))
+        u = draw(st.one_of(st.floats(1.0, 1e6), st.floats(1.0, 1.0 + 1e-6)))
     scales = st.sampled_from([0.0] + [10.0**-k for k in range(15)])
 
     def away():
@@ -579,6 +637,20 @@ def test_descent_along_screens_only_exact_drops(case):
 
 def test_screen_margin_is_below_the_certified_one():
     assert 0 < Fraction(_SCREEN_MARGIN) < Fraction(1, 10**12)
+
+
+def test_near_screen_constant_covers_its_floor():
+    # the floor descent_along's docstring derives for E = c eps G where
+    # |s| + |t| <= k/2: the ratio T <= 7N, loosened for the rounding of the
+    # branch test, gamma_10, and the roundings of c eps G and of G -/+ E
+    eps = Fraction(1, 2**53)
+    eta = (1 + eps) / (1 - eps) ** 2 - 1
+    ratio = (7 + eta) / (1 - eta)
+    gamma_10 = 10 * eps / (1 - 10 * eps)
+    a = gamma_10 * ratio / (1 - gamma_10 * ratio)
+    floor = (a + eps) / (1 - eps) ** 2
+    assert 71 * eps < floor < 72 * eps
+    assert Fraction(_NEAR_ROUNDOFF_BOUND) >= floor
 
 
 def test_descent_along_rejects_bad_states():
