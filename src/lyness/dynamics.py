@@ -4,8 +4,9 @@ The recurrence is applied in the original x-coordinates (float or exact
 rational) in two places, pinned to the same states by a test: ``simulate``
 steps it in its own loop, and the generator ``_orbit`` yields the
 (n, x[n-1], x[n]) states that ``OrbitTrace.states`` holds, which feed
-``lyapunov_descent_check``.  ``descent_along`` checks the one-or-two-step
-descent of the Lyapunov function g along such states, computing g at the
+``lyapunov_descent_check``.  ``descent_along`` checks that the Lyapunov
+function g drops strictly within one or two steps along such states (a
+state repeated off the fixed point is a violation), computing g at the
 view y = x/q.  An orbit is the run of states whose float view is positive
 and finite: it ends at the first state that fails this test, which each
 walk applies to the state it reads.  Both walks are the convergence
@@ -172,19 +173,10 @@ class DescentResult:
     decided_exactly: int
 
 
-def _drops(g_next: Fraction, g_cur: Fraction) -> bool:
-    """Whether g_next < g_cur + 1e-12, exactly."""
-    return g_next < g_cur + Fraction(1, 10**12)
-
-
 #: c eps = 12 * 2**-53 in the float screen's error bound away from the fixed
 #: point, and c = 72 next to it (see ``descent_along``).
 _ROUNDOFF_BOUND = 12 * 2.0**-53
 _NEAR_ROUNDOFF_BOUND = 72 * 2.0**-53
-
-#: The float screen's margin: a float strictly below 1e-12, however the
-#: literal 1e-12 rounds, so that a screened drop is a certified one.
-_SCREEN_MARGIN = 1e-12 * (1 - 1e-9)
 
 
 def _near(state, qf: float, u: float, skip_below: float) -> bool:
@@ -206,7 +198,8 @@ def _exact_g(carried: dict, j: int, state, alpha: Fraction, qf: float) -> Fracti
 
 def descent_along(params: ParamsPQ,
                   states: Iterable[tuple[int, float, float]]) -> DescentResult:
-    """Check min(g[n+1], g[n+2]) < g[n] + 1e-12 along an orbit's states.
+    """Check that g drops strictly, min(g[n+1], g[n+2]) < g[n], along an
+    orbit's states.
 
     ``states`` are (n, x[n-1], x[n]) triples, as in ``OrbitTrace.states``;
     they are read once, in order, up to the first state whose view
@@ -215,11 +208,12 @@ def descent_along(params: ParamsPQ,
     orbit, reuses that value's view and offset: the same floats, computed
     once.  Every state of the orbit but the last two is a step, checked or
     skipped.  Requires q < p, the regime in which the transformed fixed
-    point u exceeds 1 and g descends in at most two steps everywhere off
-    the fixed point.  States whose distance to the fixed point is within
-    ``EQ_TOL`` relative to max(1, u) are skipped: at that distance a float
-    orbit's position is dominated by rounding, so differences of g carry
-    no information.
+    point u exceeds 1 (``equilibrium`` gives a float u >= 1 there) and g
+    drops strictly within two steps everywhere off the fixed point, so a
+    state repeated off the fixed point is a violation.  States whose
+    distance to the fixed point is within ``EQ_TOL`` relative to max(1, u)
+    are skipped: at that distance a float orbit's position is dominated by
+    rounding, so differences of g carry no information.
 
     Every value is compared as G = g - g(u, u), with u the float fixed point
     and alpha~ = u(u - 1) taken exactly, which moves no comparison.  With
@@ -251,23 +245,22 @@ def descent_along(params: ParamsPQ,
     one, a = gamma_10 r / (1 - gamma_10 r), and the roundings of c eps G and
     of G -/+ E are covered once c eps >= (a + eps)/(1 - eps)^2, a floor of
     71.0...eps; c = 72 also covers an underflow of st/u (at most 2**-967
-    relative to N) and a float u a few ulps below 1.  An intermediate
-    overflow gives an infinite or nan bound, and so a screen that decides
-    nothing.  The count assumes no other underflow: a nonzero s or t is at
-    least 2**-53 in magnitude.
+    relative to N).  An intermediate overflow gives an infinite or nan
+    bound, and so a screen that decides nothing.  The count assumes no
+    other underflow: a nonzero s or t is at least 2**-53 in magnitude.
 
-    The screen accepts a step when min(hi[n+1], hi[n+2]) < lo[n] + 1e-12
-    (1 - 1e-9): every accepted step is then a certified drop.  Only where
-    the screen cannot accept does the loop ask whether the window holds a
-    whole step and whether that step is skipped; any other such step, every
-    violation among them, is re-evaluated exactly: ``invariant_value`` on
-    the states' exact binary values as ``Fraction``s, with the same exact
-    alpha~, formed once, and each state's exact g evaluated once.  A
-    reported violation is therefore a genuine property of the given states,
-    not of rounding; its g values are the floats ``invariant_value`` gives.
-    The loop counts the states it reads and the skipped ones among them,
-    and the counts of checked and skipped steps follow from those at the
-    end.
+    The screen accepts a step when min(hi[n+1], hi[n+2]) < lo[n]: every
+    accepted step is then a strict drop.  Only where the screen cannot
+    accept does the loop ask whether the window holds a whole step and
+    whether that step is skipped; any other such step, every violation
+    among them, is decided exactly, by the same strict inequality on
+    ``invariant_value`` at the states' exact binary values as ``Fraction``s,
+    with the same exact alpha~, formed once, and each state's exact g
+    evaluated once.  A reported violation is therefore a genuine property
+    of the given states, not of rounding; its g values are the floats
+    ``invariant_value`` gives.  The loop counts the states it reads and the
+    skipped ones among them, and the counts of checked and skipped steps
+    follow from those at the end.
     """
     if not params.q < params.p:
         raise ValueError("descent check requires q < p")
@@ -278,7 +271,7 @@ def descent_along(params: ParamsPQ,
     inf = math.inf
     k = 1.0 + u
     half_k = 0.5 * k
-    far_bound, near_bound, margin = _ROUNDOFF_BOUND, _NEAR_ROUNDOFF_BOUND, _SCREEN_MARGIN
+    far_bound, near_bound = _ROUNDOFF_BOUND, _NEAR_ROUNDOFF_BOUND
     # The three-state window holds the raw states, oldest first: w0 is the
     # state a step is checked at.  lo/hi are the screen's bounds on each
     # state's G.  A value's view y, offset from u and magnitude are computed
@@ -319,8 +312,7 @@ def descent_along(params: ParamsPQ,
         w0, w1, w2 = w1, w2, state
         lo0, lo1, lo2 = lo1, lo2, g - e
         hi1, hi2 = hi2, g + e
-        bar = lo0 + margin
-        if hi1 < bar or hi2 < bar or w0 is None or _near(w0, qf, u, skip_below):
+        if hi1 < lo0 or hi2 < lo0 or w0 is None or _near(w0, qf, u, skip_below):
             continue
         exact += 1
         if alpha is None:
@@ -328,8 +320,8 @@ def descent_along(params: ParamsPQ,
         i = m - 2
         carried = {j: v for j, v in carried.items() if j >= i}
         g0 = _exact_g(carried, i, w0, alpha, qf)
-        if (_drops(_exact_g(carried, i + 1, w1, alpha, qf), g0)
-                or _drops(_exact_g(carried, i + 2, w2, alpha, qf), g0)):
+        if (_exact_g(carried, i + 1, w1, alpha, qf) < g0
+                or _exact_g(carried, i + 2, w2, alpha, qf) < g0):
             continue
         views = [(a / qf, b / qf) for _, a, b in (w0, w1, w2)]
         violation = DescentViolation(w0[0], *(invariant_value(info.alpha_tilde, ya, yb)

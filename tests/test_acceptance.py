@@ -214,8 +214,8 @@ def test_criterion_08_descent_along_sweep(sweep):
         if not r.descent.ok:
             violations.append((r.params, r.seed, r.descent.violation))
     ok = not violations
-    detail = (f"min of the next two invariant values undercuts the current one "
-              f"(+1e-12) at every off-equilibrium step; "
+    detail = (f"min of the next two invariant values drops strictly below the "
+              f"current one at every off-equilibrium step; "
               f"{total_checked} steps checked ({total_exact} decided exactly), "
               f"{len(violations)} violations")
     assert ok, _line(8, ok, detail)

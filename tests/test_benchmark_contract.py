@@ -35,11 +35,15 @@ def test_child_entry_point_reports_ok(entry):
 
 @pytest.mark.parametrize("name", ["sweep", "sign-samples"])
 def test_one_workload_operation_passes(name, monkeypatch):
+    # every operation of one round, so that a rule change that fails any
+    # benchmark operation fails here
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     workload = importlib.import_module("workloads").WORKLOADS[name]()
     workload.prepare(3)
-    assert workload.execute(workload.round[0], None).ok
+    assert workload.round
+    for i, op in enumerate(workload.round):
+        assert workload.execute(op, None).ok, i
 
 
 def test_a_descent_result_is_failed_by_replace():

@@ -17,8 +17,6 @@ from lyness.dynamics import (
     DescentResult,
     DescentViolation,
     _NEAR_ROUNDOFF_BOUND,
-    _SCREEN_MARGIN,
-    _drops,
     _orbit,
     g_grid,
     grid_to_csv,
@@ -384,22 +382,40 @@ def _g_shifted(u, y0, y1):
 
 
 def test_descent_along_takes_the_exact_path_when_the_screen_cannot_decide():
-    # far from the fixed point at large u the rounding bound E dwarfs 1e-12,
-    # so a repeated state (no drop in floats, g' = g < g + 1e-12 exactly)
-    # falls through to the integer pairs
+    # far from the fixed point at large u, states one ulp apart on the
+    # diagonal, where g grows with y: each step is a genuine drop of g, far
+    # below the rounding bound E, so every one falls through to the exact
+    # path, which accepts it
     params = ParamsPQ(1000, 0.01)
     info = equilibrium(params)
     assert info.ybar > 3000
-    far = 1e4 * info.xbar
-    lo, hi = _g_shifted(info.ybar, far / 0.01, far / 0.01)
-    assert hi - lo > 1e-12
-    result = descent_along(params, [(n, far, far) for n in range(5)])
+    xs = [1e4 * info.xbar]
+    for _ in range(4):
+        xs.append(math.nextafter(xs[-1], 0.0))
+    exact = [g_fraction(info.ybar, x / 0.01, x / 0.01) for x in xs]
+    assert all(b < a for a, b in zip(exact, exact[1:]))
+    lo, hi = _g_shifted(info.ybar, xs[0] / 0.01, xs[0] / 0.01)
+    assert exact[0] - exact[2] < (hi - lo) / 2
+    result = descent_along(params, [(n, x, x) for n, x in enumerate(xs)])
     assert result == DescentResult(True, None, 3, 0, 3)
+
+
+def test_a_repeated_state_off_the_fixed_point_is_a_violation():
+    # g does not drop at all along a repeated state: the lemma's strict
+    # inequality fails at the first step
+    params = ParamsPQ(20, 4)
+    info = equilibrium(params)
+    x = 3 * info.xbar
+    result = descent_along(params, [(n, x, x) for n in range(5)])
+    g = invariant_value(info.alpha_tilde, x / 4, x / 4)
+    assert not result.ok
+    assert result.violation == DescentViolation(0, g, g, g)
+    assert (result.checked, result.skipped_near_equilibrium, result.decided_exactly) == (1, 0, 1)
 
 
 def descent_reference(params, states):
     """``descent_along`` before the shifted screen: the same skip rule, the
-    1e-9 float screen on g itself, and the tie-break in plain ``Fraction``
+    1e-9 float screen on g itself, and the strict tie-break in plain ``Fraction``
     arithmetic, with exact g from ``invariant_value`` on the states'
     ``Fraction`` values."""
     info = equilibrium(params)
@@ -423,7 +439,7 @@ def descent_reference(params, states):
         if min(g[i + 1], g[i + 2]) < g[i] - 1e-9 * max(1.0, abs(g[i])):
             continue
         exact += 1
-        if min(g_exact(i + 1), g_exact(i + 2)) < g_exact(i) + Fraction(1, 10**12):
+        if min(g_exact(i + 1), g_exact(i + 2)) < g_exact(i):
             continue
         return DescentResult(False, DescentViolation(n, g[i], g[i + 1], g[i + 2]),
                              checked, skipped, exact)
@@ -487,8 +503,8 @@ def g_fraction(u, y0, y1):
 
 def descent_screened(params, states):
     """``descent_along`` as its docstring specifies it, built on the
-    reference enclosure ``_g_shifted``: the skip rule, the shifted screen
-    with its margin, and the tie-break on ``g_fraction``."""
+    reference enclosure ``_g_shifted``: the skip rule, the shifted screen's
+    strict comparison, and the strict tie-break on ``g_fraction``."""
     info = equilibrium(params)
     u = info.ybar
     qf = float(params.q)
@@ -501,11 +517,11 @@ def descent_screened(params, states):
             skipped += 1
             continue
         checked += 1
-        if min(bounds[i + 1][1], bounds[i + 2][1]) < bounds[i][0] + _SCREEN_MARGIN:
+        if min(bounds[i + 1][1], bounds[i + 2][1]) < bounds[i][0]:
             continue
         exact += 1
         g_cur, g_next, g_next2 = (g_fraction(u, *y[1:]) for y in ys[i:i + 3])
-        if min(g_next, g_next2) < g_cur + Fraction(1, 10**12):
+        if min(g_next, g_next2) < g_cur:
             continue
         g = [invariant_value(info.alpha_tilde, *y[1:]) for y in ys[i:i + 3]]
         return DescentResult(False, DescentViolation(n, *g), checked, skipped, exact)
@@ -533,7 +549,7 @@ def screen_edge(params, cur):
     verdicts, and the 32 floats on either side are returned."""
     u = equilibrium(params).ybar
     w, z = cur
-    bar = _g_shifted(u, *cur)[0] + _SCREEN_MARGIN
+    bar = _g_shifted(u, *cur)[0]
 
     def decided(zz):
         return _g_shifted(u, w, zz)[1] < bar
@@ -581,7 +597,7 @@ def screened_steps(draw, u=None):
     """u in [1, 1e6] or [1, 1 + 1e-6] unless given, a state at relative
     offsets from 0 to 1 off (u, u), and a second state a few ulps to 1e-6
     relative from the first, so that the two values of g are often within
-    rounding of the 1e-12 margin.  Next to u = 1 a view close to 0 still
+    rounding of each other.  Next to u = 1 a view close to 0 still
     has |s| + |t| <= (1 + u)/2."""
     if u is None:
         u = draw(st.one_of(st.floats(1.0, 1e6), st.floats(1.0, 1.0 + 1e-6)))
@@ -607,8 +623,8 @@ def test_shifted_screen_is_sound(case):
     exact, exact_next = g_fraction(u, *cur), g_fraction(u, *nxt)
     assert lo <= exact <= hi
     assert lo_next <= exact_next <= hi_next
-    if hi_next < lo + _SCREEN_MARGIN:
-        assert exact_next < exact + Fraction(1, 10**12)
+    if hi_next < lo:
+        assert exact_next < exact
 
 
 @st.composite
@@ -624,7 +640,7 @@ def screened_orbit_steps(draw):
 @given(screened_orbit_steps())
 def test_descent_along_screens_only_exact_drops(case):
     # the monitor's own screen: a step it decides without the exact path is
-    # an exact drop at the states' y = x/q
+    # a strict exact drop at the states' y = x/q
     params, cur, nxt = case
     q = float(params.q)
     states = [(n, a * q, b * q) for n, (a, b) in enumerate((cur, nxt, nxt))]
@@ -632,11 +648,7 @@ def test_descent_along_screens_only_exact_drops(case):
     if result.checked == 1 and result.decided_exactly == 0:
         u = equilibrium(params).ybar
         (_, a0, b0), (_, a1, b1), _ = states
-        assert g_fraction(u, a1 / q, b1 / q) < g_fraction(u, a0 / q, b0 / q) + Fraction(1, 10**12)
-
-
-def test_screen_margin_is_below_the_certified_one():
-    assert 0 < Fraction(_SCREEN_MARGIN) < Fraction(1, 10**12)
+        assert g_fraction(u, a1 / q, b1 / q) < g_fraction(u, a0 / q, b0 / q)
 
 
 def test_near_screen_constant_covers_its_floor():
@@ -667,13 +679,6 @@ def test_descent_along_rejects_bad_states():
             raise AssertionError("read past the bad state")
 
         assert descent_along(params, up_to_the_bad_state()) == descent_along(params, states[:2])
-
-
-def test_exact_pair_comparison_margin():
-    # g' < g + 1e-12 exactly: a margin of exactly 1e-12 is no drop
-    g = Fraction(7, 3)
-    assert not _drops(g + Fraction(1, 10**12), g)
-    assert _drops(g + Fraction(1, 10**12) - Fraction(1, 3 * 10**12), g)
 
 
 def test_descent_requires_q_below_p():

@@ -125,6 +125,20 @@ def test_transformed_equilibrium_exceeds_one_iff_q_below_p():
     assert equilibrium(ParamsPQ(5, 5)).ybar == 1
 
 
+def test_float_fixed_point_is_at_least_one_where_q_below_p():
+    # xbar / q rounds to 0.9999999999999998 on this pair, though q < p
+    info = equilibrium(ParamsPQ(1.0909512981708756e16, 1.0909512981708754e16))
+    assert info.ybar == 1.0
+    assert info.alpha_tilde == 0.0
+    # p a few ulps to 1e-12 relative above q, over a wide range of q
+    rng = random.Random(16)
+    for _ in range(2000):
+        q = math.exp(rng.uniform(math.log(1e-3), math.log(1e17)))
+        p = q * (1 + rng.choice([2.0**-52, 2.0**-51, 1e-15, 1e-12]) * rng.uniform(1, 4))
+        if q < p:
+            assert equilibrium(ParamsPQ(p, q)).ybar >= 1, (p, q)
+
+
 # ---------------------------------------------------------------------------
 # symbolic model
 # ---------------------------------------------------------------------------
