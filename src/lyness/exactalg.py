@@ -29,9 +29,8 @@ The public surface keeps the tuple form.  A `Monomial` is a tuple of
 positive; the empty tuple is the constant monomial.  Tuples are packed where
 they enter (`Poly(...)`, which accepts pairs in any order and drops zero
 exponents, and `Poly.coefficient`) and unpacked only where keys leave the
-kernel: `Poly.terms`, the `Poly.min_coefficient` witness, `Poly.to_text`,
-and `Poly.evaluate`, which decodes each polynomial's keys once and keeps
-them.
+kernel: `Poly.terms`, the `Poly.min_coefficient` witness and
+`Poly.to_text`.
 
 Rational functions are unreduced pairs numerator/denominator with sum,
 difference and product only, each by another rational function, a `Poly` or
@@ -45,10 +44,12 @@ normalized shape.
 terms, on ints alone: every term product is one key addition and one
 multiply-add into a single int accumulator, zeros dropped once at the end.
 `Poly.__mul__` and the power rows of `substitute` share one term-product
-loop.
+loop.  Exact evaluation is substitution by constants: `RationalFn.evaluate`
+binds each coordinate ``n/d`` as a constant rational function, so the
+clearing leaves two int constants and one `Fraction` is formed at the end.
 
-Everything here is immutable after construction and safe to share; the only
-state filled in later is that cache of decoded keys, derived from the terms.
+Everything here is immutable after construction and safe to share; nothing
+is filled in later.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ VARIABLES: tuple[str, ...] = ("x", "y", "u", "A", "t", "k", "x0", "y0", "w", "v"
 _VAR_ID: dict[str, int] = {name: i for i, name in enumerate(VARIABLES)}
 
 Monomial = tuple[tuple[int, int], ...]
-
-#: `Poly.evaluate`'s start value: at an int point the value is then a
-#: `Fraction`, which `RationalFn.evaluate` divides exactly.
-_ZERO = Fraction(0)
 
 #: Width of each packed exponent field; every exponent and every total
 #: degree stays below ``2**FIELD_BITS``.
@@ -156,7 +153,7 @@ def _integer(value: int) -> int:
 class Poly:
     """Immutable sparse multivariate polynomial with integer coefficients."""
 
-    __slots__ = ("_terms", "_decoded")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         acc: dict[int, int] = {}
@@ -165,7 +162,6 @@ class Poly:
                 key = _pack(mono)
                 acc[key] = acc.get(key, 0) + _integer(coeff)
         self._terms = {m: c for m, c in acc.items() if c}
-        self._decoded = None
 
     # -- constructors ------------------------------------------------------
 
@@ -180,16 +176,10 @@ class Poly:
 
     # -- inspection --------------------------------------------------------
 
-    def _tuple_items(self) -> tuple[tuple[Monomial, int], ...]:
-        """(tuple monomial, int coefficient) pairs, decoded once per polynomial."""
-        if self._decoded is None:
-            self._decoded = tuple((_unpack(k), c) for k, c in self._terms.items())
-        return self._decoded
-
     @property
     def terms(self) -> Mapping[Monomial, int]:
         """Read-only map from each monomial to its int coefficient."""
-        return MappingProxyType(dict(self._tuple_items()))
+        return MappingProxyType({_unpack(k): c for k, c in self._terms.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -274,31 +264,7 @@ class Poly:
             return hash(terms.get(0, 0))
         return hash(frozenset(terms.items()))
 
-    # -- evaluation / serialization -----------------------------------------
-
-    def evaluate(self, point: Mapping[str, object]):
-        """Evaluate at a point mapping variable names to numbers.
-
-        The sum starts at ``Fraction(0)``, so an exact point (Fraction/int)
-        gives an exact result, and so does any polynomial without a variable
-        term: ``Poly.const(3).evaluate({"x": 1.5})`` is ``Fraction(3, 1)``.
-        Otherwise a float point gives a float result.  Missing variables raise
-        KeyError.
-        """
-        powers: dict[int, list] = {}
-        total = _ZERO
-        for m, c in self._tuple_items():
-            v = c
-            for vid, e in m:
-                cache = powers.get(vid)
-                if cache is None:
-                    cache = [1, point[VARIABLES[vid]]]
-                    powers[vid] = cache
-                while len(cache) <= e:
-                    cache.append(cache[-1] * cache[1])
-                v = v * cache[e]
-            total = total + v
-        return total
+    # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical serialization: grlex term order, explicit signs."""
@@ -330,7 +296,6 @@ def _make(terms: dict[int, int]) -> Poly:
     """Poly from packed keys with nonzero int coefficients."""
     p = Poly.__new__(Poly)
     p._terms = terms
-    p._decoded = None
     return p
 
 
@@ -413,11 +378,32 @@ class RationalFn:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def evaluate(self, point: Mapping[str, object]):
-        den_value = self.den.evaluate(point)
-        if den_value == 0:
-            raise ZeroDivisionError("denominator zero at evaluation point")
-        return self.num.evaluate(point) / den_value
+    def evaluate(self, point: Mapping[str, int | Fraction]) -> Fraction:
+        """Exact value at a point mapping variable names to ints or Fractions.
+
+        This is `substitute` with each coordinate ``n/d`` bound as the
+        constant ``RationalFn(n, d)``: the clearing leaves an int numerator
+        and denominator, divided once.  A coordinate of any other type (a
+        float included) raises TypeError, a variable of the function that
+        the point lacks raises KeyError naming it, a name outside
+        `VARIABLES` raises ValueError, and a zero denominator at the point
+        raises ZeroDivisionError.  Variables the function lacks are ignored.
+        """
+        used = 0
+        for p in (self.num, self.den):
+            for key in p._terms:
+                used |= key
+        for name, shift in zip(VARIABLES, _SHIFTS):
+            if used >> shift & _FIELD_MASK and name not in point:
+                raise KeyError(name)
+        bindings = {}
+        for name, value in point.items():
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"evaluation point coordinates must be ints or "
+                                f"Fractions, got {value!r}")
+            bindings[name] = RationalFn(value.numerator, value.denominator)
+        rf = substitute(self, bindings)
+        return Fraction(rf.num._terms.get(0, 0), rf.den._terms[0])
 
     def to_text(self) -> str:
         if self.is_polynomial:

@@ -36,14 +36,17 @@ def test_child_entry_point_reports_ok(entry):
 @pytest.mark.parametrize("name", ["sweep", "sign-samples"])
 def test_one_workload_operation_passes(name, monkeypatch):
     # every operation of one round, so that a rule change that fails any
-    # benchmark operation fails here
+    # benchmark operation fails here, and then the traced probe, which for
+    # sign-samples checks delta2's value at a fixed point
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    workload = importlib.import_module("workloads").WORKLOADS[name]()
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name]()
     workload.prepare(3)
     assert workload.round
     for i, op in enumerate(workload.round):
         assert workload.execute(op, None).ok, i
+    assert all(outcome.ok for outcome in workload.probe(workloads.Tracer()))
 
 
 def test_a_descent_result_is_failed_by_replace():

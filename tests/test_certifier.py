@@ -541,9 +541,10 @@ def test_expansions_are_their_expressions_times_the_cleared_denominator(summary)
                     cleared *= (u / (u - plane[coord])) ** degree
                     chart[name] = plane[coord] / (u - plane[coord])
             expansion = reports[step].expansion
-            assert expansion.evaluate(params) == expr.evaluate(plane) * cleared, step
+            assert (RationalFn(expansion).evaluate(params)
+                    == RationalFn(expr).evaluate(plane) * cleared), step
             if clearing is not None:
-                denominator = reports[clearing].expansion
+                denominator = RationalFn(reports[clearing].expansion)
                 assert denominator.evaluate({**params, **chart}) == cleared, clearing
         checked |= {step, clearing}
     assert checked - {None} == set(reports) - {"delta1-identity"}
