@@ -383,7 +383,7 @@ def q3_steps() -> tuple[SubstitutionStep, ...]:
     """The split steps of the q3 chart: its image numerator, then split and u.
 
     Only the benchmark (``bench/child.py``) reads these; this builder and
-    `SubstitutionStep` go once it moves to the reports (ROADMAP item 4).
+    `SubstitutionStep` go once it moves to the reports (ROADMAP item 7).
     """
     (chart,) = CHARTS["q3"]
     expr = RationalFn(_chart_image(chart).num)

@@ -15,7 +15,7 @@ generator frame per state and builds a state tuple only when it records
 one, and ``descent_along`` keeps its three-state window in locals, works
 out each orbit value's view once for the two states that hold it,
 evaluates its float screen inline, the one place that formula is written,
-and counts steps only at the end.
+and leaves everything else to the steps that screen cannot accept.
 The module also evaluates local stability of the fixed point, classifies
 parameter points against the five previously-settled parameter regions,
 emits grids of g for inspection, and samples parameter batches for
@@ -23,6 +23,7 @@ emits grids of g for inspection, and samples parameter batches for
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -146,7 +147,8 @@ def trace_to_csv(params: ParamsPQ, trace: OrbitTrace, stream) -> None:
 # -- Lyapunov descent --------------------------------------------------------------
 
 
-#: Relative distance to the fixed point below which the monitor skips a state.
+#: Relative distance to the fixed point below which the monitor skips a step
+#: its float screen cannot decide, rather than decide it exactly.
 EQ_TOL = 1e-9
 
 
@@ -162,9 +164,10 @@ class DescentViolation:
 
 @dataclass(frozen=True)
 class DescentResult:
-    """Verdict of ``descent_along``.  ``checked`` counts the steps tested,
-    ``skipped_near_equilibrium`` those skipped next to the fixed point, and
-    ``decided_exactly`` the checked steps the float screen could not decide."""
+    """Verdict of ``descent_along``.  ``checked`` counts the steps decided,
+    ``skipped_near_equilibrium`` the undecided ones: steps next to the fixed
+    point that the float screen could not accept.  ``decided_exactly``
+    counts the checked steps the float screen could not decide."""
 
     ok: bool  # violation is None; a field while bench/ calls replace(.., ok=False)
     violation: DescentViolation | None
@@ -177,23 +180,6 @@ class DescentResult:
 #: point, and c = 72 next to it (see ``descent_along``).
 _ROUNDOFF_BOUND = 12 * 2.0**-53
 _NEAR_ROUNDOFF_BOUND = 72 * 2.0**-53
-
-
-def _near(state, qf: float, u: float, skip_below: float) -> bool:
-    """Whether a state's view lies within ``skip_below`` of (u, u), computed
-    as ``descent_along``'s loop computes it."""
-    _, a, b = state
-    return abs(a / qf - u) <= skip_below and abs(b / qf - u) <= skip_below
-
-
-def _exact_g(carried: dict, j: int, state, alpha: Fraction, qf: float) -> Fraction:
-    """The exact g of state ``j``, read from ``carried`` or evaluated and
-    stored there."""
-    g = carried.get(j)
-    if g is None:
-        _, a, b = state
-        g = carried[j] = invariant_value(alpha, Fraction(a / qf), Fraction(b / qf))
-    return g
 
 
 def descent_along(params: ParamsPQ,
@@ -210,10 +196,13 @@ def descent_along(params: ParamsPQ,
     skipped.  Requires q < p, the regime in which the transformed fixed
     point u exceeds 1 (``equilibrium`` gives a float u >= 1 there) and g
     drops strictly within two steps everywhere off the fixed point, so a
-    state repeated off the fixed point is a violation.  States whose
-    distance to the fixed point is within ``EQ_TOL`` relative to max(1, u)
-    are skipped: at that distance a float orbit's position is dominated by
-    rounding, so differences of g carry no information.
+    state repeated off the fixed point is a violation.  A step the float
+    screen below accepts is checked wherever it lies.  A step it cannot
+    accept is skipped when its state lies within ``EQ_TOL`` relative to
+    max(1, u) of the fixed point: at that distance a float orbit's position
+    is dominated by rounding, so its exact g's say nothing of the true
+    orbit, and deciding them exactly would send every later step of an
+    orbit settled there down the exact path.
 
     Every value is compared as G = g - g(u, u), with u the float fixed point
     and alpha~ = u(u - 1) taken exactly, which moves no comparison.  With
@@ -255,12 +244,13 @@ def descent_along(params: ParamsPQ,
     whether that step is skipped; any other such step, every violation
     among them, is decided exactly, by the same strict inequality on
     ``invariant_value`` at the states' exact binary values as ``Fraction``s,
-    with the same exact alpha~, formed once, and each state's exact g
-    evaluated once.  A reported violation is therefore a genuine property
-    of the given states, not of rounding; its g values are the floats
-    ``invariant_value`` gives.  The loop counts the states it reads and the
-    skipped ones among them, and the counts of checked and skipped steps
-    follow from those at the end.
+    with the same exact alpha~, formed at the first such step, and each
+    state's exact g evaluated once: a cache of the last three, keyed by a
+    state's two coordinates.  A reported violation is therefore a genuine
+    property of the given states, not of rounding; its g values are the
+    floats ``invariant_value`` gives.  The loop counts the states it reads
+    and the skipped steps, and the count of checked steps follows from
+    those at the end.
     """
     if not params.q < params.p:
         raise ValueError("descent check requires q < p")
@@ -275,14 +265,13 @@ def descent_along(params: ParamsPQ,
     # The three-state window holds the raw states, oldest first: w0 is the
     # state a step is checked at.  lo/hi are the screen's bounds on each
     # state's G.  A value's view y, offset from u and magnitude are computed
-    # where it is x[n] (yb, t, ta) and carried to the next state, where it
+    # where it is x[n] (yb, t, ta) and reused at the next state, where it
     # is x[n-1] (ya, s, sa), when that state's x[n-1] equals it.
-    w1 = w2 = violation = alpha = None
+    w1 = w2 = violation = g_exact = None
     lo1 = hi1 = lo2 = hi2 = 0.0
     x_last = yb = t = ta = math.nan
     m = -1  # the index of the state read last; after the loop, the count
-    near = exact = 0  # states next to the fixed point; steps decided exactly
-    carried: dict[int, Fraction] = {}  # exact g by state index
+    skipped = exact = 0  # undecided steps skipped; steps decided exactly
     for m, state in enumerate(states):
         _, x0, x1 = state
         if x0 == x_last:
@@ -307,21 +296,25 @@ def descent_along(params: ParamsPQ,
             e = near_bound * g
         else:
             e = far_bound * ((k * (sq + abs(stu)) + sa * ta * (sa + ta)) / ya / yb)
-        if sa <= skip_below and ta <= skip_below:
-            near += 1
         w0, w1, w2 = w1, w2, state
         lo0, lo1, lo2 = lo1, lo2, g - e
         hi1, hi2 = hi2, g + e
-        if hi1 < lo0 or hi2 < lo0 or w0 is None or _near(w0, qf, u, skip_below):
+        if hi1 < lo0 or hi2 < lo0 or w0 is None:
+            continue
+        _, a, b = w0
+        if abs(a / qf - u) <= skip_below and abs(b / qf - u) <= skip_below:
+            skipped += 1
             continue
         exact += 1
-        if alpha is None:
+        if g_exact is None:
             alpha = Fraction(u) * (Fraction(u) - 1)
-        i = m - 2
-        carried = {j: v for j, v in carried.items() if j >= i}
-        g0 = _exact_g(carried, i, w0, alpha, qf)
-        if (_exact_g(carried, i + 1, w1, alpha, qf) < g0
-                or _exact_g(carried, i + 2, w2, alpha, qf) < g0):
+
+            @functools.lru_cache(maxsize=3)  # keyed by coordinates: a state may be a list
+            def g_exact(x_prev, x_cur):
+                return invariant_value(alpha, Fraction(x_prev / qf), Fraction(x_cur / qf))
+
+        g0 = g_exact(a, b)
+        if g_exact(*w1[1:]) < g0 or g_exact(*w2[1:]) < g0:
             continue
         views = [(a / qf, b / qf) for _, a, b in (w0, w1, w2)]
         violation = DescentViolation(w0[0], *(invariant_value(info.alpha_tilde, ya, yb)
@@ -332,7 +325,6 @@ def descent_along(params: ParamsPQ,
         m += 1
     # m counts the orbit's states read (a state without a view is not one),
     # and each but the last two is a step
-    skipped = near - sum(_near(w, qf, u, skip_below) for w in (w1, w2) if w is not None)
     return DescentResult(violation is None, violation, max(m - 2, 0) - skipped, skipped, exact)
 
 

@@ -175,10 +175,10 @@ _SHOWCASE = ["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2"]
 @pytest.mark.parametrize("argv, code, csv_sha256, stdout_sha256", [
     # the sweep's stdout carries its elapsed time, so only its file is pinned
     (["sweep"], 0,
-     "36d2158c91332e339be33a697482537da2768963abe55347556cfd282e8fc18e", None),
+     "f43accd015bbe964c03e219b7eb303ecbbbe677c8f48c455b1799cfad737598a", None),
     (_SHOWCASE, 0,
      "b2b41c3bc8ccee984706eab3dc106bf4256a552ce26fe9bbf99594e769f2b556",
-     "2050c5d98459a3847db058d1ac751d097d731f5225c9c8931bb309b082532954"),
+     "4e8579749da7b374f3e466eb7eee2a5b9602b90bcbe6fdd74c5e75d5b856def6"),
     ([*_SHOWCASE, "--exact", "--max-iters", "8"], 1,
      "29c8e7f4f150eb17cd309578e29f0003f1ed9d52ba5330f43d4e3e1be7218e10",
      "869c2fc6c081208db8d198b25c90d2ee04270d2d43786154b032b1e59447199c"),
