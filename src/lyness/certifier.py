@@ -472,35 +472,26 @@ def run_full_certificate(groups: Iterable[str] = tuple(GROUPS)) -> CertificateSu
 # -- serialization ----------------------------------------------------------------
 
 
-def report_to_dict(report: CertificateReport, include_timing: bool = True) -> dict:
-    """Render one report as a JSON-ready mapping (schema-stable key order)."""
-    out = {
-        "step": report.step,
-        "region": report.region,
-        "bindings": {name: text for name, text in report.bindings},
-        "inputCount": report.input_count,
-        "outputCount": report.output_count,
-        "minCoefficient": None if report.min_coefficient is None else
-            f"{report.min_coefficient}/1",
-        "witness": None if report.witness is None else mono_text(report.witness),
-        "allPositive": report.passed,
-        "allInteger": True,  # by construction: every expansion is a `Poly` over the integers
-    }
-    if include_timing:
-        out["elapsedMs"] = round(report.elapsed_ms, 3)
-    return out
-
-
-def summary_to_dict(summary: CertificateSummary, include_timing: bool = True) -> dict:
-    return {
-        "overallPass": summary.overall_pass,
-        "steps": [report_to_dict(r, include_timing) for r in summary.reports],
-        "counts": dict(summary.counts),
-    }
-
-
 def summary_to_json(summary: CertificateSummary, include_timing: bool = True) -> str:
-    return json.dumps(summary_to_dict(summary, include_timing), indent=2)
+    """Render a certificate run as JSON, with a schema-stable key order."""
+    steps = []
+    for r in summary.reports:
+        step = {
+            "step": r.step,
+            "region": r.region,
+            "bindings": dict(r.bindings),
+            "inputCount": r.input_count,
+            "outputCount": r.output_count,
+            "minCoefficient": None if r.min_coefficient is None else f"{r.min_coefficient}/1",
+            "witness": None if r.witness is None else mono_text(r.witness),
+            "allPositive": r.passed,
+            "allInteger": True,  # by construction: every expansion is a `Poly` over the integers
+        }
+        if include_timing:
+            step["elapsedMs"] = round(r.elapsed_ms, 3)
+        steps.append(step)
+    return json.dumps({"overallPass": summary.overall_pass, "steps": steps,
+                       "counts": dict(summary.counts)}, indent=2)
 
 
 def summary_to_text(summary: CertificateSummary) -> str:

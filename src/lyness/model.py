@@ -36,7 +36,7 @@ _MIN_NORMAL = sys.float_info.min
 # define at import time than frozen dataclasses.  A record that validates its
 # fields does so in ``__new__`` on a NamedTuple base, which NamedTuple itself
 # does not allow to override.  The parameter record also compares its type,
-# as the dataclass did, so that (p, q) never equals a plain tuple.  A value
+# so that (p, q) never equals a plain tuple or another record.  A value
 # the fields determine is a property (``alpha_tilde`` here, ``iters_to_tol``
 # and ``flags`` in `dynamics`), not a field.  `dynamics` keeps dataclasses:
 # the benchmark calls ``dataclasses.replace`` on a `DescentResult`.
@@ -136,9 +136,6 @@ def build_symbolic_model() -> SymbolicModel:
     t1 = RationalFn(y)
     t2 = RationalFn(u * u + A * u - u + y, A + x)
     step = {"x": t1, "y": t2}
-    # the equilibrium (u, u) must be fixed by the map
-    if substitute(t2, {"x": RationalFn(u), "y": RationalFn(u)}) != u:
-        raise AssertionError("step map does not fix (u, u)")
     g_t = substitute(g, step)
     g_tt = substitute(g_t, step)
     return SymbolicModel(invariant=g,

@@ -23,7 +23,6 @@ from lyness.certifier import (
     plane_map,
     proportionality_constant,
     run_full_certificate,
-    summary_to_dict,
     summary_to_json,
     summary_to_text,
     verify_delta1_identity,
@@ -585,7 +584,7 @@ def test_json_schema(summary):
 
 
 def test_min_coefficient_serialized_as_exact_ratio(summary):
-    doc = summary_to_dict(summary, include_timing=False)
+    doc = json.loads(summary_to_json(summary, include_timing=False))
     diag = next(s for s in doc["steps"] if s["step"] == "q1-case-diagonal")
     assert diag["minCoefficient"] == "2/1"
     ident = next(s for s in doc["steps"] if s["step"] == "delta1-identity")

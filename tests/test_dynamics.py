@@ -333,7 +333,7 @@ def test_descent_counts_follow_the_states_read():
 
 def test_the_exact_path_evaluates_each_state_once(monkeypatch):
     # every step is decided exactly here (the screen's s*s overflows); the
-    # exact g of a state is carried to the next step that reads it
+    # exact g of a state stays in a three-entry cache for the steps that read it
     calls = []
 
     def counted(alpha_tilde, x, y):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyness.certifier import delta1_closed_form, delta2_denominator, proportionality_constant
+from lyness.exactalg import Poly, RationalFn, substitute
 from lyness.model import (
     ParamsPQ,
     build_symbolic_model,
@@ -159,11 +160,44 @@ def test_step_map_reference_value():
 
 
 def test_step_map_fixes_equilibrium():
+    # exactly, for every u and A; then at two sample points
     model = build_symbolic_model()
+    u_var = Poly.var("u")
+    for image in model.step_map:
+        assert substitute(image, {"x": u_var, "y": u_var}) == u_var
     for u, a in ((Fraction(3, 2), Fraction(2)), (Fraction(5), Fraction(1, 3))):
         point = {"x": u, "y": u, "u": u, "A": a}
         assert model.step_map[0].evaluate(point) == u
         assert model.step_map[1].evaluate(point) == u
+
+
+def test_step_map_is_equation_E_in_scaled_coordinates():
+    # (E): x[n+1] = (p + q x[n]) / (1 + x[n-1]), with x[n-1] = x/A,
+    # x[n] = y/A, p = (u^2 + (A-1)u)/A^2 and q = 1/A
+    x, y, u, a = (Poly.var(name) for name in ("x", "y", "u", "A"))
+    p = RationalFn(u * u + (a - 1) * u, a * a)
+    q = RationalFn(1, a)
+    x_prev, x_cur = RationalFn(x, a), RationalFn(y, a)
+    divisor = x_prev + 1
+    x_next = (p + q * x_cur) * RationalFn(divisor.den, divisor.num)
+    step_map = build_symbolic_model().step_map
+    assert step_map[0] == y
+    assert step_map[1] == x_next * a
+
+
+def test_lyness_map_conserves_the_invariant():
+    # at A = 0 the map is the Lyness map, and g - g o T vanishes identically
+    assert substitute(build_symbolic_model().delta1, {"A": 0}).num.is_zero
+
+
+def test_shifted_invariant_is_the_monitors_quadratic_plus_cubic():
+    # descent_along's G = g - g(u, u) = N / (x y), multiplied through by u x y
+    x, y, u = (Poly.var(name) for name in ("x", "y", "u"))
+    g = build_symbolic_model().invariant
+    shifted = g - substitute(g, {"x": u, "y": u})
+    s, t, k = x - u, y - u, 1 + u
+    u_times_n = k * (u * (s * s + t * t) - s * t) + u * s * t * (s + t)
+    assert shifted * (u * x * y) == u_times_n
 
 
 def test_eval_delta_reference_values():

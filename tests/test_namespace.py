@@ -26,7 +26,7 @@ PUBLIC = {name: module for module, names in (
     ("certifier", ("CertificateReport", "CertificateSummary", "SubstitutionStep",
                    "certify_q1", "certify_q2q4", "certify_q3", "certify_segments",
                    "landmark_counts", "plane_map", "run_full_certificate",
-                   "summary_to_dict", "summary_to_json", "summary_to_text",
+                   "summary_to_json", "summary_to_text",
                    "verify_delta1_identity")),
     ("dynamics", ("DescentResult", "DescentViolation", "OrbitTrace", "RegionCheck",
                   "RegionCoverage", "StabilityInfo", "SweepRecord", "classify_regions",
