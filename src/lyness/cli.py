@@ -97,7 +97,7 @@ def _cmd_identity(args) -> int:
               f"(cross-difference monomials: {report.output_count})")
         return 0 if report.passed else 1
     built = build_symbolic_model().delta2.den
-    displayed = certifier.delta2_denominator()
+    displayed = certifier.DELTA2_DENOMINATOR
     const = certifier.proportionality_constant(built, displayed)
     if const is not None and const > 0:
         print(f"delta2 denominator matches the factored product "

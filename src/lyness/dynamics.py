@@ -81,10 +81,9 @@ def simulate(params: ParamsPQ,
     after ``max_iters`` steps.  In either arithmetic the orbit ends with
     "diverged-nonfinite" at its first state whose float view y = x/q is not
     positive and finite (a state beyond the float range has none), and its
-    last state is the one before.  The seed must be positive and finite
-    once converted to the working type and to floats (ValueError;
-    OverflowError beyond the float range), and its view is tested before
-    the first step (ValueError naming n=0); past that check nothing raises.
+    last state is the one before.  The seed's view is tested before the
+    first step: ValueError naming n=0 unless it is positive and finite
+    (OverflowError beyond the float range); past that check nothing raises.
     The loop applies the recurrence itself, as ``_orbit`` does, and tests
     each new state's view as it computes it.
     """
@@ -93,8 +92,6 @@ def simulate(params: ParamsPQ,
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     p, q, *seed = map(Fraction if exact else float, (params.p, params.q, seed[0], seed[1]))
-    if not all(0 < float(x) < math.inf for x in seed):
-        raise ValueError("seed components must be positive and finite")
     xbar = equilibrium(params).xbar
     inf = math.inf
     qf = float(params.q)

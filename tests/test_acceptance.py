@@ -14,8 +14,8 @@ import pytest
 
 from lyness import certifier, dynamics
 from lyness.certifier import (
+    DELTA2_DENOMINATOR,
     certify_q1,
-    delta2_denominator,
     landmark_counts,
     proportionality_constant,
     run_full_certificate,
@@ -79,7 +79,7 @@ def test_criterion_02_two_step_structure():
     shift_n = counts["eq16"]
     sector_n = counts["eq17"]
     const = proportionality_constant(build_symbolic_model().delta2.den,
-                                     delta2_denominator())
+                                     DELTA2_DENOMINATOR)
     parts = [
         (f"two-step numerator monomials {num_n} >= 386", num_n >= 386),
         ("denominator equals displayed product up to a positive constant "

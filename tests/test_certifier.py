@@ -8,18 +8,18 @@ import pytest
 
 from lyness import certifier
 from lyness.certifier import (
+    DELTA1_CLOSED_FORM,
+    DELTA1_DENOMINATOR,
+    DELTA2_DENOMINATOR,
+    LINE_FACTOR,
+    PARABOLA_FACTOR,
     STRICTNESS_ASSUMPTION,
     U_POSITIVE,
     certify_q1,
     certify_q2q4,
     certify_q3,
     certify_segments,
-    delta1_closed_form,
-    delta1_denominator,
-    delta2_denominator,
     landmark_counts,
-    line_factor,
-    parabola_factor,
     plane_map,
     proportionality_constant,
     run_full_certificate,
@@ -205,10 +205,10 @@ def test_delta1_identity_holds():
 
 
 def test_delta1_identity_detects_mutation(monkeypatch):
-    cf = delta1_closed_form()
+    cf = DELTA1_CLOSED_FORM
     x, y, u, A = (Poly.var(n) for n in ("x", "y", "u", "A"))
     bad = RationalFn(cf.num + x ** 3 * y ** 3 * u ** 2 * A ** 2, cf.den)
-    monkeypatch.setattr(certifier, "delta1_closed_form", lambda: bad)
+    monkeypatch.setattr(certifier, "DELTA1_CLOSED_FORM", bad)
     report = verify_delta1_identity()
     assert not report.passed
     assert report.output_count == 8
@@ -225,7 +225,7 @@ def test_delta1_identity_fails_on_an_all_positive_cross_difference(monkeypatch):
     x = Poly.var("x")
     model = build_symbolic_model()._replace(delta1=RationalFn(x + 1))
     monkeypatch.setattr(certifier, "build_symbolic_model", lambda: model)
-    monkeypatch.setattr(certifier, "delta1_closed_form", lambda: RationalFn(1))
+    monkeypatch.setattr(certifier, "DELTA1_CLOSED_FORM", RationalFn(1))
     report = verify_delta1_identity()
     assert not report.passed
     assert report.output_count == 1
@@ -242,16 +242,23 @@ def test_a_split_that_expands_to_zero_is_refused(monkeypatch):
 
 def test_factored_delta1_parts():
     # structural sanity of the factored form's pieces
-    assert line_factor().monomial_count() == 4
-    assert parabola_factor().monomial_count() == 6
-    assert delta1_denominator().monomial_count() == 8
+    assert LINE_FACTOR.monomial_count() == 4
+    assert PARABOLA_FACTOR.monomial_count() == 6
+    assert DELTA1_DENOMINATOR.monomial_count() == 8
     model = build_symbolic_model()
-    assert model.delta1 == delta1_closed_form()
+    assert model.delta1 == DELTA1_CLOSED_FORM
+    # the q2q4 rows certify the very factors of the closed form
+    rows = {chart.splits[0][0]: chart.expr for chart in certifier.CHARTS["q2q4"]}
+    assert (rows["delta1-numerator-cofactor"] * rows["q4-line-factor"]
+            * rows["q4-parabola-factor"] == DELTA1_CLOSED_FORM.num)
+    assert rows["q2-line-factor-negated"] == -rows["q4-line-factor"]
+    assert rows["q2-parabola-factor-negated"] == -rows["q4-parabola-factor"]
+    assert rows["delta1-denominator"] == DELTA1_CLOSED_FORM.den
 
 
 def test_delta2_denominator_is_displayed_product():
     model = build_symbolic_model()
-    assert proportionality_constant(model.delta2.den, delta2_denominator()) == 1
+    assert proportionality_constant(model.delta2.den, DELTA2_DENOMINATOR) == 1
 
 
 def test_proportionality_constant():
@@ -501,12 +508,12 @@ _Q3_SPLITS = ("q3-case-above-diagonal", "q3-case-below-diagonal", "q3-case-diago
 # certifies the denominator cleared on the way (None when nothing is)
 IDENTITY_CASES = {
     "delta1-numerator-cofactor": (Poly.var("A") * (1 + Poly.var("y")), "", None),
-    "delta1-denominator": (delta1_denominator(), "", None),
-    "q2-line-factor-negated": (-line_factor(), "x", "q2-line-factor-negated-clearing"),
-    "q2-parabola-factor-negated": (-parabola_factor(), "x",
+    "delta1-denominator": (DELTA1_DENOMINATOR, "", None),
+    "q2-line-factor-negated": (-LINE_FACTOR, "x", "q2-line-factor-negated-clearing"),
+    "q2-parabola-factor-negated": (-PARABOLA_FACTOR, "x",
                                    "q2-parabola-factor-negated-clearing"),
-    "q4-line-factor": (line_factor(), "y", "q4-line-factor-clearing"),
-    "q4-parabola-factor": (parabola_factor(), "y", "q4-parabola-factor-clearing"),
+    "q4-line-factor": (LINE_FACTOR, "y", "q4-line-factor-clearing"),
+    "q4-parabola-factor": (PARABOLA_FACTOR, "y", "q4-parabola-factor-clearing"),
     **{name: (None, "", None) for name in _Q1_SPLITS},
     **{name: (None, "xy", "q3-mobius-clearing") for name in _Q3_SPLITS},
     "segment-x-eq-u": (None, "y", "segment-x-eq-u-clearing"),

@@ -92,9 +92,9 @@ def test_simulate_validation():
         simulate(ParamsPQ(2, 1), (1.0, 1.0), tol=math.nan)
     with pytest.raises(ValueError, match="max_iters"):
         simulate(ParamsPQ(2, 1), (1.0, 1.0), max_iters=-1)
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ValueError, match="state n=0"):
         simulate(ParamsPQ(2, 1), (0.0, 1.0))
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ValueError, match="state n=0"):
         # positive as a rational, 0.0 once rounded to a float
         simulate(ParamsPQ(2, 1), (Fraction(1, 10**400), 1.0))
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyness.certifier import delta1_closed_form, delta2_denominator, proportionality_constant
+from lyness.certifier import DELTA1_CLOSED_FORM, DELTA2_DENOMINATOR, proportionality_constant
 from lyness.exactalg import Poly, RationalFn, substitute
 from lyness.model import (
     ParamsPQ,
@@ -238,13 +238,13 @@ def test_eval_delta_matches_direct_formula():
 
 def test_delta1_matches_closed_form():
     model = build_symbolic_model()
-    assert model.delta1 == delta1_closed_form()
+    assert model.delta1 == DELTA1_CLOSED_FORM
 
 
 def test_delta2_denominator_matches_displayed_product():
     model = build_symbolic_model()
     built = model.delta2.den
-    displayed = delta2_denominator()
+    displayed = DELTA2_DENOMINATOR
     assert proportionality_constant(built, displayed) == 1
     assert built == displayed
 
