@@ -43,8 +43,13 @@ normalized shape.
 `substitute` builds each output polynomial in one pass over the target's
 terms, on ints alone: every term product is one key addition and one
 multiply-add into a single int accumulator, zeros dropped once at the end.
-`Poly.__mul__` and the power rows of `substitute` share one term-product
-loop.  Exact evaluation is substitution by constants: `RationalFn.evaluate`
+Within a call, terms whose bound parts agree on their first variables (in
+binding order) share the product of those variables' power rows.
+`Poly.__mul__`, the power rows and these products share one term-product
+loop.  When one operand has a single term, that loop only shifts the other's
+keys and scales its coefficients: shifted keys stay distinct and a product
+of nonzero ints is nonzero, so it needs no accumulator and no zero filter.
+Exact evaluation is substitution by constants: `RationalFn.evaluate`
 binds each coordinate ``n/d`` as a constant rational function, so the
 clearing leaves two int constants and one `Fraction` is formed at the end.
 
@@ -310,6 +315,12 @@ def _term_product(a, b):
         return {}
     if (max(a) >> _DEG_SHIFT) + (max(b) >> _DEG_SHIFT) >= _LIMIT:
         raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        # Shifted keys stay distinct and nonzero ints have a nonzero product.
+        (mb, cb), = b.items()
+        return {ma + mb: ca * cb for ma, ca in a.items()}
     out = {}
     get = out.get
     b_items = b.items()
@@ -460,7 +471,11 @@ def substitute(target: RationalFn | Poly,
     variables' power rows for that part (`_power_rows`) is formed once per
     call, shared by numerator and denominator, and kept as ``(key offset,
     int coefficient)`` pairs, so each term product is one key addition into
-    a single int accumulator.
+    a single int accumulator.  Those products are built along the binding
+    order: one table per bound variable maps the exponents of the variables
+    up to it to the product of their rows, so a bound part extends the
+    longest product already built, and bound parts that agree on a prefix
+    share it.  The tables live only for the call.
     """
     rf = _as_rf(target)
     if rf is NotImplemented:
@@ -471,31 +486,43 @@ def substitute(target: RationalFn | Poly,
         if coerced is NotImplemented:
             raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or int")
         images[var_id(name)] = coerced
-    rows = {}
+    # One level per bound variable the target uses, in binding order: its
+    # field's shift, its power rows, the mask of the fields up to it, and
+    # its table of prefix products.
+    levels = []
     mask = 0
     for vid, image in images.items():
         shift = _SHIFTS[vid]
         emax = max(((key >> shift) & _FIELD_MASK for p in (rf.num, rf.den) for key in p._terms),
                    default=0)
         if emax:
-            rows[vid] = _power_rows(image, emax)
             mask |= _FIELD_MASK << shift
-    if not rows:
+            levels.append((shift, _power_rows(image, emax), mask, {}))
+    if not levels:
         return rf
     products = {}
 
     def product_of(fields):
-        # ``fields`` holds the bound exponent fields; with their degree added
-        # it is the packed bound monomial, which each offset subtracts so
-        # that ``key + offset`` is the kept monomial times the product's.
-        degree = 0
-        prod = None
-        for vid, row_list in rows.items():
-            e = (fields >> _SHIFTS[vid]) & _FIELD_MASK
-            degree += e
+        # Level i's table holds, for the fields of the first i + 1 bound
+        # variables, the product of their rows and its packed monomial;
+        # extend the longest one already built.
+        depth = len(levels) - 1
+        prod, bound = None, 0
+        while depth:
+            _, _, prefix_mask, table = levels[depth - 1]
+            hit = table.get(fields & prefix_mask)
+            if hit is not None:
+                prod, bound = hit
+                break
+            depth -= 1
+        for shift, row_list, prefix_mask, table in levels[depth:]:
+            e = (fields >> shift) & _FIELD_MASK
             prod = row_list[e] if prod is None else _term_product(prod, row_list[e])
-        bound = fields | degree << _DEG_SHIFT
-        pairs = tuple((m - bound, c) for m, c in prod.items())
+            bound += e << shift | e << _DEG_SHIFT
+            table[fields & prefix_mask] = prod, bound
+        # Each offset subtracts the bound monomial, so that ``key + offset``
+        # is the kept monomial times the product's.
+        pairs = [(m - bound, c) for m, c in prod.items()]
         return pairs, max(prod, default=bound) - bound
 
     def image_of(poly):

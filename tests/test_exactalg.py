@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lyness import exactalg
@@ -477,15 +477,29 @@ def test_kernel_arithmetic_matches_reference(a, b, n, scalar):
     _assert_matches(pa + pb, _ref_add(a, b))
     _assert_matches(pa - pb, _ref_add(a, {m: -c for m, c in b.items()}))
     _assert_matches(pa * pb, _ref_mul(a, b))
+    for m, c in b.items():
+        # a one-term operand, on either side, shifts and scales the other
+        _assert_matches(pa * Poly({m: c}), _ref_mul(a, {m: c}))
+        _assert_matches(Poly({m: c}) * pa, _ref_mul({m: c}, a))
     _assert_matches(pa ** n, _ref_pow(a, n))
     _assert_matches(pa * scalar, {m: c * scalar for m, c in a.items()})
 
 
+_U, _T, _TU = ((var_id("u"), 1),), ((var_id("t"), 1),), ((var_id("u"), 1), (var_id("t"), 1))
+
+
 @settings(max_examples=100)
 @given(_REF, _REF.filter(bool), _REF_IMAGE, _REF_IMAGE.filter(bool),
-       _REF_IMAGE, _REF_IMAGE.filter(bool))
-def test_kernel_substitute_matches_reference(num, den, xn, xd, yn, yd):
-    bindings = {"x": (xn, xd), "y": (yn, yd)}
+       _REF_IMAGE, _REF_IMAGE.filter(bool), _REF_IMAGE, _REF_IMAGE.filter(bool))
+# terms that agree on x and y but not on A share the prefix product of x
+# and y, and each extends it by a different row of A's polynomial image
+@example({_ref_mono((1, 2, 0, 0)): 3, _ref_mono((1, 2, 1, 1)): -2,
+          _ref_mono((1, 2, 2, 3)): 1, _ref_mono((1, 0, 0, 2)): 4},
+         {_ref_mono((1, 2, 0, 1)): 1, _ref_mono((0, 0, 1, 0)): -1},
+         {_U: 1, (): 1}, {_T: 2, (): -1}, {_T: 1}, {_U: 1, _T: 1},
+         {_TU: 1, (): 2}, {_U: 1, (): 1})
+def test_kernel_substitute_matches_reference(num, den, xn, xd, yn, yd, an, ad):
+    bindings = {"x": (xn, xd), "y": (yn, yd), "A": (an, ad)}
     ref_num, ref_den = _ref_substitute(num, den, bindings)
     if not ref_den:
         with pytest.raises(ZeroDivisionError):
@@ -628,6 +642,11 @@ def test_product_degree_limit():
         half * half
     with pytest.raises(ValueError, match="product degree"):
         top * x
+    # the check comes before the one-term branch, whichever side has one term
+    with pytest.raises(ValueError, match="product degree"):
+        (top + 1) * x
+    with pytest.raises(ValueError, match="product degree"):
+        x * (top + 1)
     with pytest.raises(ValueError, match="product degree"):
         half ** 2
 
