@@ -20,9 +20,15 @@ addition, graded-lexicographic order (total degree, then the exponent vector
 read in table order) is plain int order, and `substitute` splits a key into
 its bound and kept parts with one mask.  This holds while every exponent
 and total degree stays below ``2**FIELD_BITS``: the constructor rejects
-larger ones, and `Poly.__mul__` raises `ValueError` before a product would
-reach that degree.  The fixed table keeps keys comparable across every
-object in the package without table-merging bookkeeping.
+larger ones, and a product that would reach that degree raises `ValueError`
+before any of its keys is formed.  Total degree adds exactly over the
+integers, so that limit is decided from exact degrees, not by scanning
+products: once per `Poly` product, from its operands' leading keys; once
+per binding's power rows in `substitute`; and once per bound-part product
+there, from the sum of its rows' degrees (with one comparison per target
+term for the kept part).  The term-product loop itself does only
+arithmetic.  The fixed table keeps keys comparable across every object in
+the package without table-merging bookkeeping.
 
 The public surface keeps the tuple form.  A `Monomial` is a tuple of
 ``(variable_id, exponent)`` pairs sorted by variable id, every exponent
@@ -237,7 +243,12 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(_term_product(self._terms, other._terms))
+        a, b = self._terms, other._terms
+        # A leading key's top field is its polynomial's total degree, and
+        # total degree adds exactly over the integers.
+        if a and b and (max(a) >> _DEG_SHIFT) + (max(b) >> _DEG_SHIFT) >= _LIMIT:
+            raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
+        return _make(_term_product(a, b))
 
     __rmul__ = __mul__
 
@@ -307,14 +318,10 @@ def _make(terms: dict[int, int]) -> Poly:
 def _term_product(a, b):
     """Packed terms of the product of two term maps, zero coefficients dropped.
 
-    Raises ValueError before forming a key whose total degree would reach
-    ``2**FIELD_BITS``; below that degree no field carries into the next, so
-    a key sum is the monomial product.
+    Arithmetic only: the caller has decided that the product's total degree
+    stays below ``2**FIELD_BITS``, so no field carries into the next and a
+    key sum is the monomial product.  An empty operand gives an empty map.
     """
-    if not a or not b:
-        return {}
-    if (max(a) >> _DEG_SHIFT) + (max(b) >> _DEG_SHIFT) >= _LIMIT:
-        raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
     if len(a) == 1:
         a, b = b, a
     if len(b) == 1:
@@ -440,8 +447,20 @@ def _as_rf(value) -> "RationalFn":
 
 def _power_rows(image, emax):
     """Rows ``num^e * den^(emax-e)`` of one binding, e = 0..emax, as packed
-    term maps.  A constant-one denominator contributes no powers."""
+    term maps, and the total degree of each, ``e*dn + (emax-e)*dd``.
+
+    The limit is decided here once: ValueError when ``emax * max(dn, dd)``
+    reaches ``2**FIELD_BITS``, and below that no row or power on the way to
+    one reaches it.  A zero numerator's degree, minus infinity, is taken as
+    ``-_KEY_LIMIT``: a row or product with it sums far below zero, so it is
+    never refused, as its terms are none.  A constant-one denominator
+    contributes no powers.
+    """
     num, den = image.num._terms, image.den._terms
+    dn = max(num) >> _DEG_SHIFT if num else -_KEY_LIMIT
+    dd = max(den) >> _DEG_SHIFT
+    if emax * max(dn, dd) >= _LIMIT:
+        raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
     rows = [{0: 1}]
     for _ in range(emax):
         rows.append(_term_product(rows[-1], num))
@@ -450,7 +469,7 @@ def _power_rows(image, emax):
         for e in range(emax - 1, -1, -1):
             den_pow = _term_product(den_pow, den)
             rows[e] = _term_product(rows[e], den_pow)
-    return rows
+    return rows, [e * dn + (emax - e) * dd for e in range(emax + 1)]
 
 
 def substitute(target: RationalFn | Poly,
@@ -464,7 +483,9 @@ def substitute(target: RationalFn | Poly,
     variables absent from the target are ignored; unbound variables pass
     through.  Raises ZeroDivisionError when the substituted denominator is
     identically zero, and ValueError before forming a monomial whose total
-    degree would reach ``2**FIELD_BITS``.
+    degree would reach ``2**FIELD_BITS``: `_power_rows` decides that once for
+    each binding's rows, each bound-part product once from the sum of its
+    rows' degrees, and each term once from its kept part's degree.
 
     Each output polynomial is built in one pass over the target's terms.
     A term's bound part is ``key & mask``; the product of the bound
@@ -487,43 +508,50 @@ def substitute(target: RationalFn | Poly,
             raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or int")
         images[var_id(name)] = coerced
     # One level per bound variable the target uses, in binding order: its
-    # field's shift, its power rows, the mask of the fields up to it, and
-    # its table of prefix products.
+    # field's shift, its power rows and their degrees, the mask of the
+    # fields up to it, and its table of prefix products.
     levels = []
     mask = 0
     for vid, image in images.items():
         shift = _SHIFTS[vid]
-        emax = max(((key >> shift) & _FIELD_MASK for p in (rf.num, rf.den) for key in p._terms),
-                   default=0)
+        field = _FIELD_MASK << shift
+        emax = max(max(map(field.__and__, p._terms), default=0)
+                   for p in (rf.num, rf.den)) >> shift
         if emax:
-            mask |= _FIELD_MASK << shift
-            levels.append((shift, _power_rows(image, emax), mask, {}))
+            mask |= field
+            levels.append((shift, *_power_rows(image, emax), mask, {}))
     if not levels:
         return rf
     products = {}
 
     def product_of(fields):
         # Level i's table holds, for the fields of the first i + 1 bound
-        # variables, the product of their rows and its packed monomial;
-        # extend the longest one already built.
+        # variables, the product of their rows, its packed monomial and the
+        # product's degree; extend the longest one already built.  The
+        # degree is the sum of the rows' degrees, so the limit is decided
+        # before each multiplication.
         depth = len(levels) - 1
-        prod, bound = None, 0
+        prod, bound, degree = None, 0, 0
         while depth:
-            _, _, prefix_mask, table = levels[depth - 1]
+            _, _, _, prefix_mask, table = levels[depth - 1]
             hit = table.get(fields & prefix_mask)
             if hit is not None:
-                prod, bound = hit
+                prod, bound, degree = hit
                 break
             depth -= 1
-        for shift, row_list, prefix_mask, table in levels[depth:]:
+        for shift, rows, degrees, prefix_mask, table in levels[depth:]:
             e = (fields >> shift) & _FIELD_MASK
-            prod = row_list[e] if prod is None else _term_product(prod, row_list[e])
+            degree += degrees[e]
+            if degree >= _LIMIT:
+                raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
+            prod = rows[e] if prod is None else _term_product(prod, rows[e])
             bound += e << shift | e << _DEG_SHIFT
-            table[fields & prefix_mask] = prod, bound
+            table[fields & prefix_mask] = prod, bound, degree
         # Each offset subtracts the bound monomial, so that ``key + offset``
-        # is the kept monomial times the product's.
+        # is the kept monomial times the product's; ``key + top`` has the
+        # degree of the largest such key.
         pairs = [(m - bound, c) for m, c in prod.items()]
-        return pairs, max(prod, default=bound) - bound
+        return pairs, (degree - (bound >> _DEG_SHIFT)) << _DEG_SHIFT
 
     def image_of(poly):
         acc = {}

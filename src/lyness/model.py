@@ -82,7 +82,8 @@ def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
     xbar is computed as 2p / (sqrt((q-1)^2 + 4p) - (q-1)), which does not
     cancel.  Where (q-1)^2 + 4p overflows, the root is hypot(q-1, 2 sqrt(p))
     and xbar = (q-1)/2 + root/2, which neither overflows nor cancels there.
-    Where q < p, so that ybar exceeds 1, a ybar rounded below 1 is taken as
+    Where q = p exactly, ybar is 1.0, so alpha~ is 0.0.  Where q < p, so
+    that ybar exceeds 1, a ybar rounded below 1 is taken as
     1 + (p - q)/(xbar + 1)/q instead, which is at least 1: ybar >= 1 there.
     Raises ValueError when p or q rounds to 0.0 as a float, and when ybar
     overflows the float range."""
@@ -98,8 +99,11 @@ def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
     else:
         root = math.sqrt(square)
         xbar = 0.5 * (d + root) if d >= 0 else 2.0 * p / (root - d)
+    # from (xbar - q)(xbar + 1) = p - q: ybar = 1 exactly at q = p
     ybar = xbar / q
-    if params.q < params.p and ybar < 1:  # from (xbar - q)(xbar + 1) = p - q
+    if params.q == params.p:
+        ybar = 1.0
+    elif params.q < params.p and ybar < 1:
         ybar = 1 + (p - q) / (xbar + 1) / q
     if not math.isfinite(ybar):
         raise ValueError(f"the equilibrium at p={p:.17g}, q={q:.17g} "

@@ -632,7 +632,21 @@ def _degree(p):
     return max(sum(e for _, e in m) for m in p.terms)
 
 
-def test_product_degree_limit():
+@pytest.fixture
+def no_key_past_the_limit(monkeypatch):
+    """Fails a test if any term product forms a key of total degree
+    ``2**FIELD_BITS`` or more: each degree check must come first."""
+    product = exactalg._term_product
+
+    def checked(a, b):
+        out = product(a, b)
+        assert all(m < exactalg._KEY_LIMIT for m in out)
+        return out
+
+    monkeypatch.setattr(exactalg, "_term_product", checked)
+
+
+def test_product_degree_limit(no_key_past_the_limit):
     half = Poly({((0, 2 ** (FIELD_BITS - 1)),): 1})
     below = Poly({((1, 2 ** (FIELD_BITS - 1) - 1),): 1})
     top = half * below
@@ -649,9 +663,12 @@ def test_product_degree_limit():
         x * (top + 1)
     with pytest.raises(ValueError, match="product degree"):
         half ** 2
+    # a zero operand gives zero, whatever the other's degree
+    for other in (half, top, Poly()):
+        assert (Poly() * other).is_zero and (other * Poly()).is_zero
 
 
-def test_substitute_degree_limit():
+def test_substitute_degree_limit(no_key_past_the_limit):
     top = 2 ** FIELD_BITS - 1
     high = Poly({((var_id("y"), top - 1),): 1})
     assert _degree(substitute(x * high, {"x": u}).num) == top
@@ -664,6 +681,67 @@ def test_substitute_degree_limit():
     # and a power row of the image itself
     with pytest.raises(ValueError, match="product degree"):
         substitute(x ** 2, {"x": Poly({((var_id("y"), 2 ** (FIELD_BITS - 1)),): 1})})
+
+
+def _images(high_y):
+    """Bindings of x and y whose numerators have degrees 2**15 and
+    ``high_y``, each image several terms, so rows take the full loop."""
+    half = 2 ** (FIELD_BITS - 1)
+    return {"x": ({_ref_mono((0, 0, half, 0)): 1, _T: -2}, {(): 1}),
+            "y": ({_ref_mono((0, 0, 0, high_y)): 3, _U: 1}, {_T: 1, (): 1})}
+
+
+def test_substitute_bound_product_degree_limit(no_key_past_the_limit):
+    # each row is below the limit, and a term with no kept part multiplies
+    # them to exactly the limit
+    num, den = {_ref_mono((1, 1, 0, 0)): 1}, {(): 1}
+    bindings = _images(2 ** (FIELD_BITS - 1))
+    with pytest.raises(ValueError, match="product degree"):
+        substitute(RationalFn(Poly(num), Poly(den)),
+                   {name: RationalFn(Poly(n), Poly(d)) for name, (n, d) in bindings.items()})
+    # one below the limit goes through and matches the reference
+    bindings = _images(2 ** (FIELD_BITS - 1) - 1)
+    out = substitute(RationalFn(Poly(num), Poly(den)),
+                     {name: RationalFn(Poly(n), Poly(d)) for name, (n, d) in bindings.items()})
+    ref_num, ref_den = _ref_substitute(num, den, bindings)
+    assert _degree(out.num) == 2 ** FIELD_BITS - 1
+    _assert_matches(out.num, ref_num)
+    _assert_matches(out.den, ref_den)
+
+
+def test_zero_binding_on_a_high_degree_target(no_key_past_the_limit):
+    # x = 0 leaves the rows past x^0 empty: neither they nor a product with
+    # them is refused, whatever the degrees alongside
+    half, top = 2 ** (FIELD_BITS - 1), 2 ** FIELD_BITS - 1
+    high_x = Poly({((var_id("x"), top),): 1})
+    assert substitute(high_x + y, {"x": 0}) == y
+    target = (Poly({((var_id("x"), 1), (var_id("y"), half)): 5})
+              + Poly({((var_id("y"), half), (var_id("t"), half - 1)): 1}))
+    out = substitute(target, {"x": 0, "y": u})
+    assert (out.num, out.den) == (Poly({((var_id("u"), half), (var_id("t"), half - 1)): 1}),
+                                  Poly.const(1))
+    # a zero over a high-degree denominator: the empty row for x^1 is not
+    # refused, though a row of x^1's nominal degree would reach the limit
+    # with y's
+    clearing = Poly({((var_id("u"), 2 * half - 2),): 1})
+    target = Poly({((var_id("x"), 1), (var_id("y"), half + 1)): 1}) + x ** 2 + t
+    out = substitute(target, {"x": RationalFn(0, Poly({((var_id("u"), half - 1),): 1})),
+                              "y": u})
+    assert (out.num, out.den) == (t * clearing, clearing)
+
+
+@settings(max_examples=100)
+@given(_REF_IMAGE, _REF_IMAGE.filter(bool), st.integers(0, 4))
+def test_power_rows_report_their_degrees(num, den, emax):
+    rows, degrees = exactalg._power_rows(RationalFn(Poly(num), Poly(den)), emax)
+    assert len(rows) == len(degrees) == emax + 1
+    for row, degree in zip(rows, degrees):
+        if row:
+            assert max(row) >> exactalg._DEG_SHIFT == degree
+        else:
+            # only a zero numerator empties a row, and its degree is far
+            # below zero, so no product with it is refused
+            assert not num and degree < -exactalg._LIMIT
 
 
 _LARGE = st.integers(1, 2 ** FIELD_BITS - 1)

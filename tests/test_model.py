@@ -140,6 +140,19 @@ def test_float_fixed_point_is_at_least_one_where_q_below_p():
             assert equilibrium(ParamsPQ(p, q)).ybar >= 1, (p, q)
 
 
+def test_float_fixed_point_is_one_where_q_equals_p():
+    # (xbar - q)(xbar + 1) = p - q = 0, so ybar = 1 exactly, though the
+    # float xbar / q strays from 1 on some q
+    rng = random.Random(3)
+    strays = 0
+    for _ in range(2000):
+        q = math.exp(rng.uniform(math.log(1e-3), math.log(1e6)))
+        info = equilibrium(ParamsPQ(q, q))
+        assert (info.ybar, info.alpha_tilde) == (1.0, 0.0), q
+        strays += info.xbar / q != 1
+    assert strays
+
+
 # ---------------------------------------------------------------------------
 # symbolic model
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The package namespace, which holds no public name of its own, the public
-names of the submodules, and what a cold ``lyness certify`` imports.
+names of the submodules, and what a cold ``lyness certify`` imports and
+compiles.
 
 Import-budget checks run in a fresh interpreter, since the test process has
 long since imported every submodule.
@@ -8,7 +9,9 @@ long since imported every submodule.
 import importlib
 import subprocess
 import sys
+import tokenize
 import types
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +73,17 @@ def test_certify_builds_no_plane_map():
         "    code = cli.main(['certify', '--no-timing'])\n"
         "print(code, certifier.plane_map.cache_info().currsize)")
     assert out == "0 0\n"
+
+
+def test_exactalg_stays_below_the_parsers_token_step():
+    # CPython 3.11's parser doubles its token array at 4096 tokens, so a
+    # module compiled from source past that size adds about 0.3 MB to a cold
+    # certify's peak; comments and blank lines make no parser token
+    path = Path(lyness.__file__).with_name("exactalg.py")
+    with path.open("rb") as source:
+        count = sum(tok.type not in (tokenize.COMMENT, tokenize.NL)
+                    for tok in tokenize.tokenize(source.readline))
+    assert count < 4096
 
 
 def test_simulate_still_runs_in_a_fresh_interpreter():
