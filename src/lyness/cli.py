@@ -181,8 +181,8 @@ def _cmd_regions(args) -> int:
     coverage = dynamics.classify_regions(ParamsPQ(args.p, args.q))
     print("flags:", "".join(sorted(coverage.flags)) or "(none)")
     for check in coverage.checks:
-        status = ("satisfied" if check.satisfied else "not satisfied") \
-            if check.applicable else "not applicable"
+        status = ("not applicable" if check.satisfied is None
+                  else "satisfied" if check.satisfied else "not satisfied")
         print(f"  ({check.flag}) {check.description}: {status} "
               f"[lhs={check.lhs:.6g} rhs={check.rhs:.6g}]")
     return 0

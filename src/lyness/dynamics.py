@@ -144,8 +144,8 @@ def trace_to_csv(params: ParamsPQ, trace: OrbitTrace, stream) -> None:
 # -- Lyapunov descent --------------------------------------------------------------
 
 
-#: Relative distance to the fixed point below which the monitor skips a step
-#: its float screen cannot decide, rather than decide it exactly.
+#: Distance to the fixed point u, relative to u, below which the monitor
+#: skips a step its float screen cannot decide, rather than decide it exactly.
 EQ_TOL = 1e-9
 
 
@@ -195,8 +195,8 @@ def descent_along(params: ParamsPQ,
     drops strictly within two steps everywhere off the fixed point, so a
     state repeated off the fixed point is a violation.  A step the float
     screen below accepts is checked wherever it lies.  A step it cannot
-    accept is skipped when its state lies within ``EQ_TOL`` relative to
-    max(1, u) of the fixed point: at that distance a float orbit's position
+    accept is skipped when its state lies within ``EQ_TOL`` relative to u
+    of the fixed point: at that distance a float orbit's position
     is dominated by rounding, so its exact g's say nothing of the true
     orbit, and deciding them exactly would send every later step of an
     orbit settled there down the exact path.
@@ -254,7 +254,7 @@ def descent_along(params: ParamsPQ,
     info = equilibrium(params)
     u = info.ybar
     qf = float(params.q)
-    skip_below = EQ_TOL * max(1.0, u)
+    skip_below = EQ_TOL * u
     inf = math.inf
     k = 1.0 + u
     half_k = 0.5 * k
@@ -321,8 +321,9 @@ def descent_along(params: ParamsPQ,
     else:
         m += 1
     # m counts the orbit's states read (a state without a view is not one),
-    # and each but the last two is a step
-    return DescentResult(violation is None, violation, max(m - 2, 0) - skipped, skipped, exact)
+    # and each but the last two is a step; fewer than three hold no step
+    steps = m - 2 if m > 2 else 0
+    return DescentResult(violation is None, violation, steps - skipped, skipped, exact)
 
 
 def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:
@@ -370,11 +371,13 @@ def local_stability(params: ParamsPQ) -> StabilityInfo:
 
 @dataclass(frozen=True)
 class RegionCheck:
-    """One region membership test: satisfied iff lhs <op> rhs, when applicable."""
+    """One region membership test.  ``satisfied`` is the verdict, decided
+    exactly: True or False where the region's test applies, None where it
+    does not (regions (c) and (d) at q <= 1).  ``lhs`` and ``rhs`` are the
+    float views of the two sides, for display only."""
 
     flag: str
-    applicable: bool
-    satisfied: bool
+    satisfied: bool | None
     lhs: float
     rhs: float
     description: str
@@ -386,7 +389,7 @@ class RegionCoverage:
 
     @property
     def flags(self) -> frozenset[str]:
-        return frozenset(c.flag for c in self.checks if c.applicable and c.satisfied)
+        return frozenset(c.flag for c in self.checks if c.satisfied)
 
 
 def classify_regions(params: ParamsPQ) -> RegionCoverage:
@@ -394,21 +397,21 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
 
     Every membership is decided in exact rational arithmetic on p and q as
     given; each check's lhs and rhs are float views, for display only.
-    Regions (c) and (d) divide by q - 1 and are marked not applicable at
-    q <= 1.  Region (e) is the set where 4 p (q-1)^2 <= 25: the showcase
-    point (20, 4) must fall outside all five regions, and the region's
-    boundary curve p = 25 / (4 (q-1)^2) reproduces the known crossover near
-    p = 112 where it overtakes region (c).  Raises ValueError when the
-    equilibrium overflows the float range.  A view beyond the float range,
-    as next to q = 1 or at huge p or q, is inf and the verdict stands.
+    Regions (c) and (d) divide by q - 1: at q <= 1 they do not apply, and
+    their verdict is None.  Region (e) is the set where 4 p (q-1)^2 <= 25:
+    the showcase point (20, 4) must fall outside all five regions, and the
+    region's boundary curve p = 25 / (4 (q-1)^2) reproduces the known
+    crossover near p = 112 where it overtakes region (c).  Raises ValueError
+    when the equilibrium overflows the float range.  A view beyond the float
+    range, as next to q = 1 or at huge p or q, is inf and the verdict stands.
     """
     pe, qe = Fraction(params.p), Fraction(params.q)
     p, q = float(pe), float(qe)
     d = float(qe - 1)  # exact first, so a q that rounds to 1.0 keeps d != 0
     xbar = equilibrium(params).xbar
     checks = [
-        RegionCheck("a", True, qe >= pe, q, p, "q >= p"),
-        RegionCheck("b", True, 2 * (qe + 1) >= pe, 2 * (q + 1), p, "2(q+1) >= p"),
+        RegionCheck("a", qe >= pe, q, p, "q >= p"),
+        RegionCheck("b", 2 * (qe + 1) >= pe, 2 * (q + 1), p, "2(q+1) >= p"),
     ]
     if qe > 1:
         # c_lhs >= p iff a + 2 sqrt(q^4 - 1) >= 0, a = 2(q^3-q^2+q-1) - p(q-1)^2;
@@ -417,21 +420,19 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
         s = q + 1 + 2 / d if d else math.inf  # d is 0.0 only if q - 1 underflows
         c_lhs = 2 * s + 2 * math.sqrt(q + 1) * math.sqrt(s) / d if d else math.inf
         a = 2 * (qe**3 - qe**2 + qe - 1) - pe * (qe - 1) ** 2
-        checks.append(RegionCheck("c", True, a >= 0 or a * a <= 4 * (qe**4 - 1), c_lhs, p,
+        checks.append(RegionCheck("c", a >= 0 or a * a <= 4 * (qe**4 - 1), c_lhs, p,
                                   "2(q^3-q^2+q+sqrt(q^4-1)-1)/(q-1)^2 >= p"))
         # xbar is the larger root of f(x) = x^2 - (q-1)x - p, and
         # R = (q^2+1)/(q-1) lies above the roots' midpoint (q-1)/2, so
         # xbar <= R iff f(R) >= 0
         r = (qe * qe + 1) / (qe - 1)
-        checks.append(RegionCheck("d", True, r * r - (qe - 1) * r - pe >= 0,
+        checks.append(RegionCheck("d", r * r - (qe - 1) * r - pe >= 0,
                                   xbar, s, "equilibrium <= (q^2+1)/(q-1)"))
     else:
-        checks.append(RegionCheck("c", False, False, math.nan, p,
-                                  "not applicable at q <= 1"))
-        checks.append(RegionCheck("d", False, False, xbar, math.nan,
-                                  "not applicable at q <= 1"))
+        checks.append(RegionCheck("c", None, math.nan, p, "not applicable at q <= 1"))
+        checks.append(RegionCheck("d", None, xbar, math.nan, "not applicable at q <= 1"))
     # the view multiplies by 4 last, so that 4p cannot overflow before d*d
-    checks.append(RegionCheck("e", True, 4 * pe * (qe - 1) ** 2 <= 25, p * d * d * 4, 25.0,
+    checks.append(RegionCheck("e", 4 * pe * (qe - 1) ** 2 <= 25, p * d * d * 4, 25.0,
                               "4p(q-1)^2 <= 25"))
     return RegionCoverage(tuple(checks))
 

@@ -98,20 +98,11 @@ def var_id(name: str) -> int:
         raise ValueError(f"unknown variable: {name!r}") from None
 
 
-def grlex_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
-    """Graded-lexicographic sort key: total degree, then the dense exponent
-    vector read in the global variable order."""
-    vec = [0] * len(VARIABLES)
-    for vid, e in m:
-        vec[vid] = e
-    return (sum(vec), tuple(vec))
-
-
 def mono_text(m: Monomial) -> str:
     """Canonical text of a monomial, e.g. ``A*k^2``; the constant is ``1``.
 
     Factors are listed alphabetically by variable name (display convention
-    only; ordering comparisons always use `grlex_key`).
+    only; ordering comparisons always use the packed key order).
     """
     if not m:
         return "1"

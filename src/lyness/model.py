@@ -82,8 +82,9 @@ def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
     xbar is computed as 2p / (sqrt((q-1)^2 + 4p) - (q-1)), which does not
     cancel.  Where (q-1)^2 + 4p overflows, the root is hypot(q-1, 2 sqrt(p))
     and xbar = (q-1)/2 + root/2, which neither overflows nor cancels there.
-    Where q = p exactly, ybar is 1.0, so alpha~ is 0.0.  Where q < p, so
-    that ybar exceeds 1, a ybar rounded below 1 is taken as
+    Where q = p exactly, (xbar - q)(xbar + 1) = p - q = 0, so xbar is q as
+    a float, ybar is 1.0 and alpha~ is 0.0, with no root taken.  Where
+    q < p, so that ybar exceeds 1, a ybar rounded below 1 is taken as
     1 + (p - q)/(xbar + 1)/q instead, which is at least 1: ybar >= 1 there.
     Raises ValueError when p or q rounds to 0.0 as a float, and when ybar
     overflows the float range."""
@@ -92,6 +93,8 @@ def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
     for name, value in (("p", p), ("q", q)):
         if value == 0.0:
             raise ValueError(f"parameter {name} is too small for float arithmetic")
+    if params.q == params.p:
+        return EquilibriumInfo(q, 1.0)
     d = q - 1.0
     square = d * d + 4.0 * p
     if square == math.inf:  # d*d or 4p overflows; at d < 0 the root dwarfs -d < 1
@@ -99,11 +102,9 @@ def equilibrium(params: ParamsPQ) -> EquilibriumInfo:
     else:
         root = math.sqrt(square)
         xbar = 0.5 * (d + root) if d >= 0 else 2.0 * p / (root - d)
-    # from (xbar - q)(xbar + 1) = p - q: ybar = 1 exactly at q = p
+    # from (xbar - q)(xbar + 1) = p - q: ybar > 1 exactly where q < p
     ybar = xbar / q
-    if params.q == params.p:
-        ybar = 1.0
-    elif params.q < params.p and ybar < 1:
+    if params.q < params.p and ybar < 1:
         ybar = 1 + (p - q) / (xbar + 1) / q
     if not math.isfinite(ybar):
         raise ValueError(f"the equilibrium at p={p:.17g}, q={q:.17g} "

@@ -1,18 +1,29 @@
-"""Polynomial text parser for the tests: the inverse of `Poly.to_text`.
+"""Polynomial text parser for the tests, the inverse of `Poly.to_text`,
+and the reference graded-lexicographic order.
 
 The package prints polynomials but never reads them back; the round-trip
 tests in test_exactalg.py use this parser to check that the printed form
-is canonical and loses nothing.
+is canonical and loses nothing.  The package orders monomials by their
+packed keys alone; `grlex_key` is the order those keys must agree with.
 """
 from __future__ import annotations
 
 import re
 
-from lyness.exactalg import Poly
+from lyness.exactalg import VARIABLES, Monomial, Poly
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
+
+
+def grlex_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
+    """Graded-lexicographic sort key: total degree, then the dense exponent
+    vector read in the global variable order."""
+    vec = [0] * len(VARIABLES)
+    for vid, e in m:
+        vec[vid] = e
+    return (sum(vec), tuple(vec))
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:

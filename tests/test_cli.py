@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyness import cli
+from lyness import certifier, cli, dynamics
 from lyness.cli import EXIT_CLOSED_PIPE, main
 
 #: SHA-256 of the byte-identical ``lyness certify --no-timing`` output.
@@ -118,9 +118,22 @@ def test_identity_delta2_denominator(capsys):
     assert "constant 1/1" in out
 
 
+@pytest.mark.parametrize("displayed", [-certifier.DELTA2_DENOMINATOR,
+                                       certifier.DELTA2_DENOMINATOR + 1],
+                         ids=["negated", "shifted"])
+def test_identity_delta2_denominator_mismatch_fails(displayed, monkeypatch, capsys):
+    # a negative constant is no match, and neither is a non-multiple
+    monkeypatch.setattr(certifier, "DELTA2_DENOMINATOR", displayed)
+    assert main(["identity", "--which", "delta2-denominator"]) == 1
+    assert capsys.readouterr().out == "delta2 denominator does NOT match the factored product\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+
+
+_SHOWCASE = ["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2"]
 
 
 def test_simulate_convergent_instance(capsys):
@@ -158,6 +171,27 @@ def test_simulate_exact_mode_runs(capsys):
     assert "descent: ok (7 steps checked)" in out
 
 
+def test_simulate_reports_a_descent_violation_and_fails(monkeypatch, capsys):
+    violation = dynamics.DescentViolation(3, 2.5, 2.5, 3.0)
+    monkeypatch.setattr(dynamics, "descent_along",
+                        lambda params, states: dynamics.DescentResult(False, violation, 3, 0, 0))
+    assert main(_SHOWCASE) == 1
+    out = capsys.readouterr().out
+    assert "verdict: converged\n" in out
+    assert out.endswith("descent: VIOLATION at n=3: g=2.5 then 2.5, 3\n")
+
+
+def test_simulate_prints_q_as_the_equilibrium_where_q_equals_p(capsys):
+    # xbar = q exactly there, where the root formula gave 1.0099999999999998
+    assert main(["simulate", "--p", "1.01", "--q", "1.01", "--xm1", "1", "--x0", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "verdict: converged\n"
+        "equilibrium: 1.01\n"
+        "iterations: 60\n"
+        "final state: x[n-1]=1.0099999997490339 x[n]=1.0099999991135848\n"
+        "descent: not applicable (q >= p)\n")
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     target = tmp_path / "trace.csv"
     code = main(["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2",
@@ -167,9 +201,6 @@ def test_simulate_writes_csv(tmp_path, capsys):
     lines = target.read_text().strip().split("\n")
     assert lines[0] == "n,x_prev,x_curr,g"
     assert len(lines) > 2
-
-
-_SHOWCASE = ["simulate", "--p", "20", "--q", "4", "--xm1", "1", "--x0", "2"]
 
 
 @pytest.mark.parametrize("argv, code, csv_sha256, stdout_sha256", [
@@ -288,6 +319,42 @@ def test_regions_not_applicable_at_q_one(capsys):
     assert main(["regions", "--p", "2", "--q", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count(": not applicable [") == 2
+
+
+#: The whole stdout of ``lyness regions``: no region, (b) and (e) with (c)
+#: and (d) not applicable, and (a) to (d) on the boundary q = p.
+REGIONS_STDOUT = {
+    ("20", "4"): """\
+flags: (none)
+  (a) q >= p: not satisfied [lhs=4 rhs=20]
+  (b) 2(q+1) >= p: not satisfied [lhs=10 rhs=20]
+  (c) 2(q^3-q^2+q+sqrt(q^4-1)-1)/(q-1)^2 >= p: not satisfied [lhs=14.8819 rhs=20]
+  (d) equilibrium <= (q^2+1)/(q-1): not satisfied [lhs=6.21699 rhs=5.66667]
+  (e) 4p(q-1)^2 <= 25: not satisfied [lhs=720 rhs=25]
+""",
+    ("2", "1"): """\
+flags: be
+  (a) q >= p: not satisfied [lhs=1 rhs=2]
+  (b) 2(q+1) >= p: satisfied [lhs=4 rhs=2]
+  (c) not applicable at q <= 1: not applicable [lhs=nan rhs=2]
+  (d) not applicable at q <= 1: not applicable [lhs=1.41421 rhs=nan]
+  (e) 4p(q-1)^2 <= 25: satisfied [lhs=0 rhs=25]
+""",
+    ("3", "3"): """\
+flags: abcd
+  (a) q >= p: satisfied [lhs=3 rhs=3]
+  (b) 2(q+1) >= p: satisfied [lhs=8 rhs=3]
+  (c) 2(q^3-q^2+q+sqrt(q^4-1)-1)/(q-1)^2 >= p: satisfied [lhs=14.4721 rhs=3]
+  (d) equilibrium <= (q^2+1)/(q-1): satisfied [lhs=3 rhs=5]
+  (e) 4p(q-1)^2 <= 25: not satisfied [lhs=48 rhs=25]
+""",
+}
+
+
+@pytest.mark.parametrize("p, q", sorted(REGIONS_STDOUT))
+def test_regions_stdout_is_byte_identical(p, q, capsys):
+    assert main(["regions", "--p", p, "--q", q]) == 0
+    assert capsys.readouterr().out == REGIONS_STDOUT[p, q]
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@ from lyness.exactalg import (
     VARIABLES,
     Poly,
     RationalFn,
-    grlex_key,
     mono_text,
     substitute,
     var_id,
 )
 
-from polytext import parse_poly
+from polytext import grlex_key, parse_poly
 
 x = Poly.var("x")
 y = Poly.var("y")
@@ -85,6 +84,28 @@ def test_non_integral_coefficients_are_rejected(build):
     for value in (Fraction(1, 2), Fraction(2), 2.0, "3"):
         with pytest.raises(TypeError):
             build(value)
+
+
+def test_float_operands_are_refused():
+    f = RationalFn(x, y)
+    for op in (lambda: x - 1.5, lambda: 1.5 - x,
+               lambda: f + 1.5, lambda: f - 1.5, lambda: f * 1.5):
+        with pytest.raises(TypeError):
+            op()
+    assert (f == 1.5) is False
+    for n in (-1, 1.5):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            x ** n
+    with pytest.raises(TypeError, match="substitution target"):
+        substitute(1.5, {})
+
+
+def test_repr_and_str_show_the_canonical_text():
+    p = 2 * x * y - 1
+    for value, text in ((p, "-1 + 2*x*y"), (RationalFn(p), "-1 + 2*x*y"),
+                        (RationalFn(p, x + 1), "(-1 + 2*x*y)/(1 + x)")):
+        assert value.to_text() == str(value) == text
+        assert repr(value) == f"{type(value).__name__}({text!r})"
 
 
 def test_equality_with_a_non_integral_scalar_is_false():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from lyness.certifier import DELTA1_CLOSED_FORM, DELTA2_DENOMINATOR, proportionality_constant
 from lyness.exactalg import Poly, RationalFn, substitute
 from lyness.model import (
+    EquilibriumInfo,
     ParamsPQ,
     build_symbolic_model,
     equilibrium,
@@ -141,16 +142,15 @@ def test_float_fixed_point_is_at_least_one_where_q_below_p():
 
 
 def test_float_fixed_point_is_one_where_q_equals_p():
-    # (xbar - q)(xbar + 1) = p - q = 0, so ybar = 1 exactly, though the
-    # float xbar / q strays from 1 on some q
+    # (xbar - q)(xbar + 1) = p - q = 0, so xbar = q and ybar = 1 exactly;
+    # the float root formula strays from q there: to 1.0099999999999998 at
+    # q = 1.01, and on 97 of the 2000 draws below
     rng = random.Random(3)
-    strays = 0
-    for _ in range(2000):
-        q = math.exp(rng.uniform(math.log(1e-3), math.log(1e6)))
+    draws = [1.01, 7.3, Fraction(101, 100)]
+    draws += [math.exp(rng.uniform(math.log(1e-3), math.log(1e6))) for _ in range(2000)]
+    for q in draws:
         info = equilibrium(ParamsPQ(q, q))
-        assert (info.ybar, info.alpha_tilde) == (1.0, 0.0), q
-        strays += info.xbar / q != 1
-    assert strays
+        assert info == EquilibriumInfo(float(q), 1.0), q
 
 
 # ---------------------------------------------------------------------------

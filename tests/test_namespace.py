@@ -21,8 +21,7 @@ import lyness
 #: Public name -> the submodule that defines it.  Callers import each name from
 #: its submodule (``from lyness.dynamics import simulate``); ``lyness`` binds none.
 PUBLIC = {name: module for module, names in (
-    ("exactalg", ("Monomial", "Poly", "RationalFn", "grlex_key", "mono_text",
-                  "substitute")),
+    ("exactalg", ("Monomial", "Poly", "RationalFn", "mono_text", "substitute")),
     ("model", ("EquilibriumInfo", "ParamsPQ", "SymbolicModel", "build_symbolic_model",
                "equilibrium", "eval_delta", "invariant_value",
                "lyness_invariance_check", "lyness_orbit", "lyness_step")),
