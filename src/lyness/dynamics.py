@@ -398,12 +398,13 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
     Every membership is decided in exact rational arithmetic on p and q as
     given; each check's lhs and rhs are float views, for display only.
     Regions (c) and (d) divide by q - 1: at q <= 1 they do not apply, and
-    their verdict is None.  Region (e) is the set where 4 p (q-1)^2 <= 25:
-    the showcase point (20, 4) must fall outside all five regions, and the
-    region's boundary curve p = 25 / (4 (q-1)^2) reproduces the known
-    crossover near p = 112 where it overtakes region (c).  Raises ValueError
-    when the equilibrium overflows the float range.  A view beyond the float
-    range, as next to q = 1 or at huge p or q, is inf and the verdict stands.
+    their verdict is None, though their descriptions keep their formulas.
+    Region (e) is the set where 4 p (q-1)^2 <= 25: the showcase point
+    (20, 4) must fall outside all five regions, and the region's boundary
+    curve p = 25 / (4 (q-1)^2) reproduces the known crossover near p = 112
+    where it overtakes region (c).  Raises ValueError when the equilibrium
+    overflows the float range.  A view beyond the float range, as next to
+    q = 1 or at huge p or q, is inf and the verdict stands.
     """
     pe, qe = Fraction(params.p), Fraction(params.q)
     p, q = float(pe), float(qe)
@@ -420,17 +421,18 @@ def classify_regions(params: ParamsPQ) -> RegionCoverage:
         s = q + 1 + 2 / d if d else math.inf  # d is 0.0 only if q - 1 underflows
         c_lhs = 2 * s + 2 * math.sqrt(q + 1) * math.sqrt(s) / d if d else math.inf
         a = 2 * (qe**3 - qe**2 + qe - 1) - pe * (qe - 1) ** 2
-        checks.append(RegionCheck("c", a >= 0 or a * a <= 4 * (qe**4 - 1), c_lhs, p,
-                                  "2(q^3-q^2+q+sqrt(q^4-1)-1)/(q-1)^2 >= p"))
+        c_verdict = a >= 0 or a * a <= 4 * (qe**4 - 1)
         # xbar is the larger root of f(x) = x^2 - (q-1)x - p, and
         # R = (q^2+1)/(q-1) lies above the roots' midpoint (q-1)/2, so
         # xbar <= R iff f(R) >= 0
         r = (qe * qe + 1) / (qe - 1)
-        checks.append(RegionCheck("d", r * r - (qe - 1) * r - pe >= 0,
-                                  xbar, s, "equilibrium <= (q^2+1)/(q-1)"))
+        d_verdict = r * r - (qe - 1) * r - pe >= 0
     else:
-        checks.append(RegionCheck("c", None, math.nan, p, "not applicable at q <= 1"))
-        checks.append(RegionCheck("d", None, xbar, math.nan, "not applicable at q <= 1"))
+        c_verdict = d_verdict = None
+        c_lhs = s = math.nan
+    checks.append(RegionCheck("c", c_verdict, c_lhs, p,
+                              "2(q^3-q^2+q+sqrt(q^4-1)-1)/(q-1)^2 >= p"))
+    checks.append(RegionCheck("d", d_verdict, xbar, s, "equilibrium <= (q^2+1)/(q-1)"))
     # the view multiplies by 4 last, so that 4p cannot overflow before d*d
     checks.append(RegionCheck("e", 4 * pe * (qe - 1) ** 2 <= 25, p * d * d * 4, 25.0,
                               "4p(q-1)^2 <= 25"))

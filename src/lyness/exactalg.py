@@ -56,8 +56,11 @@ loop.  When one operand has a single term, that loop only shifts the other's
 keys and scales its coefficients: shifted keys stay distinct and a product
 of nonzero ints is nonzero, so it needs no accumulator and no zero filter.
 Exact evaluation is substitution by constants: `RationalFn.evaluate`
-binds each coordinate ``n/d`` as a constant rational function, so the
-clearing leaves two int constants and one `Fraction` is formed at the end.
+binds each coordinate ``n/d`` as a constant rational function.  A constant
+binding's power rows are plain ints ``n**e * d**(emax-e)``, so its part of
+a bound-part product is one int scale, not a term map; with every variable
+bound to a constant no term map is multiplied at all, the clearing leaves
+two int constants, and one `Fraction` is formed at the end.
 
 Everything here is immutable after construction and safe to share; nothing
 is filled in later.
@@ -437,8 +440,10 @@ def _as_rf(value) -> "RationalFn":
 
 
 def _power_rows(image, emax):
-    """Rows ``num^e * den^(emax-e)`` of one binding, e = 0..emax, as packed
-    term maps, and the total degree of each, ``e*dn + (emax-e)*dd``.
+    """Rows ``num^e * den^(emax-e)`` of one binding, e = 0..emax, and the
+    total degree of each, ``e*dn + (emax-e)*dd``.  A row is a packed term
+    map, or, when the image is a constant ``n/d`` (both halves' keys within
+    ``{0}``), the plain int ``n**e * d**(emax-e)``.
 
     The limit is decided here once: ValueError when ``emax * max(dn, dd)``
     reaches ``2**FIELD_BITS``, and below that no row or power on the way to
@@ -452,6 +457,10 @@ def _power_rows(image, emax):
     dd = max(den) >> _DEG_SHIFT
     if emax * max(dn, dd) >= _LIMIT:
         raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
+    degrees = [e * dn + (emax - e) * dd for e in range(emax + 1)]
+    if num.keys() <= {0} and den.keys() <= {0}:
+        n, d = num.get(0, 0), den[0]
+        return [n ** e * d ** (emax - e) for e in range(emax + 1)], degrees
     rows = [{0: 1}]
     for _ in range(emax):
         rows.append(_term_product(rows[-1], num))
@@ -460,7 +469,7 @@ def _power_rows(image, emax):
         for e in range(emax - 1, -1, -1):
             den_pow = _term_product(den_pow, den)
             rows[e] = _term_product(rows[e], den_pow)
-    return rows, [e * dn + (emax - e) * dd for e in range(emax + 1)]
+    return rows, degrees
 
 
 def substitute(target: RationalFn | Poly,
@@ -487,7 +496,9 @@ def substitute(target: RationalFn | Poly,
     order: one table per bound variable maps the exponents of the variables
     up to it to the product of their rows, so a bound part extends the
     longest product already built, and bound parts that agree on a prefix
-    share it.  The tables live only for the call.
+    share it.  The tables live only for the call.  A constant binding's
+    rows are ints, so they multiply an int scale carried beside the term
+    map, and a bound part whose rows are all ints is one pair.
     """
     rf = _as_rf(target)
     if rf is NotImplemented:
@@ -522,12 +533,12 @@ def substitute(target: RationalFn | Poly,
         # degree is the sum of the rows' degrees, so the limit is decided
         # before each multiplication.
         depth = len(levels) - 1
-        prod, bound, degree = None, 0, 0
+        prod, scale, bound, degree = None, 1, 0, 0
         while depth:
             _, _, _, prefix_mask, table = levels[depth - 1]
             hit = table.get(fields & prefix_mask)
             if hit is not None:
-                prod, bound, degree = hit
+                prod, scale, bound, degree = hit
                 break
             depth -= 1
         for shift, rows, degrees, prefix_mask, table in levels[depth:]:
@@ -535,13 +546,21 @@ def substitute(target: RationalFn | Poly,
             degree += degrees[e]
             if degree >= _LIMIT:
                 raise ValueError(f"product degree is not below 2**{FIELD_BITS}")
-            prod = rows[e] if prod is None else _term_product(prod, rows[e])
+            row = rows[e]
+            # A constant binding's row is an int: it multiplies the scale.
+            if type(row) is int:
+                scale *= row
+            else:
+                prod = row if prod is None else _term_product(prod, row)
             bound += e << shift | e << _DEG_SHIFT
-            table[fields & prefix_mask] = prod, bound, degree
+            table[fields & prefix_mask] = prod, scale, bound, degree
         # Each offset subtracts the bound monomial, so that ``key + offset``
         # is the kept monomial times the product's; ``key + top`` has the
         # degree of the largest such key.
-        pairs = [(m - bound, c) for m, c in prod.items()]
+        if prod is None:
+            pairs = [(-bound, scale)]
+        else:
+            pairs = [(m - bound, c * scale) for m, c in prod.items()]
         return pairs, (degree - (bound >> _DEG_SHIFT)) << _DEG_SHIFT
 
     def image_of(poly):

@@ -336,8 +336,8 @@ flags: (none)
 flags: be
   (a) q >= p: not satisfied [lhs=1 rhs=2]
   (b) 2(q+1) >= p: satisfied [lhs=4 rhs=2]
-  (c) not applicable at q <= 1: not applicable [lhs=nan rhs=2]
-  (d) not applicable at q <= 1: not applicable [lhs=1.41421 rhs=nan]
+  (c) 2(q^3-q^2+q+sqrt(q^4-1)-1)/(q-1)^2 >= p: not applicable [lhs=nan rhs=2]
+  (d) equilibrium <= (q^2+1)/(q-1): not applicable [lhs=1.41421 rhs=nan]
   (e) 4p(q-1)^2 <= 25: satisfied [lhs=0 rhs=25]
 """,
     ("3", "3"): """\

@@ -480,6 +480,12 @@ _REF_IMAGE = st.dictionaries(
         lambda ut: tuple(pair for pair in ((var_id("u"), ut[0]), (var_id("t"), ut[1]))
                          if pair[1])),
     _NONZERO, max_size=3)
+#: A constant image n/d, zero included, as a pair of reference maps.
+_CONST_IMAGE = st.tuples(_COEFFS, _NONZERO).map(
+    lambda nd: ({(): nd[0]} if nd[0] else {}, {(): nd[1]}))
+#: A binding's image as a (numerator, denominator) pair: a rational function
+#: of u and t, or a constant, whose power rows are ints.
+_BINDING = st.tuples(_REF_IMAGE, _REF_IMAGE.filter(bool)) | _CONST_IMAGE
 _EXACT = st.fractions(min_value=Fraction(-7, 2), max_value=4, max_denominator=9)
 
 
@@ -510,17 +516,31 @@ _U, _T, _TU = ((var_id("u"), 1),), ((var_id("t"), 1),), ((var_id("u"), 1), (var_
 
 
 @settings(max_examples=100)
-@given(_REF, _REF.filter(bool), _REF_IMAGE, _REF_IMAGE.filter(bool),
-       _REF_IMAGE, _REF_IMAGE.filter(bool), _REF_IMAGE, _REF_IMAGE.filter(bool))
+@given(_REF, _REF.filter(bool), _BINDING, _BINDING, _BINDING)
 # terms that agree on x and y but not on A share the prefix product of x
 # and y, and each extends it by a different row of A's polynomial image
 @example({_ref_mono((1, 2, 0, 0)): 3, _ref_mono((1, 2, 1, 1)): -2,
           _ref_mono((1, 2, 2, 3)): 1, _ref_mono((1, 0, 0, 2)): 4},
          {_ref_mono((1, 2, 0, 1)): 1, _ref_mono((0, 0, 1, 0)): -1},
-         {_U: 1, (): 1}, {_T: 2, (): -1}, {_T: 1}, {_U: 1, _T: 1},
-         {_TU: 1, (): 2}, {_U: 1, (): 1})
-def test_kernel_substitute_matches_reference(num, den, xn, xd, yn, yd, an, ad):
-    bindings = {"x": (xn, xd), "y": (yn, yd), "A": (an, ad)}
+         ({_U: 1, (): 1}, {_T: 2, (): -1}), ({_T: 1}, {_U: 1, _T: 1}),
+         ({_TU: 1, (): 2}, {_U: 1, (): 1}))
+# a constant level before polynomial ones: terms that agree on x share its
+# int row as the prefix's scale and differ on y, then on A
+@example({_ref_mono((2, 0, 0, 0)): 3, _ref_mono((2, 1, 0, 1)): -2,
+          _ref_mono((2, 2, 1, 1)): 1, _ref_mono((0, 1, 0, 2)): 4},
+         {_ref_mono((2, 0, 0, 1)): 1, _ref_mono((0, 0, 1, 0)): -1},
+         ({(): -5}, {(): 3}), ({_U: 1, (): 1}, {_T: 2, (): -1}),
+         ({_TU: 1, (): 2}, {_U: 1, (): 1}))
+# a constant level after a polynomial one: terms that agree on x and y
+# share x's product and y's scale, and differ on A, whose image 0/3 drops
+# the terms carrying A and leaves its clearing power on the others; the
+# first term builds the prefix and the A-free second one reuses it
+@example({_ref_mono((1, 2, 1, 1)): -2, _ref_mono((1, 2, 0, 0)): 3,
+          _ref_mono((1, 2, 2, 3)): 1, _ref_mono((0, 2, 0, 2)): 4},
+         {_ref_mono((0, 2, 0, 1)): 1, _ref_mono((0, 0, 1, 0)): -1},
+         ({_U: 1, (): 1}, {_T: 2, (): -1}), ({(): -7}, {(): 2}), ({}, {(): 3}))
+def test_kernel_substitute_matches_reference(num, den, x_image, y_image, a_image):
+    bindings = {"x": x_image, "y": y_image, "A": a_image}
     ref_num, ref_den = _ref_substitute(num, den, bindings)
     if not ref_den:
         with pytest.raises(ZeroDivisionError):
@@ -752,17 +772,25 @@ def test_zero_binding_on_a_high_degree_target(no_key_past_the_limit):
 
 
 @settings(max_examples=100)
-@given(_REF_IMAGE, _REF_IMAGE.filter(bool), st.integers(0, 4))
-def test_power_rows_report_their_degrees(num, den, emax):
+@given(_BINDING, st.integers(0, 4))
+@example(({(): -5}, {(): 3}), 3)
+@example(({}, {(): 3}), 2)
+def test_power_rows_report_their_degrees(image, emax):
+    num, den = image
     rows, degrees = exactalg._power_rows(RationalFn(Poly(num), Poly(den)), emax)
     assert len(rows) == len(degrees) == emax + 1
-    for row, degree in zip(rows, degrees):
-        if row:
-            assert max(row) >> exactalg._DEG_SHIFT == degree
-        else:
+    constant = num.keys() <= {()} and den.keys() <= {()}
+    for e, (row, degree) in enumerate(zip(rows, degrees)):
+        if constant:
+            # a constant image's rows are the ints n^e * d^(emax-e)
+            assert type(row) is int
+            assert row == num.get((), 0) ** e * den[()] ** (emax - e)
+        if not row:
             # only a zero numerator empties a row, and its degree is far
             # below zero, so no product with it is refused
             assert not num and degree < -exactalg._LIMIT
+        else:
+            assert (0 if constant else max(row) >> exactalg._DEG_SHIFT) == degree
 
 
 _LARGE = st.integers(1, 2 ** FIELD_BITS - 1)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lyness import exactalg
 from lyness.certifier import DELTA1_CLOSED_FORM, DELTA2_DENOMINATOR, proportionality_constant
 from lyness.exactalg import Poly, RationalFn, substitute
 from lyness.model import (
@@ -247,6 +248,27 @@ def test_eval_delta_matches_direct_formula():
         a = Fraction(rng.randint(1, 50), rng.randint(1, 10))
         which = 1 + (rng.random() < 0.5)
         assert eval_delta(which, (x, y, u, a)) == delta_direct(which, x, y, u, a)
+
+
+def test_eval_delta_is_one_substitution_on_ints(monkeypatch):
+    # exact evaluation is substitution by constants, and constant power rows
+    # multiply as ints: one call, no term-map product
+    point = (Fraction(7, 3), Fraction(5, 2), Fraction(17, 4), Fraction(9, 5))
+    expected = eval_delta(2, point)  # builds the symbolic model first
+    calls = {"substitute": 0, "_term_product": 0}
+
+    def counted(name):
+        original = getattr(exactalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(exactalg, name, counted(name))
+    assert eval_delta(2, point) == expected
+    assert calls == {"substitute": 1, "_term_product": 0}
 
 
 def test_delta1_matches_closed_form():
