@@ -1,21 +1,23 @@
 """Orbit machinery for the recurrence x[n+1] = (p + q*x[n]) / (1 + x[n-1]).
 
 The recurrence is applied in the original x-coordinates (float or exact
-rational) in two places, pinned to the same states by a test: ``simulate``
-steps it in its own loop, and the generator ``_orbit`` yields the
-(n, x[n-1], x[n]) states that ``OrbitTrace.states`` holds, which feed
-``lyapunov_descent_check``.  ``descent_along`` checks that the Lyapunov
-function g drops strictly within one or two steps along such states (a
-state repeated off the fixed point is a violation), computing g at the
-view y = x/q.  An orbit is the run of states whose float view is positive
-and finite: it ends at the first state that fails this test, which each
-walk applies to the state it reads.  Both walks are the convergence
-sweep's inner loops, so they are written tight: ``simulate`` resumes no
-generator frame per state and builds a state tuple only when it records
-one, and ``descent_along`` keeps its three-state window in locals, works
-out each orbit value's view once for the two states that hold it,
-evaluates its float screen inline, the one place that formula is written,
-and leaves everything else to the steps that screen cannot accept.
+rational) in two loops, pinned to the same states by tests: ``simulate``
+walks an orbit in either arithmetic and records the (n, x[n-1], x[n])
+states that ``OrbitTrace.states`` holds, and ``lyapunov_descent_check``
+walks the float orbit and checks it as it goes.  ``descent_along`` checks
+that the Lyapunov function g drops strictly within one or two steps along
+given states (a state repeated off the fixed point is a violation),
+computing g at the view y = x/q.  An orbit is the run of states whose float
+view is positive and finite: it ends at the first state that fails this
+test, which each loop applies to the state it reads.  ``simulate`` and
+``lyapunov_descent_check`` are the convergence sweep's inner loops, so they
+are written tight: neither resumes a generator frame per state,
+``simulate`` builds a state tuple only when it records one, and both work
+out each orbit value's view once.  The descent monitor's float screen is written
+out inline in both of its loops, ``descent_along`` and
+``lyapunov_descent_check``, expression for expression, with a test pinning
+the two to the same results; the steps that screen cannot accept go to one
+shared exact path.
 The module also evaluates local stability of the fixed point, classifies
 parameter points against the five previously-settled parameter regions,
 emits grids of g for inspection, and samples parameter batches for
@@ -53,20 +55,6 @@ class OrbitTrace:
         return self.states[-1][0] if self.verdict == "converged" else None
 
 
-def _orbit(p, q, seed: tuple, length: int):
-    """Yield the first ``length`` states (n, x[n-1], x[n]) for n = 0, 1, ...,
-    starting with ``seed``, in the shape ``OrbitTrace.states`` holds.
-
-    Arithmetic follows the types of ``p``, ``q`` and ``seed``: floats give
-    the float orbit, Fractions the exact one.  ``simulate`` applies the same
-    recurrence in its own loop; a test pins the two to the same states.
-    """
-    x_prev, x_cur = seed
-    for n in range(length):
-        yield n, x_prev, x_cur
-        x_prev, x_cur = x_cur, (p + q * x_cur) / (1 + x_prev)
-
-
 def simulate(params: ParamsPQ,
              seed: tuple,
              exact: bool = False,
@@ -84,49 +72,48 @@ def simulate(params: ParamsPQ,
     last state is the one before.  The seed's view is tested before the
     first step: ValueError naming n=0 unless it is positive and finite
     (OverflowError beyond the float range); past that check nothing raises.
-    The loop applies the recurrence itself, as ``_orbit`` does, and tests
-    each new state's view as it computes it.
+    Both arithmetics run the same loop, which tests each new state's view
+    as it computes it.  Its float tests read the exact values as they are:
+    a ``Fraction`` minus a float, or over one, is the float result of its
+    float view, so the tests see what the float orbit's would.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be positive and finite")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    p, q, *seed = map(Fraction if exact else float, (params.p, params.q, seed[0], seed[1]))
+    p, q, x_prev, x_cur = map(Fraction if exact else float,
+                              (params.p, params.q, seed[0], seed[1]))
     xbar = equilibrium(params).xbar
     inf = math.inf
     qf = float(params.q)
-    a, b = map(float, seed)  # state 0 as floats; the loop carries them
+    a, b = float(x_prev), float(x_cur)
     if not (0 < a / qf < inf and 0 < b / qf < inf):
         raise ValueError(f"state n=0 must be positive and finite, also "
                          f"divided by q in floats: got ({a!r}, {b!r})")
 
     states: list[tuple[int, float, float]] = []
     verdict = "max-iters-exceeded"
-    x_prev, x_cur = seed
     n = 0
     while True:
         if record_states:
-            states.append((n, a, b))
-        if abs(a - xbar) < tol and abs(b - xbar) < tol:
+            states.append((n, float(x_prev), float(x_cur)))
+        if abs(x_prev - xbar) < tol and abs(x_cur - xbar) < tol:
             verdict = "converged"
             break
         if n >= max_iters:
             break
-        x_prev, x_cur = x_cur, (p + q * x_cur) / (1 + x_prev)
-        if exact:
-            try:
-                c = float(x_cur)
-            except OverflowError:  # a state beyond the float range has no view
-                c = inf
-        else:
-            c = x_cur
-        if not 0 < c / qf < inf:
+        x_next = (p + q * x_cur) / (1 + x_prev)
+        try:
+            view = x_next / qf
+        except OverflowError:  # an exact state beyond the float range has no view
+            view = inf
+        if not 0 < view < inf:
             verdict = "diverged-nonfinite"  # the last state is the one before
             break
         n += 1
-        a, b = b, c
+        x_prev, x_cur = x_cur, x_next
     if not record_states:
-        states.append((n, a, b))
+        states.append((n, float(x_prev), float(x_cur)))
     return OrbitTrace(tuple(states), verdict)
 
 
@@ -181,8 +168,8 @@ _NEAR_ROUNDOFF_BOUND = 72 * 2.0**-53
 
 def descent_along(params: ParamsPQ,
                   states: Iterable[tuple[int, float, float]]) -> DescentResult:
-    """Check that g drops strictly, min(g[n+1], g[n+2]) < g[n], along an
-    orbit's states.
+    """Check that g drops strictly, min(g[n+1], g[n+2]) < g[n], along
+    given states: a trace's, or any others.
 
     ``states`` are (n, x[n-1], x[n]) triples, as in ``OrbitTrace.states``;
     they are read once, in order, up to the first state whose view
@@ -239,15 +226,9 @@ def descent_along(params: ParamsPQ,
     accepted step is then a strict drop.  Only where the screen cannot
     accept does the loop ask whether the window holds a whole step and
     whether that step is skipped; any other such step, every violation
-    among them, is decided exactly, by the same strict inequality on
-    ``invariant_value`` at the states' exact binary values as ``Fraction``s,
-    with the same exact alpha~, formed at the first such step, and each
-    state's exact g evaluated once: a cache of the last three, keyed by a
-    state's two coordinates.  A reported violation is therefore a genuine
-    property of the given states, not of rounding; its g values are the
-    floats ``invariant_value`` gives.  The loop counts the states it reads
-    and the skipped steps, and the count of checked steps follows from
-    those at the end.
+    among them, goes to ``_exact_path``.  The loop counts the states it
+    reads and the skipped steps, and the count of checked steps follows
+    from those at the end.
     """
     if not params.q < params.p:
         raise ValueError("descent check requires q < p")
@@ -264,7 +245,7 @@ def descent_along(params: ParamsPQ,
     # state's G.  A value's view y, offset from u and magnitude are computed
     # where it is x[n] (yb, t, ta) and reused at the next state, where it
     # is x[n-1] (ya, s, sa), when that state's x[n-1] equals it.
-    w1 = w2 = violation = g_exact = None
+    w1 = w2 = violation = judge = None
     lo1 = hi1 = lo2 = hi2 = 0.0
     x_last = yb = t = ta = math.nan
     m = -1  # the index of the state read last; after the loop, the count
@@ -303,19 +284,11 @@ def descent_along(params: ParamsPQ,
             skipped += 1
             continue
         exact += 1
-        if g_exact is None:
-            alpha = Fraction(u) * (Fraction(u) - 1)
-
-            @functools.lru_cache(maxsize=3)  # keyed by coordinates: a state may be a list
-            def g_exact(x_prev, x_cur):
-                return invariant_value(alpha, Fraction(x_prev / qf), Fraction(x_cur / qf))
-
-        g0 = g_exact(a, b)
-        if g_exact(*w1[1:]) < g0 or g_exact(*w2[1:]) < g0:
+        if judge is None:
+            judge = _exact_path(info, qf)
+        violation = judge(w0[0], w0[1:], w1[1:], w2[1:])
+        if violation is None:
             continue
-        views = [(a / qf, b / qf) for _, a, b in (w0, w1, w2)]
-        violation = DescentViolation(w0[0], *(invariant_value(info.alpha_tilde, ya, yb)
-                                              for ya, yb in views))
         m += 1
         break
     else:
@@ -326,15 +299,115 @@ def descent_along(params: ParamsPQ,
     return DescentResult(violation is None, violation, steps - skipped, skipped, exact)
 
 
+def _exact_path(info, qf: float):
+    """The descent monitor's exact path, for the steps its float screen
+    cannot accept: a function of a step's index n and its three states'
+    (x[n-1], x[n]) pairs that returns None where g drops strictly and the
+    ``DescentViolation`` at n where it does not.
+
+    It decides the same strict inequality as the screen, on
+    ``invariant_value`` at the states' exact binary views x/q as
+    ``Fraction``s, with the exact alpha~ = u(u - 1) of the float fixed
+    point u, formed once here, at the first such step, and each state's
+    exact g evaluated once: a cache of the last three, keyed by a state's
+    two coordinates.  A violation is therefore a genuine property of the
+    given states, not of rounding; its g values are the floats
+    ``invariant_value`` gives.
+    """
+    u = Fraction(info.ybar)
+    alpha = u * (u - 1)
+
+    @functools.lru_cache(maxsize=3)  # keyed by coordinates: a state may be a list
+    def g_exact(x_prev, x_cur):
+        return invariant_value(alpha, Fraction(x_prev / qf), Fraction(x_cur / qf))
+
+    def violation_at(n, state0, state1, state2):
+        g0 = g_exact(*state0)
+        if g_exact(*state1) < g0 or g_exact(*state2) < g0:
+            return None
+        return DescentViolation(n, *(invariant_value(info.alpha_tilde, a / qf, b / qf)
+                                     for a, b in (state0, state1, state2)))
+
+    return violation_at
+
+
 def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:
     """``descent_along`` the first ``steps + 3`` states of the float orbit from
-    ``seed``, as ``_orbit`` yields them: the states ``simulate`` walks, so
-    ``steps + 1`` steps are checked or skipped, fewer where the orbit ends
-    at a state without a view.  ``steps`` must be a nonnegative int."""
+    ``seed``: the states ``simulate`` walks, so ``steps + 1`` steps are
+    checked or skipped, fewer where the orbit ends at a state without a
+    view.  ``steps`` must be a nonnegative int.
+
+    The result equals ``descent_along`` on those states, a test pins that,
+    but the loop steps the recurrence itself: each pass computes x[m+1],
+    the view of x[m] and the screen's bounds on state m, and the window of
+    the three states a step reads is held as four x values, x[m-3] to
+    x[m].  The screen is ``descent_along``'s, expression for expression,
+    and so are the skip rule and the exact path.
+    """
     if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 0):
         raise ValueError("steps must be a nonnegative int")
-    return descent_along(params, _orbit(float(params.p), float(params.q),
-                                        (float(seed[0]), float(seed[1])), steps + 3))
+    p, qf = float(params.p), float(params.q)
+    x3, x4 = float(seed[0]), float(seed[1])
+    if not params.q < params.p:
+        raise ValueError("descent check requires q < p")
+    info = equilibrium(params)
+    u = info.ybar
+    skip_below = EQ_TOL * u
+    inf = math.inf
+    k = 1.0 + u
+    half_k = 0.5 * k
+    far_bound, near_bound = _ROUNDOFF_BOUND, _NEAR_ROUNDOFF_BOUND
+    # x3 is x[m-1] and x4 is x[m] when a pass starts; the pass moves them to
+    # x2 and x3 and computes x[m+1] into x4 before anything can end it.
+    # The view y of x[m] and its offset t from u are carried to the next
+    # pass, where x[m] is x[m-1] (ya, s).
+    x1 = x2 = math.nan
+    yb = x3 / qf
+    t = yb - u
+    ta = abs(t)
+    violation = judge = None
+    lo1 = hi1 = lo2 = hi2 = 0.0
+    m = -1  # the index of the state read last; after the loop, the count
+    skipped = exact = 0  # undecided steps skipped; steps decided exactly
+    for m in range(steps + 3 if 0 < yb < inf else 0):
+        x0 = x1
+        x1 = x2
+        x2 = x3
+        x3 = x4
+        x4 = (p + qf * x3) / (1 + x2)
+        ya, s, sa = yb, t, ta
+        yb = x3 / qf
+        if not 0 < yb < inf:
+            break  # the orbit ends at its first state without a view
+        t = yb - u
+        ta = abs(t)
+        st = s * t
+        sq = s * s + t * t
+        stu = st / u
+        g = (k * (sq - stu) + st * (s + t)) / ya / yb
+        if sa + ta <= half_k:
+            e = near_bound * g
+        else:
+            e = far_bound * ((k * (sq + abs(stu)) + sa * ta * (sa + ta)) / ya / yb)
+        lo0, lo1, lo2 = lo1, lo2, g - e
+        hi1, hi2 = hi2, g + e
+        if hi1 < lo0 or hi2 < lo0 or m < 2:
+            continue
+        if abs(x0 / qf - u) <= skip_below and abs(x1 / qf - u) <= skip_below:
+            skipped += 1
+            continue
+        exact += 1
+        if judge is None:
+            judge = _exact_path(info, qf)
+        violation = judge(m - 2, (x0, x1), (x1, x2), (x2, x3))
+        if violation is None:
+            continue
+        m += 1
+        break
+    else:
+        m += 1
+    walked = m - 2 if m > 2 else 0  # steps among the m states read
+    return DescentResult(violation is None, violation, walked - skipped, skipped, exact)
 
 
 # -- local stability ---------------------------------------------------------------

@@ -16,7 +16,6 @@ from lyness.dynamics import (
     DescentResult,
     DescentViolation,
     _NEAR_ROUNDOFF_BOUND,
-    _orbit,
     g_grid,
     grid_to_csv,
     classify_regions,
@@ -30,6 +29,22 @@ from lyness.dynamics import (
     trace_to_csv,
 )
 from lyness.model import ParamsPQ, equilibrium, invariant_value
+from test_convergence_sweep import _edge_float
+
+
+def reference_orbit(p, q, seed: tuple, length: int):
+    """Yield the first ``length`` states (n, x[n-1], x[n]) for n = 0, 1, ...,
+    starting with ``seed``, in the shape ``OrbitTrace.states`` holds: the
+    tests' reference recurrence, which ``simulate`` and
+    ``lyapunov_descent_check`` each apply in their own loops.
+
+    Arithmetic follows the types of ``p``, ``q`` and ``seed``: floats give
+    the float orbit, Fractions the exact one.
+    """
+    x_prev, x_cur = seed
+    for n in range(length):
+        yield n, x_prev, x_cur
+        x_prev, x_cur = x_cur, (p + q * x_cur) / (1 + x_prev)
 
 
 def small_height_instances(rng, count):
@@ -148,25 +163,33 @@ def has_view(x, q) -> bool:
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-@pytest.mark.parametrize("params, seed, kwargs, verdict", [
-    (ParamsPQ(6, 2), (Fraction(29, 10), Fraction(31, 10)), {"tol": 1e-2}, "converged"),
-    (ParamsPQ(20, 4), (1, 2), {"max_iters": 12, "tol": 1e-300}, "max-iters-exceeded"),
+@pytest.mark.parametrize("params, seed, kwargs, verdict, last", [
+    (ParamsPQ(6, 2), (Fraction(29, 10), Fraction(31, 10)), {"tol": 1e-2}, "converged", (20,)),
+    (ParamsPQ(20, 4), (1, 2), {"max_iters": 12, "tol": 1e-300}, "max-iters-exceeded", (12,)),
     # x[1] = 1e170 and x[2] = 1e370, beyond the float range in either arithmetic
     (ParamsPQ(1, 10**200), (Fraction(1, 10**30), Fraction(1, 10**30)), {"max_iters": 8},
-     "diverged-nonfinite"),
-], ids=["converged", "max-iters", "diverged"])
-def test_simulate_and_orbit_give_the_same_states(params, seed, kwargs, verdict, exact):
-    # simulate applies the recurrence in its own loop and _orbit feeds the
-    # descent check: both give the same states, the exact ones as floats
+     "diverged-nonfinite", (1, 1e-30, 1e170)),
+    # x[2] = 9.375e307 is a finite float, but its view x[2]/q = 1.875e308 overflows
+    (ParamsPQ(1.5e308, 0.5), (1, 1), {"max_iters": 8}, "diverged-nonfinite",
+     (1, 1.0, 7.5e307)),
+], ids=["converged", "max-iters", "diverged", "view-diverged"])
+def test_simulate_and_orbit_give_the_same_states(params, seed, kwargs, verdict, last, exact):
+    # simulate applies the recurrence in its own loop, in either arithmetic:
+    # it gives the reference orbit's states, the exact ones as floats, up to
+    # the last with a view.  ``last`` pins the start of the last state; where
+    # the arithmetics round apart, only its n.
     trace = simulate(params, seed, exact=exact, record_states=True, **kwargs)
     assert trace.verdict == verdict
     assert len(trace.states) > 1
+    assert trace.states[-1][:len(last)] == last
     kind = Fraction if exact else float
     p, q, *start = map(kind, (params.p, params.q, *seed))
-    *walked, (_, _, beyond) = _orbit(p, q, tuple(start), len(trace.states) + 1)
+    *walked, (_, _, beyond) = reference_orbit(p, q, tuple(start), len(trace.states) + 1)
     assert trace.states == tuple((n, float(a), float(b)) for n, a, b in walked)
     assert all(has_view(b, params.q) for _, _, b in walked)
     assert has_view(beyond, params.q) == (verdict != "diverged-nonfinite")
+    thin = simulate(params, seed, exact=exact, record_states=False, **kwargs)
+    assert (thin.verdict, thin.states) == (verdict, trace.states[-1:])
 
 
 def test_float_and_exact_orbits_agree():
@@ -281,6 +304,107 @@ def test_descent_check_reads_the_simulated_orbit():
                 assert walked == steps
             assert (lyapunov_descent_check(params, seed, walked)
                     == descent_along(params, trace.states))
+
+
+def descent_on_the_reference_orbit(params, seed, steps):
+    """``descent_along`` the first ``steps + 3`` states of the reference
+    float orbit from ``seed``, up to the first without a view, where
+    ``descent_along`` stops reading, and whether there is one."""
+    start = (float(seed[0]), float(seed[1]))
+    states = []
+    for state in reference_orbit(float(params.p), float(params.q), start, steps + 3):
+        states.append(state)
+        if not (has_view(state[1], params.q) and has_view(state[2], params.q)):
+            return descent_along(params, states), True
+    return descent_along(params, states), False
+
+
+#: Step counts too short for a step (0), for a second one (1) and for the
+#: window to fill and move on (2, 5).
+SHORT_STEPS = (0, 1, 2, 5)
+
+
+def test_descent_check_equals_descent_along_on_the_sweep_orbits():
+    # lyapunov_descent_check walks the orbit in its own loop: the whole
+    # result, counts included, is descent_along's on the reference orbit,
+    # over criterion 08's 300 orbits at the sweep's step count and short ones
+    for params, seed in random_instances(random.Random(74), 100, 3):
+        trace = simulate(params, seed, tol=1e-8, max_iters=10**6, record_states=False)
+        steps = trace.iters_to_tol
+        if steps is None:
+            steps = UNCONVERGED_DESCENT_STEPS
+        for n in (*SHORT_STEPS, steps):
+            reference, _ = descent_on_the_reference_orbit(params, seed, n)
+            assert lyapunov_descent_check(params, seed, n) == reference, (params, seed, n)
+
+
+def test_descent_check_equals_descent_along_on_extreme_orbits():
+    # the extreme draws of the sweep's own test: orbits that end at a state
+    # without a view, next to either end of the float range
+    rng = random.Random(25)
+    cases = viewless = 0
+    for _ in range(120):
+        q, p = sorted((_edge_float(rng), _edge_float(rng)))
+        seed = (_edge_float(rng), _edge_float(rng))
+        if not q < p or not all(0 < x / q < math.inf for x in seed):
+            continue
+        params = ParamsPQ(p, q)
+        try:
+            equilibrium(params)
+        except ValueError:  # the fixed point's view is beyond the float range
+            continue
+        for n in (*SHORT_STEPS, UNCONVERGED_DESCENT_STEPS):
+            reference, ends = descent_on_the_reference_orbit(params, seed, n)
+            assert lyapunov_descent_check(params, seed, n) == reference, (params, seed, n)
+            cases += 1
+            viewless += ends
+    assert cases > 200 and viewless > 20
+
+
+def test_descent_check_equals_descent_along_where_the_screen_is_tight():
+    # x̄ = q u with A/u = 1/(q u) down to 1e-16: the linearization's modulus
+    # sqrt(u/(A + u)) is within about A/(2u) of 1, so g drops by a sliver
+    # of itself per step, often within the screen's rounding bound.  Such
+    # steps go to the exact path, and doubling either branch of the bound
+    # (72 eps G or 12 eps T/(y y)) in one loop changes some results here
+    rng = random.Random(3)
+    exact = 0
+    for _ in range(3000):
+        q = 10.0 ** rng.uniform(0, 8)
+        u = 10.0 ** rng.uniform(0, 8)
+        params = ParamsPQ((q * u) ** 2 - (q - 1) * q * u, q)
+        xbar = equilibrium(params).xbar
+        seed = tuple(xbar * (1 + rng.choice([0.9, 1e-1, 1e-3, 1e-6]) * rng.uniform(-1, 1))
+                     for _ in "ab")
+        result = lyapunov_descent_check(params, seed, 60)
+        assert result == descent_on_the_reference_orbit(params, seed, 60)[0], (params, seed)
+        exact += result.decided_exactly > 0
+    assert exact > 100
+
+
+@pytest.mark.parametrize("q, seed", [
+    (0.5, (0.0, 1.0)), (0.5, (1.0, 0.0)), (0.5, (-1.0, 1.0)), (0.5, (math.nan, 1.0)),
+    (0.5, (1.0, math.inf)), (0.5, (1e308, 1.0)), (0.5, (1.0, 1e308)), (4.0, (5e-324, 1.0)),
+])
+def test_descent_check_from_a_seed_without_a_view_reads_no_state(q, seed):
+    # the orbit ends at state 0, before its first step
+    params = ParamsPQ(20, q)
+    result = lyapunov_descent_check(params, seed, 5)
+    assert result == DescentResult(True, None, 0, 0, 0)
+    assert result == descent_on_the_reference_orbit(params, seed, 5)[0]
+
+
+@pytest.mark.parametrize("params, seed, steps", [
+    (ParamsPQ(1e300, 1e-3), (1, 1), 6),
+    (ParamsPQ(1e200, 2), (1, 1), 5),
+])
+def test_descent_check_equals_descent_along_where_it_finds_a_violation(params, seed, steps):
+    # the float orbit's own g rises at n = 2: the violation, its index and
+    # its g's, is descent_along's
+    result = lyapunov_descent_check(params, seed, steps)
+    assert (result.ok, result.violation.index) == (False, 2)
+    assert (result.checked, result.skipped_near_equilibrium, result.decided_exactly) == (3, 0, 3)
+    assert result == descent_on_the_reference_orbit(params, seed, steps)[0]
 
 
 def test_descent_along_reports_a_rise():
