@@ -482,12 +482,14 @@ def summary_to_json(summary: CertificateSummary, include_timing: bool = True) ->
 
 
 def summary_to_text(summary: CertificateSummary) -> str:
-    """Human-readable table of a certificate run."""
+    """Human-readable table of a certificate run; the step column is as wide
+    as the longest step name, so every row's ``terms`` lines up."""
     lines = []
+    width = max((len(r.step) for r in summary.reports), default=0)
     for r in summary.reports:
         coeff = "-" if r.min_coefficient is None else str(r.min_coefficient)
         verdict = "pass" if r.passed else "FAIL"
-        lines.append(f"{verdict}  {r.step:32s} terms {r.input_count:4d} -> "
+        lines.append(f"{verdict}  {r.step:{width}s} terms {r.input_count:4d} -> "
                      f"{r.output_count:4d}  min coeff {coeff}")
     lines.append(f"counts: {dict(summary.counts)}")
     lines.append(STRICTNESS_ASSUMPTION)

@@ -13,11 +13,12 @@ test, which each loop applies to the state it reads.  ``simulate`` and
 ``lyapunov_descent_check`` are the convergence sweep's inner loops, so they
 are written tight: neither resumes a generator frame per state,
 ``simulate`` builds a state tuple only when it records one, and both work
-out each orbit value's view once.  The descent monitor's float screen is written
-out inline in both of its loops, ``descent_along`` and
-``lyapunov_descent_check``, expression for expression, with a test pinning
-the two to the same results; the steps that screen cannot accept go to one
-shared exact path.
+out each orbit value's view once.  ``descent_along``, which only ``lyness
+simulate`` and the tests run, computes each given state's views afresh.
+The descent monitor's float screen is written out inline in both of its
+loops, ``descent_along`` and ``lyapunov_descent_check``, expression for
+expression, with a test pinning the two to the same results; the steps
+that screen cannot accept go to one shared exact path.
 The module also evaluates local stability of the fixed point, classifies
 parameter points against the five previously-settled parameter regions,
 emits grids of g for inspection, and samples parameter batches for
@@ -174,9 +175,8 @@ def descent_along(params: ParamsPQ,
     ``states`` are (n, x[n-1], x[n]) triples, as in ``OrbitTrace.states``;
     they are read once, in order, up to the first state whose view
     y = x/q is not positive and finite in floats, where the orbit ends and
-    reading stops.  An x[n-1] equal to the state before's x[n], as along an
-    orbit, reuses that value's view and offset: the same floats, computed
-    once.  Every state of the orbit but the last two is a step, checked or
+    reading stops.  Each state's two views are computed afresh from that
+    state.  Every state of the orbit but the last two is a step, checked or
     skipped.  Requires q < p, the regime in which the transformed fixed
     point u exceeds 1 (``equilibrium`` gives a float u >= 1 there) and g
     drops strictly within two steps everywhere off the fixed point, so a
@@ -226,9 +226,9 @@ def descent_along(params: ParamsPQ,
     accepted step is then a strict drop.  Only where the screen cannot
     accept does the loop ask whether the window holds a whole step and
     whether that step is skipped; any other such step, every violation
-    among them, goes to ``_exact_path``.  The loop counts the states it
-    reads and the skipped steps, and the count of checked steps follows
-    from those at the end.
+    among them, goes to ``_exact_path``.  The loop counts the orbit's
+    states and the skipped steps as it reads them, and the count of checked
+    steps follows from those at the end.
     """
     if not params.q < params.p:
         raise ValueError("descent check requires q < p")
@@ -242,28 +242,22 @@ def descent_along(params: ParamsPQ,
     far_bound, near_bound = _ROUNDOFF_BOUND, _NEAR_ROUNDOFF_BOUND
     # The three-state window holds the raw states, oldest first: w0 is the
     # state a step is checked at.  lo/hi are the screen's bounds on each
-    # state's G.  A value's view y, offset from u and magnitude are computed
-    # where it is x[n] (yb, t, ta) and reused at the next state, where it
-    # is x[n-1] (ya, s, sa), when that state's x[n-1] equals it.
+    # state's G.
     w1 = w2 = violation = judge = None
     lo1 = hi1 = lo2 = hi2 = 0.0
-    x_last = yb = t = ta = math.nan
-    m = -1  # the index of the state read last; after the loop, the count
+    read = 0  # the orbit's states read; a state without a view is not one
     skipped = exact = 0  # undecided steps skipped; steps decided exactly
-    for m, state in enumerate(states):
+    for state in states:
         _, x0, x1 = state
-        if x0 == x_last:
-            ya, s, sa = yb, t, ta
-        else:
-            ya = x0 / qf
-            if not 0 < ya < inf:
-                break  # the orbit ends at its first state without a view
-            s = ya - u
-            sa = abs(s)
-        x_last = x1
+        ya = x0 / qf
+        if not 0 < ya < inf:
+            break  # the orbit ends at its first state without a view
         yb = x1 / qf
         if not 0 < yb < inf:
             break
+        read += 1
+        s = ya - u
+        sa = abs(s)
         t = yb - u
         ta = abs(t)
         st = s * t
@@ -287,15 +281,10 @@ def descent_along(params: ParamsPQ,
         if judge is None:
             judge = _exact_path(info, qf)
         violation = judge(w0[0], w0[1:], w1[1:], w2[1:])
-        if violation is None:
-            continue
-        m += 1
-        break
-    else:
-        m += 1
-    # m counts the orbit's states read (a state without a view is not one),
-    # and each but the last two is a step; fewer than three hold no step
-    steps = m - 2 if m > 2 else 0
+        if violation is not None:
+            break
+    # each state read but the last two is a step; fewer than three hold none
+    steps = read - 2 if read > 2 else 0
     return DescentResult(violation is None, violation, steps - skipped, skipped, exact)
 
 

@@ -49,18 +49,15 @@ normalized shape.
 `substitute` builds each output polynomial in one pass over the target's
 terms, on ints alone: every term product is one key addition and one
 multiply-add into a single int accumulator, zeros dropped once at the end.
-Within a call, terms whose bound parts agree on their first variables (in
-binding order) share the product of those variables' power rows.
-`Poly.__mul__`, the power rows and these products share one term-product
-loop.  When one operand has a single term, that loop only shifts the other's
-keys and scales its coefficients: shifted keys stay distinct and a product
-of nonzero ints is nonzero, so it needs no accumulator and no zero filter.
-Exact evaluation is substitution by constants: `RationalFn.evaluate`
-binds each coordinate ``n/d`` as a constant rational function.  A constant
-binding's power rows are plain ints ``n**e * d**(emax-e)``, so its part of
-a bound-part product is one int scale, not a term map; with every variable
-bound to a constant no term map is multiplied at all, the clearing leaves
-two int constants, and one `Fraction` is formed at the end.
+Within a call, terms with the same bound part share the product of that
+part's power rows, formed once.  `Poly.__mul__`, the power rows and these
+products share one term-product loop.  Exact evaluation is substitution by
+constants: `RationalFn.evaluate` binds each coordinate ``n/d`` as a
+constant rational function.  A constant binding's power rows are plain
+ints ``n**e * d**(emax-e)``, so its part of a bound-part product is one int
+scale, not a term map; with every variable bound to a constant no term map
+is multiplied at all, the clearing leaves two int constants, and one
+`Fraction` is formed at the end.
 
 Everything here is immutable after construction and safe to share; nothing
 is filled in later.
@@ -314,14 +311,10 @@ def _term_product(a, b):
 
     Arithmetic only: the caller has decided that the product's total degree
     stays below ``2**FIELD_BITS``, so no field carries into the next and a
-    key sum is the monomial product.  An empty operand gives an empty map.
+    key sum is the monomial product.  Every pair of terms is added into one
+    accumulator, whatever the operands' sizes.  An empty operand gives an
+    empty map.
     """
-    if len(a) == 1:
-        a, b = b, a
-    if len(b) == 1:
-        # Shifted keys stay distinct and nonzero ints have a nonzero product.
-        (mb, cb), = b.items()
-        return {ma + mb: ca * cb for ma, ca in a.items()}
     out = {}
     get = out.get
     b_items = b.items()
@@ -490,15 +483,11 @@ def substitute(target: RationalFn | Poly,
     Each output polynomial is built in one pass over the target's terms.
     A term's bound part is ``key & mask``; the product of the bound
     variables' power rows for that part (`_power_rows`) is formed once per
-    call, shared by numerator and denominator, and kept as ``(key offset,
-    int coefficient)`` pairs, so each term product is one key addition into
-    a single int accumulator.  Those products are built along the binding
-    order: one table per bound variable maps the exponents of the variables
-    up to it to the product of their rows, so a bound part extends the
-    longest product already built, and bound parts that agree on a prefix
-    share it.  The tables live only for the call.  A constant binding's
-    rows are ints, so they multiply an int scale carried beside the term
-    map, and a bound part whose rows are all ints is one pair.
+    call, row by row in binding order, shared by numerator and denominator,
+    and kept as ``(key offset, int coefficient)`` pairs, so each term
+    product is one key addition into a single int accumulator.  A constant
+    binding's rows are ints, so they multiply an int scale carried beside
+    the term map, and a bound part whose rows are all ints is one pair.
     """
     rf = _as_rf(target)
     if rf is NotImplemented:
@@ -510,8 +499,7 @@ def substitute(target: RationalFn | Poly,
             raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or int")
         images[var_id(name)] = coerced
     # One level per bound variable the target uses, in binding order: its
-    # field's shift, its power rows and their degrees, the mask of the
-    # fields up to it, and its table of prefix products.
+    # field's shift, and its power rows and their degrees.
     levels = []
     mask = 0
     for vid, image in images.items():
@@ -521,27 +509,17 @@ def substitute(target: RationalFn | Poly,
                    for p in (rf.num, rf.den)) >> shift
         if emax:
             mask |= field
-            levels.append((shift, *_power_rows(image, emax), mask, {}))
+            levels.append((shift, *_power_rows(image, emax)))
     if not levels:
         return rf
     products = {}
 
     def product_of(fields):
-        # Level i's table holds, for the fields of the first i + 1 bound
-        # variables, the product of their rows, its packed monomial and the
-        # product's degree; extend the longest one already built.  The
+        # The product of the bound part's rows, formed along the levels.  Its
         # degree is the sum of the rows' degrees, so the limit is decided
         # before each multiplication.
-        depth = len(levels) - 1
         prod, scale, bound, degree = None, 1, 0, 0
-        while depth:
-            _, _, _, prefix_mask, table = levels[depth - 1]
-            hit = table.get(fields & prefix_mask)
-            if hit is not None:
-                prod, scale, bound, degree = hit
-                break
-            depth -= 1
-        for shift, rows, degrees, prefix_mask, table in levels[depth:]:
+        for shift, rows, degrees in levels:
             e = (fields >> shift) & _FIELD_MASK
             degree += degrees[e]
             if degree >= _LIMIT:
@@ -553,7 +531,6 @@ def substitute(target: RationalFn | Poly,
             else:
                 prod = row if prod is None else _term_product(prod, row)
             bound += e << shift | e << _DEG_SHIFT
-            table[fields & prefix_mask] = prod, scale, bound, degree
         # Each offset subtracts the bound monomial, so that ``key + offset``
         # is the kept monomial times the product's; ``key + top`` has the
         # degree of the largest such key.

@@ -606,6 +606,12 @@ def test_text_summary_mentions_strictness(summary):
     assert STRICTNESS_ASSUMPTION in text
     assert text.endswith("overall: PASS")
     assert text.count("\npass") + text.count("pass ") >= len(summary.reports) - 1
+    # every report row's terms column starts at one offset, past the longest
+    # step name
+    rows = text.splitlines()[:len(summary.reports)]
+    offsets = {row.index(" terms ") for row in rows}
+    assert len(offsets) == 1
+    assert offsets.pop() >= len("pass  ") + max(len(r.step) for r in summary.reports)
 
 
 def test_group_runners_match_full_run(summary):

@@ -505,7 +505,7 @@ def test_kernel_arithmetic_matches_reference(a, b, n, scalar):
     _assert_matches(pa - pb, _ref_add(a, {m: -c for m, c in b.items()}))
     _assert_matches(pa * pb, _ref_mul(a, b))
     for m, c in b.items():
-        # a one-term operand, on either side, shifts and scales the other
+        # a one-term operand, on either side, goes through the general loop
         _assert_matches(pa * Poly({m: c}), _ref_mul(a, {m: c}))
         _assert_matches(Poly({m: c}) * pa, _ref_mul({m: c}, a))
     _assert_matches(pa ** n, _ref_pow(a, n))
@@ -517,24 +517,24 @@ _U, _T, _TU = ((var_id("u"), 1),), ((var_id("t"), 1),), ((var_id("u"), 1), (var_
 
 @settings(max_examples=100)
 @given(_REF, _REF.filter(bool), _BINDING, _BINDING, _BINDING)
-# terms that agree on x and y but not on A share the prefix product of x
-# and y, and each extends it by a different row of A's polynomial image
+# terms that agree on x and y but not on A have the same rows of x and y,
+# each multiplied by a different row of A's polynomial image
 @example({_ref_mono((1, 2, 0, 0)): 3, _ref_mono((1, 2, 1, 1)): -2,
           _ref_mono((1, 2, 2, 3)): 1, _ref_mono((1, 0, 0, 2)): 4},
          {_ref_mono((1, 2, 0, 1)): 1, _ref_mono((0, 0, 1, 0)): -1},
          ({_U: 1, (): 1}, {_T: 2, (): -1}), ({_T: 1}, {_U: 1, _T: 1}),
          ({_TU: 1, (): 2}, {_U: 1, (): 1}))
-# a constant level before polynomial ones: terms that agree on x share its
-# int row as the prefix's scale and differ on y, then on A
+# a constant level before polynomial ones: terms that agree on x have the
+# same int row of x as their scale and differ on y, then on A
 @example({_ref_mono((2, 0, 0, 0)): 3, _ref_mono((2, 1, 0, 1)): -2,
           _ref_mono((2, 2, 1, 1)): 1, _ref_mono((0, 1, 0, 2)): 4},
          {_ref_mono((2, 0, 0, 1)): 1, _ref_mono((0, 0, 1, 0)): -1},
          ({(): -5}, {(): 3}), ({_U: 1, (): 1}, {_T: 2, (): -1}),
          ({_TU: 1, (): 2}, {_U: 1, (): 1}))
 # a constant level after a polynomial one: terms that agree on x and y
-# share x's product and y's scale, and differ on A, whose image 0/3 drops
-# the terms carrying A and leaves its clearing power on the others; the
-# first term builds the prefix and the A-free second one reuses it
+# have the same row of x and scale from y, and differ on A, whose image 0/3
+# drops the terms carrying A and leaves its clearing power on the others;
+# the first term carries A and the second is A-free
 @example({_ref_mono((1, 2, 1, 1)): -2, _ref_mono((1, 2, 0, 0)): 3,
           _ref_mono((1, 2, 2, 3)): 1, _ref_mono((0, 2, 0, 2)): 4},
          {_ref_mono((0, 2, 0, 1)): 1, _ref_mono((0, 0, 1, 0)): -1},
@@ -552,6 +552,13 @@ def test_kernel_substitute_matches_reference(num, den, x_image, y_image, a_image
                      {name: RationalFn(Poly(n), Poly(d)) for name, (n, d) in bindings.items()})
     _assert_matches(out.num, ref_num)
     _assert_matches(out.den, ref_den)
+    # products are formed row by row in binding order, and any order gives
+    # the same result
+    backward = substitute(RationalFn(Poly(num), Poly(den)),
+                          {name: RationalFn(Poly(n), Poly(d))
+                           for name, (n, d) in reversed(bindings.items())})
+    _assert_matches(backward.num, ref_num)
+    _assert_matches(backward.den, ref_den)
 
 
 def _free_of_x(ref):
@@ -697,7 +704,7 @@ def test_product_degree_limit(no_key_past_the_limit):
         half * half
     with pytest.raises(ValueError, match="product degree"):
         top * x
-    # the check comes before the one-term branch, whichever side has one term
+    # the check comes before any term product, whichever side has one term
     with pytest.raises(ValueError, match="product degree"):
         (top + 1) * x
     with pytest.raises(ValueError, match="product degree"):
