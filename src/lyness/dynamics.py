@@ -13,7 +13,10 @@ test, which each loop applies to the state it reads.  ``simulate`` and
 ``lyapunov_descent_check`` are the convergence sweep's inner loops, so they
 are written tight: neither resumes a generator frame per state,
 ``simulate`` builds a state tuple only when it records one, and both work
-out each orbit value's view once.  ``descent_along``, which only ``lyness
+out each orbit value's view once.  CPython 3.11 takes its specialised
+float instructions only when both operands are floats, so the loops write
+``1.0`` and ``0.0``, never ``1`` and ``0``, and ``simulate`` converts its
+1 together with p and q.  ``descent_along``, which only ``lyness
 simulate`` and the tests run, computes each given state's views afresh.
 The descent monitor's float screen is written out inline in both of its
 loops, ``descent_along`` and ``lyapunov_descent_check``, expression for
@@ -82,13 +85,13 @@ def simulate(params: ParamsPQ,
         raise ValueError("tolerance must be positive and finite")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    p, q, x_prev, x_cur = map(Fraction if exact else float,
-                              (params.p, params.q, seed[0], seed[1]))
+    one, p, q, x_prev, x_cur = map(Fraction if exact else float,
+                                   (1, params.p, params.q, seed[0], seed[1]))
     xbar = equilibrium(params).xbar
     inf = math.inf
     qf = float(params.q)
     a, b = float(x_prev), float(x_cur)
-    if not (0 < a / qf < inf and 0 < b / qf < inf):
+    if not (0.0 < a / qf < inf and 0.0 < b / qf < inf):
         raise ValueError(f"state n=0 must be positive and finite, also "
                          f"divided by q in floats: got ({a!r}, {b!r})")
 
@@ -103,12 +106,12 @@ def simulate(params: ParamsPQ,
             break
         if n >= max_iters:
             break
-        x_next = (p + q * x_cur) / (1 + x_prev)
+        x_next = (p + q * x_cur) / (one + x_prev)
         try:
             view = x_next / qf
         except OverflowError:  # an exact state beyond the float range has no view
             view = inf
-        if not 0 < view < inf:
+        if not 0.0 < view < inf:
             verdict = "diverged-nonfinite"  # the last state is the one before
             break
         n += 1
@@ -250,10 +253,10 @@ def descent_along(params: ParamsPQ,
     for state in states:
         _, x0, x1 = state
         ya = x0 / qf
-        if not 0 < ya < inf:
+        if not 0.0 < ya < inf:
             break  # the orbit ends at its first state without a view
         yb = x1 / qf
-        if not 0 < yb < inf:
+        if not 0.0 < yb < inf:
             break
         read += 1
         s = ya - u
@@ -358,15 +361,15 @@ def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> Descent
     lo1 = hi1 = lo2 = hi2 = 0.0
     m = -1  # the index of the state read last; after the loop, the count
     skipped = exact = 0  # undecided steps skipped; steps decided exactly
-    for m in range(steps + 3 if 0 < yb < inf else 0):
+    for m in range(steps + 3 if 0.0 < yb < inf else 0):
         x0 = x1
         x1 = x2
         x2 = x3
         x3 = x4
-        x4 = (p + qf * x3) / (1 + x2)
+        x4 = (p + qf * x3) / (1.0 + x2)
         ya, s, sa = yb, t, ta
         yb = x3 / qf
-        if not 0 < yb < inf:
+        if not 0.0 < yb < inf:
             break  # the orbit ends at its first state without a view
         t = yb - u
         ta = abs(t)

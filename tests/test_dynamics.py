@@ -1,5 +1,7 @@
 """Tests for orbit simulation, descent monitoring, stability, regions, grids."""
 
+import ast
+import inspect
 import io
 import math
 import random
@@ -834,6 +836,59 @@ def test_descent_requires_q_below_p():
     for steps in (-1, 10.0, 1.5, True, False, "3"):
         with pytest.raises(ValueError, match="steps must be a nonnegative int"):
             lyapunov_descent_check(ParamsPQ(2, 1), (1.0, 1.0), steps)
+
+
+#: Integer counters of the loops, which int literals may meet.
+_LOOP_COUNTERS = {"n", "m", "read", "skipped", "exact"}
+
+
+def int_operands_in_loops(source: str, first_line: int = 1) -> list[str]:
+    """``line: source`` of each int literal (not a bool) that is a direct
+    operand of a binary operation or comparison in the body of a ``for`` or
+    ``while`` loop, unless every operand next to it is a loop counter.  A
+    float operation with an int operand misses CPython's float fast path."""
+    tree = ast.parse(source)
+    ast.increment_lineno(tree, first_line - 1)
+
+    def is_int(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in (n for stmt in loop.body for n in ast.walk(stmt)):
+            if isinstance(node, ast.BinOp):
+                operands = [node.left, node.right]
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            else:
+                continue
+            for i, operand in enumerate(operands):
+                others = operands[max(i - 1, 0):i] + operands[i + 1:i + 2]
+                if is_int(operand) and not all(
+                        isinstance(o, ast.Name) and o.id in _LOOP_COUNTERS for o in others):
+                    found.add(f"{node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+def test_int_operand_check_flags_float_arithmetic_only():
+    source = ("for m in range(3):\n"
+              "    x = (p + q * x) / (1 + y)\n"
+              "    if not 0 < x < inf or m < 2 or -1 > x or n - 1 or x > True:\n"
+              "        y = 1.0 + x\n")
+    assert int_operands_in_loops(source) == [
+        "2: 1 + y", "3: -1 > x", "3: 0 < x < inf"]
+
+
+@pytest.mark.parametrize("fn", [simulate, lyapunov_descent_check, descent_along])
+def test_the_orbit_loops_keep_float_operands(fn):
+    # every float +, -, * and comparison in the sweep's loops stays on
+    # CPython's float fast path: no int literal meets a float there
+    lines, first_line = inspect.getsourcelines(fn)
+    assert int_operands_in_loops("".join(lines), first_line) == []
 
 
 # ---------------------------------------------------------------------------
