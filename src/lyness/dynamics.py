@@ -18,10 +18,11 @@ float instructions only when both operands are floats, so the loops write
 ``1.0`` and ``0.0``, never ``1`` and ``0``, and ``simulate`` converts its
 1 together with p and q.  ``descent_along``, which only ``lyness
 simulate`` and the tests run, computes each given state's views afresh.
-The descent monitor's float screen is written out inline in both of its
-loops, ``descent_along`` and ``lyapunov_descent_check``, expression for
-expression, with a test pinning the two to the same results; the steps
-that screen cannot accept go to one shared exact path.
+The descent monitor's two loops, ``descent_along`` and
+``lyapunov_descent_check``, each write out only its float screen,
+expression for expression (a test pins the two to the same results); the
+q < p guard, the skip rule, the exact decision and the result are written
+once, in ``_undecided_steps``.
 The module also evaluates local stability of the fixed point, classifies
 parameter points against the five previously-settled parameter regions,
 emits grids of g for inspection, and samples parameter batches for
@@ -152,7 +153,8 @@ class DescentViolation:
 
 @dataclass(frozen=True)
 class DescentResult:
-    """Verdict of ``descent_along``.  ``checked`` counts the steps decided,
+    """Verdict of the descent monitor, ``descent_along`` or
+    ``lyapunov_descent_check``.  ``checked`` counts the steps decided,
     ``skipped_near_equilibrium`` the undecided ones: steps next to the fixed
     point that the float screen could not accept.  ``decided_exactly``
     counts the checked steps the float screen could not decide."""
@@ -185,11 +187,8 @@ def descent_along(params: ParamsPQ,
     drops strictly within two steps everywhere off the fixed point, so a
     state repeated off the fixed point is a violation.  A step the float
     screen below accepts is checked wherever it lies.  A step it cannot
-    accept is skipped when its state lies within ``EQ_TOL`` relative to u
-    of the fixed point: at that distance a float orbit's position
-    is dominated by rounding, so its exact g's say nothing of the true
-    orbit, and deciding them exactly would send every later step of an
-    orbit settled there down the exact path.
+    accept is skipped next to the fixed point and decided exactly
+    elsewhere, by the judge of ``_undecided_steps``.
 
     Every value is compared as G = g - g(u, u), with u the float fixed point
     and alpha~ = u(u - 1) taken exactly, which moves no comparison.  With
@@ -227,29 +226,22 @@ def descent_along(params: ParamsPQ,
 
     The screen accepts a step when min(hi[n+1], hi[n+2]) < lo[n]: every
     accepted step is then a strict drop.  Only where the screen cannot
-    accept does the loop ask whether the window holds a whole step and
-    whether that step is skipped; any other such step, every violation
-    among them, goes to ``_exact_path``.  The loop counts the orbit's
-    states and the skipped steps as it reads them, and the count of checked
-    steps follows from those at the end.
+    accept does the loop ask whether the window holds a whole step, and
+    it hands such a step to the judge, which skips it or decides it
+    exactly; every violation is decided exactly.  The loop counts the
+    orbit's states as it reads them, and the result's counts follow from
+    that count and the judge's.
     """
-    if not params.q < params.p:
-        raise ValueError("descent check requires q < p")
-    info = equilibrium(params)
-    u = info.ybar
-    qf = float(params.q)
-    skip_below = EQ_TOL * u
+    u, qf, k, judge, result = _undecided_steps(params)
     inf = math.inf
-    k = 1.0 + u
     half_k = 0.5 * k
     far_bound, near_bound = _ROUNDOFF_BOUND, _NEAR_ROUNDOFF_BOUND
     # The three-state window holds the raw states, oldest first: w0 is the
     # state a step is checked at.  lo/hi are the screen's bounds on each
     # state's G.
-    w1 = w2 = violation = judge = None
+    w1 = w2 = violation = None
     lo1 = hi1 = lo2 = hi2 = 0.0
     read = 0  # the orbit's states read; a state without a view is not one
-    skipped = exact = 0  # undecided steps skipped; steps decided exactly
     for state in states:
         _, x0, x1 = state
         ya = x0 / qf
@@ -276,51 +268,71 @@ def descent_along(params: ParamsPQ,
         hi1, hi2 = hi2, g + e
         if hi1 < lo0 or hi2 < lo0 or w0 is None:
             continue
-        _, a, b = w0
-        if abs(a / qf - u) <= skip_below and abs(b / qf - u) <= skip_below:
-            skipped += 1
-            continue
-        exact += 1
-        if judge is None:
-            judge = _exact_path(info, qf)
         violation = judge(w0[0], w0[1:], w1[1:], w2[1:])
         if violation is not None:
             break
-    # each state read but the last two is a step; fewer than three hold none
-    steps = read - 2 if read > 2 else 0
-    return DescentResult(violation is None, violation, steps - skipped, skipped, exact)
+    return result(read, violation)
 
 
-def _exact_path(info, qf: float):
-    """The descent monitor's exact path, for the steps its float screen
-    cannot accept: a function of a step's index n and its three states'
-    (x[n-1], x[n]) pairs that returns None where g drops strictly and the
-    ``DescentViolation`` at n where it does not.
+def _undecided_steps(params: ParamsPQ):
+    """The descent monitor's rules besides its float screen, written once for
+    both loops.  Raises ValueError unless q < p; returns (u, q, k, judge,
+    result), with u the float fixed point, q as a float and k = 1 + u.
 
-    It decides the same strict inequality as the screen, on
-    ``invariant_value`` at the states' exact binary views x/q as
-    ``Fraction``s, with the exact alpha~ = u(u - 1) of the float fixed
-    point u, formed once here, at the first such step, and each state's
-    exact g evaluated once: a cache of the last three, keyed by a state's
-    two coordinates.  A violation is therefore a genuine property of the
-    given states, not of rounding; its g values are the floats
+    ``judge(n, state0, state1, state2)`` takes a step the screen cannot
+    accept, as its index and its states' (x[n-1], x[n]) pairs, and returns
+    the ``DescentViolation`` at n, or None.  It skips the step when its
+    state lies within ``EQ_TOL`` relative to u of the fixed point in both
+    coordinates: there a float orbit's position is dominated by rounding,
+    so its exact g's say nothing of the true orbit, and deciding them
+    exactly would send every later step of an orbit settled there down the
+    exact decision.  It decides any other step, every violation among
+    them, exactly: the screen's strict inequality on ``invariant_value`` at
+    the states' exact binary views x/q as ``Fraction``s, with the exact
+    alpha~ = u(u - 1) formed at the first such step and each state's exact
+    g evaluated once (a cache of the last three, keyed by a state's
+    coordinates).  A violation is therefore a genuine property of the given
+    states, not of rounding; its g values are the floats
     ``invariant_value`` gives.
+
+    ``result(read, violation)`` is the ``DescentResult`` of a loop that read
+    ``read`` of the orbit's states: each but the last two is a step, and
+    the steps not skipped were checked.
     """
-    u = Fraction(info.ybar)
-    alpha = u * (u - 1)
+    if not params.q < params.p:
+        raise ValueError("descent check requires q < p")
+    info = equilibrium(params)
+    u = info.ybar
+    qf = float(params.q)
+    skip_below = EQ_TOL * u
+    skipped = exact = 0  # undecided steps skipped; steps decided exactly
+    g_exact = None
 
-    @functools.lru_cache(maxsize=3)  # keyed by coordinates: a state may be a list
-    def g_exact(x_prev, x_cur):
-        return invariant_value(alpha, Fraction(x_prev / qf), Fraction(x_cur / qf))
+    def judge(n, state0, state1, state2):
+        nonlocal skipped, exact, g_exact
+        a, b = state0
+        if abs(a / qf - u) <= skip_below and abs(b / qf - u) <= skip_below:
+            skipped += 1
+            return None
+        exact += 1
+        if g_exact is None:  # formed at the first step decided exactly
+            alpha = Fraction(u) * (Fraction(u) - 1)
 
-    def violation_at(n, state0, state1, state2):
+            @functools.lru_cache(maxsize=3)  # keyed by coordinates: a state may be a list
+            def g_exact(x_prev, x_cur):
+                return invariant_value(alpha, Fraction(x_prev / qf), Fraction(x_cur / qf))
+
         g0 = g_exact(*state0)
         if g_exact(*state1) < g0 or g_exact(*state2) < g0:
             return None
         return DescentViolation(n, *(invariant_value(info.alpha_tilde, a / qf, b / qf)
                                      for a, b in (state0, state1, state2)))
 
-    return violation_at
+    def result(read, violation):
+        steps = read - 2 if read > 2 else 0
+        return DescentResult(violation is None, violation, steps - skipped, skipped, exact)
+
+    return u, qf, 1.0 + u, judge, result
 
 
 def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:
@@ -333,20 +345,16 @@ def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> Descent
     but the loop steps the recurrence itself: each pass computes x[m+1],
     the view of x[m] and the screen's bounds on state m, and the window of
     the three states a step reads is held as four x values, x[m-3] to
-    x[m].  The screen is ``descent_along``'s, expression for expression,
-    and so are the skip rule and the exact path.
+    x[m].  The screen is ``descent_along``'s, expression for expression;
+    the guard, the skip rule, the exact decision and the result come from
+    ``_undecided_steps``, as there.
     """
     if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 0):
         raise ValueError("steps must be a nonnegative int")
-    p, qf = float(params.p), float(params.q)
+    p = float(params.p)
     x3, x4 = float(seed[0]), float(seed[1])
-    if not params.q < params.p:
-        raise ValueError("descent check requires q < p")
-    info = equilibrium(params)
-    u = info.ybar
-    skip_below = EQ_TOL * u
+    u, qf, k, judge, result = _undecided_steps(params)
     inf = math.inf
-    k = 1.0 + u
     half_k = 0.5 * k
     far_bound, near_bound = _ROUNDOFF_BOUND, _NEAR_ROUNDOFF_BOUND
     # x3 is x[m-1] and x4 is x[m] when a pass starts; the pass moves them to
@@ -357,10 +365,9 @@ def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> Descent
     yb = x3 / qf
     t = yb - u
     ta = abs(t)
-    violation = judge = None
+    violation = None
     lo1 = hi1 = lo2 = hi2 = 0.0
-    m = -1  # the index of the state read last; after the loop, the count
-    skipped = exact = 0  # undecided steps skipped; steps decided exactly
+    m = -1  # the index of the last state read that has a view
     for m in range(steps + 3 if 0.0 < yb < inf else 0):
         x0 = x1
         x1 = x2
@@ -370,6 +377,7 @@ def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> Descent
         ya, s, sa = yb, t, ta
         yb = x3 / qf
         if not 0.0 < yb < inf:
+            m -= 1
             break  # the orbit ends at its first state without a view
         t = yb - u
         ta = abs(t)
@@ -385,21 +393,10 @@ def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> Descent
         hi1, hi2 = hi2, g + e
         if hi1 < lo0 or hi2 < lo0 or m < 2:
             continue
-        if abs(x0 / qf - u) <= skip_below and abs(x1 / qf - u) <= skip_below:
-            skipped += 1
-            continue
-        exact += 1
-        if judge is None:
-            judge = _exact_path(info, qf)
         violation = judge(m - 2, (x0, x1), (x1, x2), (x2, x3))
-        if violation is None:
-            continue
-        m += 1
-        break
-    else:
-        m += 1
-    walked = m - 2 if m > 2 else 0  # steps among the m states read
-    return DescentResult(violation is None, violation, walked - skipped, skipped, exact)
+        if violation is not None:
+            break
+    return result(m + 1, violation)
 
 
 # -- local stability ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -238,6 +239,23 @@ def test_a_split_that_expands_to_zero_is_refused(monkeypatch):
                         (certifier.Chart({}, (("zero-step", {}, "r"),), expr=Poly()),))
     with pytest.raises(ValueError, match="'zero-step'"):
         certifier.certify_charts("zero-test", U_POSITIVE)
+
+
+def test_a_chart_image_without_a_clearing_is_charged_to_the_first_split(monkeypatch):
+    # the q1 chart names no clearing report: the time of its image goes
+    # into its first split's report instead of to no report
+    clock = [0.0]
+    image = certifier._chart_image
+
+    def slow_image(chart):
+        if chart is certifier.CHARTS["q1"][0]:
+            clock[0] += 1.0
+        return image(chart)
+
+    monkeypatch.setattr(certifier, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(certifier, "_chart_image", slow_image)
+    reports = certifier.certify_charts.__wrapped__("q1", U_POSITIVE)
+    assert sum(r.elapsed_ms for r in reports) >= 1000.0
 
 
 def test_factored_delta1_parts():

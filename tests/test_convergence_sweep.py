@@ -97,6 +97,16 @@ def test_an_orbit_short_of_the_tolerance_fails_the_sweep(capsys):
         "orbits: 2  converged: 0  descent ok: 2  max iterations: 3 ")
 
 
+def test_the_summary_counts_the_steps_an_orbit_that_diverged_took(monkeypatch, capsys):
+    # the orbit ends at n = 1, long before the iteration budget: the summary
+    # gives the last state's n, as ``lyness simulate`` does
+    monkeypatch.setattr(dynamics, "random_instances",
+                        lambda *args: [(ParamsPQ(1e308, 1e307), (1.0, 1.0))])
+    assert main(["sweep"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "orbits: 1  converged: 0  descent ok: 1  max iterations: 1 ")
+
+
 #: Orbits that end at a state without a view x/q: the float state overflows
 #: (the first two) or, at q < 1, only its view does.
 OVERFLOWING = [

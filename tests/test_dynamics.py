@@ -432,6 +432,34 @@ def test_a_skipped_step_never_reaches_the_tie_break():
     assert result == DescentResult(True, None, 0, 1, 0)
 
 
+def test_the_skip_rule_at_its_boundary():
+    # views y = x/4 are exact here; the last y within EQ_TOL * u of u and
+    # the first beyond it, at a step where g rises, so the screen cannot
+    # accept it: skipped inside, decided exactly (a violation) outside, and
+    # not skipped unless both coordinates are inside
+    params = ParamsPQ(20, 4)
+    u = equilibrium(params).ybar
+    bound = EQ_TOL * u
+    y = u + bound
+    while abs(y - u) > bound:
+        y = math.nextafter(y, 0.0)
+    while abs(math.nextafter(y, math.inf) - u) <= bound:
+        y = math.nextafter(y, math.inf)
+    inside, outside = y, math.nextafter(y, math.inf)
+    assert (4 * inside) / 4 == inside and (4 * outside) / 4 == outside
+
+    def rise_from(a, b):
+        return descent_along(params, [(0, 4 * a, 4 * b), (1, 4 * b, 400.0),
+                                      (2, 400.0, 400.0)])
+
+    assert rise_from(inside, inside) == DescentResult(True, None, 0, 1, 0)
+    for a, b in ((outside, outside), (inside, outside), (outside, inside)):
+        result = rise_from(a, b)
+        assert (result.ok, result.violation.index) == (False, 0), (a, b)
+        assert (result.checked, result.skipped_near_equilibrium,
+                result.decided_exactly) == (1, 0, 1), (a, b)
+
+
 def test_a_screened_step_next_to_the_fixed_point_is_checked():
     # the showcase orbit ends within the skip distance of the fixed point,
     # where the screen still accepts every step: none is skipped
@@ -839,7 +867,7 @@ def test_descent_requires_q_below_p():
 
 
 #: Integer counters of the loops, which int literals may meet.
-_LOOP_COUNTERS = {"n", "m", "read", "skipped", "exact"}
+_LOOP_COUNTERS = {"n", "m", "read"}
 
 
 def int_operands_in_loops(source: str, first_line: int = 1) -> list[str]:
