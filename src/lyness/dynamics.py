@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,9 +168,37 @@ class DescentResult:
 
 
 #: c eps = 12 * 2**-53 in the float screen's error bound away from the fixed
-#: point, and c = 72 next to it (see ``descent_along``).
+#: point, and c = 72 next to it, inside the disk s^2 + t^2 <= near_sq of
+#: ``_near_square`` (see ``descent_along``).
 _ROUNDOFF_BOUND = 12 * 2.0**-53
 _NEAR_ROUNDOFF_BOUND = 72 * 2.0**-53
+
+#: 1/8 less 2**-49 of itself: k * _NEAR_DISK * k is the squared radius of
+#: the disk inscribed in the diamond |s| + |t| <= k/2, less the margin that
+#: ``_near_square`` counts.
+_NEAR_DISK = 0.125 * (1.0 - 2.0**-49)
+
+
+def _near_square(k: float) -> float:
+    """The bound of the monitor's near-field test ``s*s + t*t <= near_sq``,
+    for k = 1 + u as a float, u >= 1 the float fixed point and s, t the float
+    differences y - u of a state's views y.
+
+    Wherever the test passes, the exact differences satisfy |s| + |t| <=
+    (1 + u)/2, with k = 1 + u taken exactly: the disk s^2 + t^2 <=
+    (1 + u)^2/8 lies in that diamond, and the float test implies the disk.
+    With eps = 2**-53, the bound (k * _NEAR_DISK) * k is at most
+    (1 + u)^2/8 (1 + eps)^4 (1 - 16 eps), one (1 + eps) for the rounding of
+    k and two for this function's products.  The float sum of squares is at
+    least (s^2 + t^2)(1 - eps)^4 less 2**-1074: in each square (1 - eps)^2
+    for the rounding of s or t, one (1 - eps) for the square's own and one
+    for the sum's, and 2**-1074 for the underflow of a square.  Since (1 + eps)^4 (1 - 16 eps)
+    < (1 - eps)^4 (1 - 8 eps) and (1 + u)^2/8 >= 1/2, the margin covers
+    them all.  Where the product overflows, (1 + u)^2/8 (1 - eps)^4
+    exceeds the largest float, which is returned: a finite sum of squares
+    passes, an overflowed one does not.
+    """
+    return min(k * _NEAR_DISK * k, sys.float_info.max)
 
 
 def descent_along(params: ParamsPQ,
@@ -209,16 +238,18 @@ def descent_along(params: ParamsPQ,
     point E = c eps T / (y[n-1] y[n]) with c = 12: E covers that error, the
     11 roundings of E itself and the one of G -/+ E once c >= 11 + O(eps).
 
-    Next to it, where |s| + |t| <= k/2 in floats, E = c eps G with c = 72.
-    There, since |st| <= (s^2 + t^2)/2 and u >= 1,
+    Next to it, where the float s^2 + t^2 is at most near_sq of
+    ``_near_square``, E = c eps G with c = 72.  near_sq is k^2/8 less
+    2**-49 of itself, a margin that covers the eight roundings on the two
+    sides of the test (``_near_square`` counts them), so the test implies
+    |s| + |t| <= k/2 exactly.  There, since |st| <= (s^2 + t^2)/2 and
+    u >= 1,
 
         N >= (s^2 + t^2)(k - |s| - |t|)/2,  T <= (s^2 + t^2)(3k/2 + (|s| + |t|)/2),
 
-    so T <= 7N, or T <= r N with r = (7 + eta)/(1 - eta) when the rounding
-    of the branch test lets |s| + |t| reach (1 + eta) k/2, eta =
-    (1 + eps)/(1 - eps)^2 - 1.  The float G is then within a G of the true
-    one, a = gamma_10 r / (1 - gamma_10 r), and the roundings of c eps G and
-    of G -/+ E are covered once c eps >= (a + eps)/(1 - eps)^2, a floor of
+    so T <= 7N.  The float G is then within a G of the true one,
+    a = 7 gamma_10 / (1 - 7 gamma_10), and the roundings of c eps G and of
+    G -/+ E are covered once c eps >= (a + eps)/(1 - eps)^2, a floor of
     71.0...eps; c = 72 also covers an underflow of st/u (at most 2**-967
     relative to N).  An intermediate overflow gives an infinite or nan
     bound, and so a screen that decides nothing.  The count assumes no
@@ -232,9 +263,8 @@ def descent_along(params: ParamsPQ,
     orbit's states as it reads them, and the result's counts follow from
     that count and the judge's.
     """
-    u, qf, k, judge, result = _undecided_steps(params)
+    u, qf, k, near_sq, judge, result = _undecided_steps(params)
     inf = math.inf
-    half_k = 0.5 * k
     far_bound, near_bound = _ROUNDOFF_BOUND, _NEAR_ROUNDOFF_BOUND
     # The three-state window holds the raw states, oldest first: w0 is the
     # state a step is checked at.  lo/hi are the screen's bounds on each
@@ -252,16 +282,16 @@ def descent_along(params: ParamsPQ,
             break
         read += 1
         s = ya - u
-        sa = abs(s)
         t = yb - u
-        ta = abs(t)
         st = s * t
         sq = s * s + t * t
         stu = st / u
         g = (k * (sq - stu) + st * (s + t)) / ya / yb
-        if sa + ta <= half_k:
+        if sq <= near_sq:
             e = near_bound * g
         else:
+            sa = abs(s)
+            ta = abs(t)
             e = far_bound * ((k * (sq + abs(stu)) + sa * ta * (sa + ta)) / ya / yb)
         w0, w1, w2 = w1, w2, state
         lo0, lo1, lo2 = lo1, lo2, g - e
@@ -276,8 +306,9 @@ def descent_along(params: ParamsPQ,
 
 def _undecided_steps(params: ParamsPQ):
     """The descent monitor's rules besides its float screen, written once for
-    both loops.  Raises ValueError unless q < p; returns (u, q, k, judge,
-    result), with u the float fixed point, q as a float and k = 1 + u.
+    both loops.  Raises ValueError unless q < p; returns (u, q, k, near_sq,
+    judge, result), with u the float fixed point, q as a float, k = 1 + u
+    and near_sq the bound of the screen's near-field test.
 
     ``judge(n, state0, state1, state2)`` takes a step the screen cannot
     accept, as its index and its states' (x[n-1], x[n]) pairs, and returns
@@ -332,7 +363,8 @@ def _undecided_steps(params: ParamsPQ):
         steps = read - 2 if read > 2 else 0
         return DescentResult(violation is None, violation, steps - skipped, skipped, exact)
 
-    return u, qf, 1.0 + u, judge, result
+    k = 1.0 + u
+    return u, qf, k, _near_square(k), judge, result
 
 
 def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> DescentResult:
@@ -353,9 +385,8 @@ def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> Descent
         raise ValueError("steps must be a nonnegative int")
     p = float(params.p)
     x3, x4 = float(seed[0]), float(seed[1])
-    u, qf, k, judge, result = _undecided_steps(params)
+    u, qf, k, near_sq, judge, result = _undecided_steps(params)
     inf = math.inf
-    half_k = 0.5 * k
     far_bound, near_bound = _ROUNDOFF_BOUND, _NEAR_ROUNDOFF_BOUND
     # x3 is x[m-1] and x4 is x[m] when a pass starts; the pass moves them to
     # x2 and x3 and computes x[m+1] into x4 before anything can end it.
@@ -364,7 +395,6 @@ def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> Descent
     x1 = x2 = math.nan
     yb = x3 / qf
     t = yb - u
-    ta = abs(t)
     violation = None
     lo1 = hi1 = lo2 = hi2 = 0.0
     m = -1  # the index of the last state read that has a view
@@ -374,20 +404,21 @@ def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> Descent
         x2 = x3
         x3 = x4
         x4 = (p + qf * x3) / (1.0 + x2)
-        ya, s, sa = yb, t, ta
+        ya, s = yb, t
         yb = x3 / qf
         if not 0.0 < yb < inf:
             m -= 1
             break  # the orbit ends at its first state without a view
         t = yb - u
-        ta = abs(t)
         st = s * t
         sq = s * s + t * t
         stu = st / u
         g = (k * (sq - stu) + st * (s + t)) / ya / yb
-        if sa + ta <= half_k:
+        if sq <= near_sq:
             e = near_bound * g
         else:
+            sa = abs(s)
+            ta = abs(t)
             e = far_bound * ((k * (sq + abs(stu)) + sa * ta * (sa + ta)) / ya / yb)
         lo0, lo1, lo2 = lo1, lo2, g - e
         hi1, hi2 = hi2, g + e

@@ -1,10 +1,12 @@
 """Tests for orbit simulation, descent monitoring, stability, regions, grids."""
 
 import ast
+import builtins
 import inspect
 import io
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -17,7 +19,9 @@ from lyness.dynamics import (
     UNCONVERGED_DESCENT_STEPS,
     DescentResult,
     DescentViolation,
+    _NEAR_DISK,
     _NEAR_ROUNDOFF_BOUND,
+    _near_square,
     g_grid,
     grid_to_csv,
     classify_regions,
@@ -326,11 +330,64 @@ def descent_on_the_reference_orbit(params, seed, steps):
 SHORT_STEPS = (0, 1, 2, 5)
 
 
+def near_test(u, y0, y1):
+    """The monitor's near-field test at the views (y0, y1), as its loops
+    write it: the float s^2 + t^2 against ``_near_square(1 + u)``."""
+    s = y0 - u
+    t = y1 - u
+    return s * s + t * t <= _near_square(1.0 + u)
+
+
+def band_views(u, a, f, swap, signs):
+    """Views (u + s, u + t) in the band between the monitor's near-field
+    disk s^2 + t^2 <= k^2/8 and the diamond |s| + |t| <= k/2, k = 1 + u:
+    (|s|, |t|) = f (a, 1/2 - a) k, swapped if ``swap``, with ``signs`` two
+    of -1.0 and 1.0.  For a in [0, 1/8] and f in [0.9, 0.999], |s| + |t|
+    is f k/2 and s^2 + t^2 is at least 0.81 * 10/64 k^2 > k^2/8."""
+    k = 1.0 + u
+    s, t = f * a * k, f * (0.5 - a) * k
+    if swap:
+        s, t = t, s
+    return u + signs[0] * s, u + signs[1] * t
+
+
+def band_seed(rng, params):
+    """A seed x = q y whose views y lie in ``band_views``' band about the
+    fixed point of ``params``, drawn from ``rng``."""
+    q = float(params.q)
+    views = band_views(equilibrium(params).ybar, rng.uniform(0.0, 0.125),
+                       rng.uniform(0.9, 0.999), rng.random() < 0.5,
+                       (rng.choice((-1.0, 1.0)), rng.choice((-1.0, 1.0))))
+    return tuple(q * y for y in views)
+
+
+def in_the_diamond(u, y0, y1):
+    """|y0 - u| + |y1 - u| <= (1 + u)/2 in exact arithmetic."""
+    u, y0, y1 = Fraction(u), Fraction(y0), Fraction(y1)
+    return abs(y0 - u) + abs(y1 - u) <= (1 + u) / 2
+
+
+def assert_in_the_band(params, seed):
+    """The seed's state lies in the diamond |s| + |t| <= k/2 but fails the
+    near test, so the screen bounds it by its far branch."""
+    u = equilibrium(params).ybar
+    q = float(params.q)
+    y0, y1 = seed[0] / q, seed[1] / q
+    assert not near_test(u, y0, y1) and in_the_diamond(u, y0, y1), (params, seed)
+
+
 def test_descent_check_equals_descent_along_on_the_sweep_orbits():
     # lyapunov_descent_check walks the orbit in its own loop: the whole
     # result, counts included, is descent_along's on the reference orbit,
-    # over criterion 08's 300 orbits at the sweep's step count and short ones
-    for params, seed in random_instances(random.Random(74), 100, 3):
+    # over criterion 08's 300 orbits at the sweep's step count and short
+    # ones, and from one more seed per instance in the band between the
+    # screen's near-field disk and the diamond, where the far branch applies
+    instances = random_instances(random.Random(74), 100, 3)
+    rng = random.Random(45)
+    band = [(params, band_seed(rng, params)) for params, _ in instances[::3]]
+    for params, seed in band:
+        assert_in_the_band(params, seed)
+    for params, seed in instances + band:
         trace = simulate(params, seed, tol=1e-8, max_iters=10**6, record_states=False)
         steps = trace.iters_to_tol
         if steps is None:
@@ -368,19 +425,25 @@ def test_descent_check_equals_descent_along_where_the_screen_is_tight():
     # sqrt(u/(A + u)) is within about A/(2u) of 1, so g drops by a sliver
     # of itself per step, often within the screen's rounding bound.  Such
     # steps go to the exact path, and doubling either branch of the bound
-    # (72 eps G or 12 eps T/(y y)) in one loop changes some results here
-    rng = random.Random(3)
+    # (72 eps G or 12 eps T/(y y)) in one loop changes some results here.
+    # Every third instance also starts once in the band between the near
+    # field's disk and the diamond |s| + |t| <= k/2.
+    rng, band_rng = random.Random(3), random.Random(45)
     exact = 0
-    for _ in range(3000):
+    for i in range(3000):
         q = 10.0 ** rng.uniform(0, 8)
         u = 10.0 ** rng.uniform(0, 8)
         params = ParamsPQ((q * u) ** 2 - (q - 1) * q * u, q)
         xbar = equilibrium(params).xbar
-        seed = tuple(xbar * (1 + rng.choice([0.9, 1e-1, 1e-3, 1e-6]) * rng.uniform(-1, 1))
-                     for _ in "ab")
-        result = lyapunov_descent_check(params, seed, 60)
-        assert result == descent_on_the_reference_orbit(params, seed, 60)[0], (params, seed)
-        exact += result.decided_exactly > 0
+        seeds = [tuple(xbar * (1 + rng.choice([0.9, 1e-1, 1e-3, 1e-6]) * rng.uniform(-1, 1))
+                       for _ in "ab")]
+        if i % 3 == 0:
+            seeds.append(band_seed(band_rng, params))
+            assert_in_the_band(params, seeds[-1])
+        for seed in seeds:
+            result = lyapunov_descent_check(params, seed, 60)
+            assert result == descent_on_the_reference_orbit(params, seed, 60)[0], (params, seed)
+            exact += result.decided_exactly > 0
     assert exact > 100
 
 
@@ -525,7 +588,8 @@ def _g_shifted(u, y0, y1):
     """Reference for the monitor's inline screen: floats (lo, hi) with
     lo <= G <= hi for G = g(y0, y1) - g(u, u), alpha~ = u(u - 1) and
     y0, y1 > 0, written out as ``descent_along``'s docstring states it:
-    E = 72 eps G where |s| + |t| <= (1 + u)/2, else E = 12 eps T / (y0 y1)."""
+    E = 72 eps G where the float s^2 + t^2 is at most ``_near_square(k)``,
+    which implies |s| + |t| <= (1 + u)/2, else E = 12 eps T / (y0 y1)."""
     s = y0 - u
     t = y1 - u
     st = s * t
@@ -534,7 +598,7 @@ def _g_shifted(u, y0, y1):
     stu = st / u
     k = 1.0 + u
     g = (k * (ss + tt - stu) + st * (s + t)) / y0 / y1
-    if abs(s) + abs(t) <= k / 2:
+    if ss + tt <= _near_square(k):
         e = 72 * 2.0**-53 * g
     else:
         e = 12 * 2.0**-53 * ((k * (ss + tt + abs(stu)) + abs(st) * (abs(s) + abs(t)))
@@ -747,15 +811,20 @@ def screen_edge(params, cur):
 def test_descent_along_matches_the_reference_screen_at_its_edge():
     # steps whose screen verdict flips within a few ulps: any change to the
     # enclosure (its constants, an absolute value, the branch) moves
-    # decided_exactly here.  The last five points lie where
-    # |s| + |t| <= k/2 = 3, the first three well inside, the last two just
-    # inside and just outside that line.
+    # decided_exactly here.  With u = 1.554... and k = 1 + u, every point
+    # but (u + 0.5, u - 0.25) lies outside the near field's disk
+    # s^2 + t^2 <= k^2/8; (u + 0.425 k, u + 0.05 k) lies in the band between
+    # the disk and the diamond |s| + |t| <= k/2, and the last two just
+    # inside and just outside both, where the disk touches the diamond.
     params = ParamsPQ(20, 4)  # q = 4: x = 4y and y = x/4 are exact
     u = equilibrium(params).ybar
+    k = 1.0 + u
     far = (1e6 * u, 1e6 * u)
     for cur in ((3 * u, u / 2), (u / 2, 3 * u), (2 * u, 2.5 * u), (1e5, 1e5), (1e5, u / 3),
                 (u + 0.5, u - 0.25), (u - 1.0, u + 1.5), (u + 2.0, u + 0.75),
-                (u + 1.5, u - 1.5 + 1e-6), (u + 1.5, u - 1.5 - 1e-6)):
+                (u + 1.5, u - 1.5 + 1e-6), (u + 1.5, u - 1.5 - 1e-6),
+                (u + 0.425 * k, u + 0.05 * k),
+                (u + k / 4, u - k / 4 + 1e-6), (u + k / 4, u - k / 4 - 1e-6)):
         verdicts = set()
         for z in screen_edge(params, cur):
             states = [(n, 4 * a, 4 * b) for n, (a, b) in enumerate((cur, (cur[0], z), far))]
@@ -768,13 +837,15 @@ def test_descent_along_matches_the_reference_screen_at_its_edge():
 @st.composite
 def screened_steps(draw, u=None):
     """u in [1, 1e6] or [1, 1 + 1e-6] unless given, a state at relative
-    offsets from 0 to 1 off (u, u), and a second state a few ulps to 1e-6
-    relative from the first, so that the two values of g are often within
-    rounding of each other.  Next to u = 1 a view close to 0 still
-    has |s| + |t| <= (1 + u)/2."""
+    offsets from 0 to 1 off (u, u) or, one time in four, in ``band_views``'
+    band, and a second state a few ulps to 1e-6 relative from the first, so
+    that the two values of g are often within rounding of each other.  Next
+    to u = 1 a view close to 0 has |s| + |t| <= (1 + u)/2 but lies outside
+    the near field's disk."""
     if u is None:
         u = draw(st.one_of(st.floats(1.0, 1e6), st.floats(1.0, 1.0 + 1e-6)))
     scales = st.sampled_from([0.0] + [10.0**-k for k in range(15)])
+    signs = st.sampled_from([-1.0, 1.0])
 
     def away():
         return u * (1.0 + draw(scales) * draw(st.floats(-0.999, 1.0)))
@@ -783,7 +854,11 @@ def screened_steps(draw, u=None):
         return y * (1.0 + draw(st.sampled_from([0.0, 2e-16, 1e-15, 1e-13, 1e-9, 1e-6]))
                     * draw(st.floats(-1.0, 1.0)))
 
-    cur = (away(), away())
+    if draw(st.integers(0, 3)):
+        cur = (away(), away())
+    else:
+        cur = band_views(u, draw(st.floats(0.0, 0.125)), draw(st.floats(0.9, 0.999)),
+                         draw(st.booleans()), (draw(signs), draw(signs)))
     return u, cur, (near(cur[0]), near(cur[1]))
 
 
@@ -813,7 +888,8 @@ def screened_orbit_steps(draw):
 @given(screened_orbit_steps())
 def test_descent_along_screens_only_exact_drops(case):
     # the monitor's own screen: a step it decides without the exact path is
-    # a strict exact drop at the states' y = x/q
+    # a strict exact drop at the states' y = x/q, also from the band between
+    # the near field's disk and the diamond, where the far branch applies
     params, cur, nxt = case
     q = float(params.q)
     states = [(n, a * q, b * q) for n, (a, b) in enumerate((cur, nxt, nxt))]
@@ -826,16 +902,73 @@ def test_descent_along_screens_only_exact_drops(case):
 
 def test_near_screen_constant_covers_its_floor():
     # the floor descent_along's docstring derives for E = c eps G where
-    # |s| + |t| <= k/2: the ratio T <= 7N, loosened for the rounding of the
-    # branch test, gamma_10, and the roundings of c eps G and of G -/+ E
+    # |s| + |t| <= k/2 holds exactly: the ratio T <= 7N, gamma_10, and the
+    # roundings of c eps G and of G -/+ E
     eps = Fraction(1, 2**53)
-    eta = (1 + eps) / (1 - eps) ** 2 - 1
-    ratio = (7 + eta) / (1 - eta)
     gamma_10 = 10 * eps / (1 - 10 * eps)
-    a = gamma_10 * ratio / (1 - gamma_10 * ratio)
+    a = 7 * gamma_10 / (1 - 7 * gamma_10)
     floor = (a + eps) / (1 - eps) ** 2
     assert 71 * eps < floor < 72 * eps
     assert Fraction(_NEAR_ROUNDOFF_BOUND) >= floor
+
+
+def _near_square_overflow():
+    """The least float u at which ``_near_square(1 + u)`` is the largest
+    float, by bisection between 1e154 and 1e155."""
+    top = sys.float_info.max
+    lo, hi = 1e154, 1e155
+    assert _near_square(1.0 + lo) < top == _near_square(1.0 + hi)
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            mid = math.nextafter(lo, hi)
+        lo, hi = (lo, mid) if _near_square(1.0 + mid) == top else (mid, hi)
+    return hi
+
+
+def test_the_near_test_implies_the_diamond():
+    # wherever the loops' float test s*s + t*t <= near_sq passes, the exact
+    # |y0 - u| + |y1 - u| <= (1 + u)/2 holds, so the near field's bound
+    # applies: u from 1 past the point where k^2/8 leaves the float range,
+    # states walked an ulp at a time across the disk's edge in 28
+    # directions, and states in the band between disk and diamond, which
+    # the test sends to the far branch.  First _near_square's count: a bound
+    # of at most k^2/8 (1 + eps)^4 (1 - 16 eps) against a float sum of
+    # squares of at least (s^2 + t^2)(1 - eps)^4
+    eps = Fraction(1, 2**53)
+    assert Fraction(_NEAR_DISK) == Fraction(1, 8) * (1 - 16 * eps)
+    assert (1 + eps) ** 4 * (1 - 16 * eps) < (1 - eps) ** 4 * (1 - 8 * eps)
+    over = _near_square_overflow()
+    us = [1.0, math.nextafter(1.0, 2.0), 1.5, 2.0, 3.0, 5.0, 1e3, 2.0**53, 2.0**53 + 2,
+          1e100, 1e154, math.nextafter(over, 0.0), over, math.nextafter(over, math.inf),
+          1e155, 1e200, 1e300]
+    angles = [j * math.pi / 12 for j in range(24)] + [0.1, 0.7, 2.0, 4.0]
+    passed = crossed = 0
+    for u in us:
+        near = _near_square(1.0 + u)
+        assert 0.0 < near <= sys.float_info.max
+        r = math.sqrt(near)
+        for angle in angles:
+            y = [u + r * math.cos(angle), u + r * math.sin(angle)]
+            i = 0 if abs(y[0] - u) >= abs(y[1] - u) else 1
+            outward = math.inf if y[i] >= u else 0.0
+            for _ in range(32):
+                y[i] = math.nextafter(y[i], u)
+            verdicts = set()
+            for _ in range(64):
+                verdict = near_test(u, *y)
+                verdicts.add(verdict)
+                if verdict:
+                    passed += 1
+                    assert in_the_diamond(u, *y), (u, y)
+                y[i] = math.nextafter(y[i], outward)
+            crossed += len(verdicts) == 2
+        for a, f in ((0.0, 0.9), (0.0, 0.999), (0.06, 0.95), (0.125, 0.9), (0.125, 0.999)):
+            for swap in (False, True):
+                for signs in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+                    y0, y1 = band_views(u, a, f, swap, signs)
+                    assert not near_test(u, y0, y1) and in_the_diamond(u, y0, y1), (u, y0, y1)
+    assert crossed > 300 and passed > 10000
 
 
 def test_descent_along_rejects_bad_states():
@@ -917,6 +1050,56 @@ def test_the_orbit_loops_keep_float_operands(fn):
     # CPython's float fast path: no int literal meets a float there
     lines, first_line = inspect.getsourcelines(fn)
     assert int_operands_in_loops("".join(lines), first_line) == []
+
+
+#: The test that picks the screen's branch; its ``else:`` is the far branch.
+_NEAR_TEST = "sq <= near_sq"
+
+
+def builtin_calls_in_loops(source: str, first_line: int = 1) -> list[str]:
+    """``line: source`` of each call of a builtin by name in the body of a
+    ``for`` or ``while`` loop, unless it lies in the ``else:`` branch of an
+    ``if sq <= near_sq``.  Each such call costs the monitor's near field,
+    which most states take, a call per state."""
+    tree = ast.parse(source)
+    ast.increment_lineno(tree, first_line - 1)
+    far = {id(node) for branch in ast.walk(tree)
+           if isinstance(branch, ast.If) and ast.unparse(branch.test) == _NEAR_TEST
+           for stmt in branch.orelse for node in ast.walk(stmt)}
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in (n for stmt in loop.body for n in ast.walk(stmt)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and hasattr(builtins, node.func.id) and id(node) not in far):
+                found.add(f"{node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+def test_builtin_call_check_spares_only_the_far_branch():
+    source = ("for m in range(3):\n"
+              "    sa = abs(s)\n"
+              "    if sq <= near_sq:\n"
+              "        e = g * min(a, b)\n"
+              "    else:\n"
+              "        e = abs(s) + judge(a)\n"
+              "    if sq < near_sq:\n"
+              "        pass\n"
+              "    else:\n"
+              "        t = float(t)\n")
+    assert builtin_calls_in_loops(source) == [
+        "10: float(t)", "2: abs(s)", "4: min(a, b)"]
+
+
+@pytest.mark.parametrize("fn", [lyapunov_descent_check, descent_along])
+def test_the_monitor_loops_call_builtins_only_in_the_far_branch(fn):
+    # the screen picks its near-field bound by the s*s + t*t it forms for G,
+    # so a state in the near field, most of them, calls no builtin
+    lines, first_line = inspect.getsourcelines(fn)
+    source = "".join(lines)
+    assert source.count(f"if {_NEAR_TEST}:") == 1
+    assert builtin_calls_in_loops(source, first_line) == []
 
 
 # ---------------------------------------------------------------------------
