@@ -442,8 +442,8 @@ def _power_rows(image, emax):
     reaches ``2**FIELD_BITS``, and below that no row or power on the way to
     one reaches it.  A zero numerator's degree, minus infinity, is taken as
     ``-_KEY_LIMIT``: a row or product with it sums far below zero, so it is
-    never refused, as its terms are none.  A constant-one denominator
-    contributes no powers.
+    never refused, as its terms are none.  A polynomial image's rows are
+    multiplied by the powers of its denominator 1 like any other image's.
     """
     num, den = image.num._terms, image.den._terms
     dn = max(num) >> _DEG_SHIFT if num else -_KEY_LIMIT
@@ -457,11 +457,10 @@ def _power_rows(image, emax):
     rows = [{0: 1}]
     for _ in range(emax):
         rows.append(_term_product(rows[-1], num))
-    if den != {0: 1}:
-        den_pow = {0: 1}
-        for e in range(emax - 1, -1, -1):
-            den_pow = _term_product(den_pow, den)
-            rows[e] = _term_product(rows[e], den_pow)
+    den_pow = {0: 1}
+    for e in range(emax - 1, -1, -1):
+        den_pow = _term_product(den_pow, den)
+        rows[e] = _term_product(rows[e], den_pow)
     return rows, degrees
 
 
@@ -472,13 +471,15 @@ def substitute(target: RationalFn | Poly,
     Binding denominators are cleared once, with a per-variable power equal to
     the larger of the variable's degrees in the target's numerator and
     denominator; the shared clearing factor then cancels between the two, so
-    composing maps does not pile up redundant denominator factors.  Bound
-    variables absent from the target are ignored; unbound variables pass
-    through.  Raises ZeroDivisionError when the substituted denominator is
-    identically zero, and ValueError before forming a monomial whose total
+    composing maps does not pile up redundant denominator factors.  A bound
+    variable absent from the target is a level of exponent 0 and changes
+    nothing; unbound variables pass through.  The result is always a new
+    `RationalFn`.  Raises ZeroDivisionError when the substituted denominator
+    is identically zero, and ValueError before forming a monomial whose total
     degree would reach ``2**FIELD_BITS``: `_power_rows` decides that once for
     each binding's rows, each bound-part product once from the sum of its
-    rows' degrees, and each term once from its kept part's degree.
+    rows' degrees, and each term once from its kept part's degree.  Bindings
+    are checked in order, so of two bad ones the first raises.
 
     Each output polynomial is built in one pass over the target's terms.
     A term's bound part is ``key & mask``; the product of the bound
@@ -492,26 +493,20 @@ def substitute(target: RationalFn | Poly,
     rf = _as_rf(target)
     if rf is NotImplemented:
         raise TypeError("substitution target must be a Poly or RationalFn")
-    images: dict[int, RationalFn] = {}
-    for name, image in bindings.items():
-        coerced = _as_rf(image)
-        if coerced is NotImplemented:
-            raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or int")
-        images[var_id(name)] = coerced
-    # One level per bound variable the target uses, in binding order: its
-    # field's shift, and its power rows and their degrees.
+    # One level per binding, in binding order: its field's shift, and its
+    # power rows and their degrees.
     levels = []
     mask = 0
-    for vid, image in images.items():
-        shift = _SHIFTS[vid]
+    for name, image in bindings.items():
+        image = _as_rf(image)
+        if image is NotImplemented:
+            raise TypeError(f"binding for {name!r} must be a Poly, RationalFn or int")
+        shift = _SHIFTS[var_id(name)]
         field = _FIELD_MASK << shift
         emax = max(max(map(field.__and__, p._terms), default=0)
                    for p in (rf.num, rf.den)) >> shift
-        if emax:
-            mask |= field
-            levels.append((shift, *_power_rows(image, emax)))
-    if not levels:
-        return rf
+        mask |= field
+        levels.append((shift, *_power_rows(image, emax)))
     products = {}
 
     def product_of(fields):

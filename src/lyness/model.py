@@ -28,10 +28,6 @@ from .exactalg import Poly, RationalFn, substitute
 
 Number = Union[int, float, Fraction]
 
-#: The smallest positive normal float; `invariant_value` runs per orbit step.
-_MIN_NORMAL = sys.float_info.min
-
-
 # The records below are `typing.NamedTuple`s: immutable, and far cheaper to
 # define at import time than frozen dataclasses.  A record that validates its
 # fields does so in ``__new__`` on a NamedTuple base, which NamedTuple itself
@@ -184,7 +180,7 @@ def invariant_value(alpha_tilde: Number, x: Number, y: Number) -> Number:
     if not abs(num) < math.inf:
         return (1 + 1 / x) * (1 + 1 / y) * (alpha_tilde + x + y)
     xy = x * y
-    if xy < _MIN_NORMAL:
+    if xy < sys.float_info.min:
         return num / max(x, y) / min(x, y)
     return num / xy
 

@@ -279,6 +279,19 @@ def test_delta2_denominator_is_displayed_product():
     assert proportionality_constant(model.delta2.den, DELTA2_DENOMINATOR) == 1
 
 
+def test_delta2_denominator_is_positive_where_eval_delta_is_defined():
+    # eval_delta(2, .) divides by delta2's denominator, the displayed
+    # product above, at x, y, A > 0 and u > 1; under u = 1 + t its
+    # coefficients are all positive, so it never vanishes there (no roster
+    # step proves this, unlike delta1-denominator)
+    den = build_symbolic_model().delta2.den
+    assert den.monomial_count() == 67
+    shifted = substitute(den, {"u": U_POSITIVE})
+    assert shifted.is_polynomial
+    assert shifted.num.monomial_count() == 94
+    assert shifted.num.min_coefficient()[0] == 1
+
+
 def test_proportionality_constant():
     x = Poly.var("x")
     assert proportionality_constant(2 * x + 2, x + 1) == 2
@@ -403,6 +416,52 @@ def test_soundness_samples_land_in_region_with_positive_delta():
             assert _region_contains(step, x, y, u)
             value = eval_delta(delta_index, (x, y, u, a))
             assert value > 0
+
+
+#: The exact signs of x - u, y - u and y - x on each split step's image:
+#: "+" is >= 0 on the closed chart and > 0 inside it, "0" identically zero.
+STEP_SIGN_CELLS = {
+    "q2-line-factor-negated": "-++",
+    "q2-parabola-factor-negated": "-++",
+    "q4-line-factor": "+--",
+    "q4-parabola-factor": "+--",
+    "q1-case-above-diagonal": "+++",
+    "q1-case-below-diagonal": "++-",
+    "q1-case-diagonal": "++0",
+    "q1-edge-x0-zero": "0++",
+    "q1-edge-y0-zero": "+0-",
+    "q3-case-above-diagonal": "--+",
+    "q3-case-below-diagonal": "---",
+    "q3-case-diagonal": "--0",
+    "segment-x-eq-u": "0--",
+    "segment-y-eq-u": "-0+",
+}
+
+
+def _sign_cell(rf):
+    """The sign of ``rf``: "0" when it is zero, "+" or "-" when every
+    numerator coefficient has that sign over an all-positive denominator,
+    and "?" otherwise."""
+    if rf.num.is_zero:
+        return "0"
+    coeffs = rf.num.terms.values()
+    if all(c > 0 for c in rf.den.terms.values()):
+        if all(c > 0 for c in coeffs):
+            return "+"
+        if all(c < 0 for c in coeffs):
+            return "-"
+    return "?"
+
+
+def test_split_step_images_lie_in_their_sign_cells():
+    # the exact form of the region check that the soundness test samples:
+    # every chart variable is >= 0 and t > 0, so a difference whose
+    # coefficients share one sign over a positive denominator has that sign
+    assert list(STEP_SIGN_CELLS) == [name for name, _ in _delta_steps()]
+    for step, cell in STEP_SIGN_CELLS.items():
+        m = plane_map(step)
+        diffs = (m["x"] - m["u"], m["y"] - m["u"], m["y"] - m["x"])
+        assert "".join(map(_sign_cell, diffs)) == cell, step
 
 
 def test_chart_midpoint_reference():

@@ -1052,6 +1052,35 @@ def test_the_orbit_loops_keep_float_operands(fn):
     assert int_operands_in_loops("".join(lines), first_line) == []
 
 
+#: The first and last statements of the descent monitor's screen, and
+#: `descent_along`'s shift of its window of states, as `ast.unparse` writes them.
+_SCREEN_FIRST = "st = s * t"
+_SCREEN_LAST = "hi1, hi2 = (hi2, g + e)"
+_WINDOW_SHIFT = "w0, w1, w2 = (w1, w2, state)"
+
+
+def monitor_screen(source: str) -> list[str]:
+    """`ast.unparse` text of each statement of the screen in the loop of
+    ``source`` that forms it, from ``st = s * t`` through the shift of the
+    ``hi`` bounds, less the shift of the window of states."""
+    for loop in ast.walk(ast.parse(source)):
+        if isinstance(loop, (ast.For, ast.While)):
+            body = [ast.unparse(stmt) for stmt in loop.body]
+            if _SCREEN_FIRST in body:
+                screen = body[body.index(_SCREEN_FIRST):body.index(_SCREEN_LAST) + 1]
+                return [stmt for stmt in screen if stmt != _WINDOW_SHIFT]
+    return []
+
+
+def test_the_two_monitor_loops_write_one_screen():
+    # the screen is written out in both loops, as one shared function cost
+    # the monitor 27-28% more time; it must stay the same statements
+    first, second = (monitor_screen(inspect.getsource(fn))
+                     for fn in (lyapunov_descent_check, descent_along))
+    assert len(first) == 7
+    assert first == second
+
+
 #: The test that picks the screen's branch; its ``else:`` is the far branch.
 _NEAR_TEST = "sq <= near_sq"
 

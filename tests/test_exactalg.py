@@ -539,6 +539,25 @@ _U, _T, _TU = ((var_id("u"), 1),), ((var_id("t"), 1),), ((var_id("u"), 1), (var_
           _ref_mono((1, 2, 2, 3)): 1, _ref_mono((0, 2, 0, 2)): 4},
          {_ref_mono((0, 2, 0, 1)): 1, _ref_mono((0, 0, 1, 0)): -1},
          ({_U: 1, (): 1}, {_T: 2, (): -1}), ({(): -7}, {(): 2}), ({}, {(): 3}))
+# a target free of x, y and A: no binding is used, so each is a level of
+# exponent 0 and the result is the target itself
+@example({_ref_mono((0, 0, 2, 0)): 3, _ref_mono((0, 0, 1, 0)): -1, (): 2},
+         {_ref_mono((0, 0, 1, 0)): 1, (): 1},
+         ({_U: 1, (): 1}, {_T: 2, (): -1}), ({(): -5}, {(): 3}),
+         ({_TU: 1, (): 2}, {_U: 1, (): 1}))
+# a target free of A only: A's unused rational binding sits beside the
+# used ones and changes nothing
+@example({_ref_mono((1, 2, 0, 0)): 3, _ref_mono((0, 1, 1, 0)): -2, (): 1},
+         {_ref_mono((1, 0, 0, 0)): 1, _ref_mono((0, 0, 1, 0)): -1},
+         ({_U: 1, (): 1}, {_T: 2, (): -1}), ({_T: 1}, {_U: 1, _T: 1}),
+         ({_TU: 1, (): 2}, {_U: 1, (): 1}))
+# polynomial images, each over the denominator 1, for all three bindings:
+# each row is multiplied by powers of 1
+@example({_ref_mono((2, 1, 0, 1)): 3, _ref_mono((0, 2, 1, 2)): -2,
+          _ref_mono((1, 0, 0, 0)): 1},
+         {_ref_mono((0, 1, 0, 1)): 1, _ref_mono((2, 0, 0, 0)): -1, (): 4},
+         ({_U: 1, _T: -1}, {(): 1}), ({_TU: 2, (): 1}, {(): 1}),
+         ({_T: 1, (): 3}, {(): 1}))
 def test_kernel_substitute_matches_reference(num, den, x_image, y_image, a_image):
     bindings = {"x": x_image, "y": y_image, "A": a_image}
     ref_num, ref_den = _ref_substitute(num, den, bindings)
