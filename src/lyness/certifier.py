@@ -144,9 +144,7 @@ class CertificateSummary(NamedTuple):
 
 
 def _bindings_of(*stages: Mapping[str, object]) -> tuple[tuple[str, str], ...]:
-    return tuple((name, (image if isinstance(image, RationalFn)
-                         else RationalFn(image)).to_text())
-                 for stage in stages for name, image in stage.items())
+    return tuple((name, str(image)) for stage in stages for name, image in stage.items())
 
 
 def _poly_report(name: str, region: str, bindings: tuple[tuple[str, str], ...],
@@ -321,6 +319,9 @@ def certify_charts(group: str, u_image: Poly, /) -> tuple[CertificateReport, ...
             reports.append(_poly_report(name, region, _bindings_of(chart.bindings),
                                         image.den.monomial_count(), image.den, elapsed))
             start = time.perf_counter()
+        # u first, then each split with u in its images: applying the
+        # split before u, or binding the split and u in one call, measured
+        # slower, though a stage that binds nothing used is a full copy
         image_u = substitute(image.num, u_stage)
         for name, split, region in chart.splits:
             rf = substitute(image_u, {n: substitute(v, u_stage) for n, v in split.items()})

@@ -36,12 +36,12 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import ParamsPQ, equilibrium, invariant_value
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
+class OrbitTrace(NamedTuple):
     """One simulated orbit.
 
     ``states`` holds (n, x[n-1], x[n]) triples as floats (only the final one
@@ -142,8 +142,7 @@ def trace_to_csv(params: ParamsPQ, trace: OrbitTrace, stream) -> None:
 EQ_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DescentViolation:
+class DescentViolation(NamedTuple):
     """First step at which min(g[n+1], g[n+2]) failed to drop below g[n]."""
 
     index: int
@@ -158,7 +157,9 @@ class DescentResult:
     ``lyapunov_descent_check``.  ``checked`` counts the steps decided,
     ``skipped_near_equilibrium`` the undecided ones: steps next to the fixed
     point that the float screen could not accept.  ``decided_exactly``
-    counts the checked steps the float screen could not decide."""
+    counts the checked steps the float screen could not decide.  The
+    package's one dataclass, while the benchmark calls
+    ``dataclasses.replace`` on it."""
 
     ok: bool  # violation is None; a field while bench/ calls replace(.., ok=False)
     violation: DescentViolation | None
@@ -433,8 +434,7 @@ def lyapunov_descent_check(params: ParamsPQ, seed: tuple, steps: int) -> Descent
 # -- local stability ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityInfo:
+class StabilityInfo(NamedTuple):
     spectral_radius: float
 
 
@@ -462,8 +462,7 @@ def local_stability(params: ParamsPQ) -> StabilityInfo:
 # -- parameter-region classification -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegionCheck:
+class RegionCheck(NamedTuple):
     """One region membership test.  ``satisfied`` is the verdict, decided
     exactly: True or False where the region's test applies, None where it
     does not (regions (c) and (d) at q <= 1).  ``lhs`` and ``rhs`` are the
@@ -476,8 +475,7 @@ class RegionCheck:
     description: str
 
 
-@dataclass(frozen=True)
-class RegionCoverage:
+class RegionCoverage(NamedTuple):
     checks: tuple[RegionCheck, ...]
 
     @property
@@ -615,8 +613,7 @@ def random_instances(rng, count: int,
 UNCONVERGED_DESCENT_STEPS = 500
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One orbit of a sweep: its thin trace, the descent check over the steps
     the trace took, and the local stability of the fixed point."""
 

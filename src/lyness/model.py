@@ -28,14 +28,15 @@ from .exactalg import Poly, RationalFn, substitute
 
 Number = Union[int, float, Fraction]
 
-# The records below are `typing.NamedTuple`s: immutable, and far cheaper to
-# define at import time than frozen dataclasses.  A record that validates its
-# fields does so in ``__new__`` on a NamedTuple base, which NamedTuple itself
-# does not allow to override.  The parameter record also compares its type,
-# so that (p, q) never equals a plain tuple or another record.  A value
-# the fields determine is a property (``alpha_tilde`` here, ``iters_to_tol``
-# and ``flags`` in `dynamics`), not a field.  `dynamics` keeps dataclasses:
-# the benchmark calls ``dataclasses.replace`` on a `DescentResult`.
+# The package's records are `typing.NamedTuple`s, here and in `certifier`
+# and `dynamics`: immutable, far cheaper to define at import time than frozen
+# dataclasses, and equal to the plain tuple of their fields.  A record that
+# validates its fields does so in ``__new__`` on a NamedTuple base, which
+# NamedTuple itself does not allow to override.  A value the fields
+# determine is a property (``alpha_tilde`` here, ``iters_to_tol`` and
+# ``flags`` in `dynamics`), not a field.  The one exception is
+# `dynamics.DescentResult`, a frozen dataclass while the benchmark calls
+# ``dataclasses.replace`` on it.
 
 
 class _ParamsPQ(NamedTuple):
@@ -47,13 +48,6 @@ class ParamsPQ(_ParamsPQ):
     """Parameters of the recurrence x[n+1] = (p + q*x[n]) / (1 + x[n-1])."""
 
     __slots__ = ()
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not ParamsPQ.__eq__(self, other)
 
     def __new__(cls, p: Number, q: Number):
         if not (p > 0 and q > 0):

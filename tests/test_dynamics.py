@@ -1073,8 +1073,11 @@ def monitor_screen(source: str) -> list[str]:
 
 
 def test_the_two_monitor_loops_write_one_screen():
-    # the screen is written out in both loops, as one shared function cost
-    # the monitor 27-28% more time; it must stay the same statements
+    # the screen is written out in both loops: one shared function cost the
+    # monitor 27-28% more time, and one loop for both, picking the state
+    # source by a test per state, 298.1 -> 368.6 ns per state on criterion
+    # 08's batch (190927 states; slower in 12 of 12 interleaved rounds on a
+    # 2-core VM); it must stay the same statements
     first, second = (monitor_screen(inspect.getsource(fn))
                      for fn in (lyapunov_descent_check, descent_along))
     assert len(first) == 7

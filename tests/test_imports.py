@@ -11,13 +11,19 @@ class the package defines, record fields included, must be read as an
 attribute by the package or the benchmark harness, not by the tests alone.
 Each exemption from those two rules must still hold: its name exists, the
 tests read it, and the package and the harness do not.  Every ``lyness``
-name the benchmark harness reads must exist.
+name the benchmark harness reads must exist.  The package's one dataclass
+is ``dynamics.DescentResult``.  Every code name in backticks in the
+package's docstrings and comments and in the README exists.
 """
 
 import ast
+import builtins
 import dataclasses
 import importlib
 import inspect
+import io
+import re
+import tokenize
 from pathlib import Path
 from typing import NamedTuple
 
@@ -300,3 +306,90 @@ def test_every_package_name_the_benchmark_reads_exists():
     assert ("lyness.certifier", "certify_q3") in reads
     assert sorted(f"{module}.{name}" for module, name in reads
                   if not hasattr(importlib.import_module(module), name)) == []
+
+
+def test_the_one_dataclass_is_the_descent_result():
+    # every other record is a NamedTuple; DescentResult stays a frozen
+    # dataclass while the benchmark calls dataclasses.replace on it
+    assert [f"{cls.__module__}.{cls.__name__}" for cls in CLASSES
+            if dataclasses.is_dataclass(cls)] == ["lyness.dynamics.DescentResult"]
+
+
+#: A span between two equal runs of backticks, as Markdown and
+#: reStructuredText write code, and a code name: dotted identifiers, with an
+#: optional trailing ``()``.
+_SPAN = re.compile(r"(?<!`)(`+)([^`]+?)\1(?!`)")
+_CODE_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(?:\(\))?")
+
+
+def doc_names(text: str) -> set[str]:
+    """The code names in backticks in ``text`` that read as names of the
+    code: dotted, containing ``_`` or capitalised, and longer than one
+    character; a trailing ``()`` is dropped."""
+    names = set()
+    for match in _SPAN.finditer(text):
+        token = match.group(2)
+        if _CODE_NAME.fullmatch(token):
+            name = token.removesuffix("()")
+            if len(name) > 1 and ("." in name or "_" in name or name[0].isupper()):
+                names.add(name)
+    return names
+
+
+def prose(source: str) -> str:
+    """The docstrings and comments of Python ``source``, joined by newlines."""
+    docstrings = [node.value.value for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                  and isinstance(node.value.value, str)]
+    comments = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT]
+    return "\n".join(docstrings + comments)
+
+
+def code_names(source: str) -> set[str]:
+    """Every identifier ``source`` defines or reads: a def, a class, a name,
+    an attribute, an argument, a keyword, an imported name or its alias,
+    and each string constant shaped like an identifier."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."), [node.asname] if node.asname else [])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def stale_doc_names(docs: dict[str, str], sources) -> list[str]:
+    """``where: name`` for each code name in backticks in ``docs`` (place ->
+    text) whose last component is neither a builtin nor a name that a
+    source of ``sources`` defines or reads."""
+    known = set(dir(builtins)).union(*map(code_names, sources))
+    return sorted(f"{where}: {name}" for where, text in docs.items()
+                  for name in doc_names(text) if name.rpartition(".")[2] not in known)
+
+
+def test_checker_flags_a_stale_name_in_the_docs():
+    sources = ["def live_name(step=None):\n    return run(key='column_id')\n"]
+    docs = {"README.md": "Call `mod.live_name()`, not ``gone_name``; `G`, `x + y`\n"
+                         "and `plain` name no code, `column_id` and `ValueError` do.",
+            "a.py": "# ``mod.other_gone`` and `Run`"}
+    assert stale_doc_names(docs, sources) == ["README.md: gone_name", "a.py: Run",
+                                              "a.py: mod.other_gone"]
+
+
+def test_every_code_name_in_the_docs_exists():
+    sources = [path.read_text(encoding="utf-8") for path in READERS]
+    docs = {path.name: prose(source) for path, source in zip(PACKAGE, sources)}
+    docs["README.md"] = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert stale_doc_names(docs, sources) == []

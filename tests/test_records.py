@@ -1,8 +1,11 @@
 """The immutable records of `model`, `certifier` and `dynamics`, and the
 chart reports checked against the stages of their `CHARTS` rows.
 
-The `model` and `certifier` records are `typing.NamedTuple`s; these tests
-pin the behaviour they keep from the frozen dataclasses they replaced.
+The records are `typing.NamedTuple`s, read-only and equal to the plain
+tuple of their fields; the one exception, `dynamics.DescentResult`, is a
+frozen dataclass while the benchmark calls ``dataclasses.replace`` on it.
+These tests pin that the fields of both kinds are read-only, and how a
+parameter record validates and compares.
 """
 
 from fractions import Fraction
@@ -11,7 +14,8 @@ import pytest
 
 from lyness import certifier
 from lyness.certifier import CHARTS, U_POSITIVE
-from lyness.dynamics import classify_regions, local_stability, simulate
+from lyness.dynamics import (DescentViolation, classify_regions, local_stability,
+                             lyapunov_descent_check, simulate, sweep)
 from lyness.exactalg import Poly, RationalFn, substitute
 from lyness.model import EquilibriumInfo, ParamsPQ, build_symbolic_model
 
@@ -25,8 +29,12 @@ RECORDS = {
                            "overall_pass"),
     "Chart": (lambda: CHARTS["q1"][0], "splits"),
     "OrbitTrace": (lambda: simulate(ParamsPQ(20, 4), (1.0, 2.0)), "verdict"),
+    "DescentViolation": (lambda: DescentViolation(3, 2.0, 2.5, 2.0), "index"),
+    "DescentResult": (lambda: lyapunov_descent_check(ParamsPQ(20, 4), (1.0, 2.0), 5), "ok"),
+    "RegionCheck": (lambda: classify_regions(ParamsPQ(20, 4)).checks[0], "satisfied"),
     "RegionCoverage": (lambda: classify_regions(ParamsPQ(20, 4)), "checks"),
     "StabilityInfo": (lambda: local_stability(ParamsPQ(20, 4)), "spectral_radius"),
+    "SweepRecord": (lambda: sweep([(ParamsPQ(20, 4), (1.0, 2.0))], 1e-8, 100)[0], "descent"),
 }
 
 
@@ -48,18 +56,13 @@ def test_parameter_records_reject_nonpositive_values(make):
         make()
 
 
-def test_parameter_records_compare_their_type():
+def test_parameter_records_equal_the_plain_tuple():
+    # like every NamedTuple record, (p, q) compares and hashes as its tuple
     pq = ParamsPQ(2, 3)
     for a, b in ((pq, (2, 3)), ((2, 3), pq)):
-        assert not a == b
-        assert a != b
-    assert pq == ParamsPQ(2, 3) and not pq != ParamsPQ(2, 3)
+        assert a == b and not a != b
+    assert hash(pq) == hash((2, 3)) == hash(ParamsPQ(2, 3))
     assert ParamsPQ(Fraction(4, 2), 3) == pq
-    assert hash(pq) == hash(ParamsPQ(2, 3))
-    # a mapping keyed by parameters keeps (p, q) and a plain pair apart
-    keyed = {pq: "pq", (2, 3): "pair"}
-    assert len(keyed) == 2
-    assert keyed[ParamsPQ(2, 3)] == "pq" and keyed[(2, 3)] == "pair"
 
 
 def test_report_repr_leaves_out_the_expansion():
